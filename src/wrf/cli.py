@@ -19,14 +19,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, DataError, NumericError, WrfError
 from .evalkit import default_alpha_grid, flatness_score, landscape_probe, landscape_to_csv
 from .checkpoint import load_checkpoint
-from .loss import LossConfig
 from .model import ModelConfig, RetrievalModel
-from .perturb import PerturbConfig
 from .selfcheck import run_selfcheck
 from .synthcir import DatasetConfig, generate, subsample_dataset
 from .trainer import RetrievalObjective, RunRecord, TrainConfig, TripletBatch, train
@@ -43,50 +39,40 @@ SWEEP_HEADER = (
 LANDSCAPE_BATCH_CAP = 512
 
 
+def _with_fields_of(*components):
+    """Class decorator: append every field of the components not yet declared.
+
+    Fields keep their component's type and default and follow the
+    components' order, so each value is declared, defaulted and checked
+    once, in its component config.
+    """
+
+    def add(cls):
+        annotations = cls.__dict__["__annotations__"]
+        for component in components:
+            for f in dataclasses.fields(component):
+                if f.name not in annotations:
+                    annotations[f.name] = f.type
+                    setattr(cls, f.name, f.default)
+        return cls
+
+    return add
+
+
 @dataclass(frozen=True)
+@_with_fields_of(DatasetConfig, ModelConfig, TrainConfig)
 class ExperimentConfig:
     """Flat union of all component settings plus output plumbing.
 
     One seed drives dataset generation, model init, and the training
-    streams; the per-module stream tags keep them independent.
+    streams; the per-module stream tags keep them independent. The
+    fields after ``fraction`` come from the component configs.
     """
 
     run_name: str = "run"
     out_dir: str = "runs"
     seed: int = 0
     fraction: float = 1.0
-    # data
-    d_ref: int = 32
-    d_mod: int = 8
-    n_mods: int = 8
-    n_train: int = 512
-    n_val: int = 512
-    gallery_size: int = 2048
-    noise_sigma: float = 0.1
-    subset_size: int = 6
-    # model
-    hidden: tuple = (64, 64)
-    d_out: int = 16
-    activation: str = "tanh"
-    init_scale: float = 1.0
-    # objective + perturbation + schedule
-    tau: float = 10.0
-    gamma: float = 1e-3
-    rho: float = 1.0
-    eta0: float = 1e-3
-    schedule: str = "cosine"
-    total_epochs: int = 60
-    warmup_epochs: int = 3
-    batch_size: int = 64
-    optimizer: str = "adamw"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.05
-    eval_every: int = 1
-    checkpoint_every: int = 0
-    finetune_mode: str = "full"
-    lora_rank: int = 0
 
     def __post_init__(self):
         if not self.run_name or "/" in self.run_name:
@@ -97,38 +83,18 @@ class ExperimentConfig:
         self.dataset_config()
         self.model_config()
         self.train_config()
-        self.loss_config()
-        self.perturb_config()
+
+    def _project(self, component):
+        return component(**{f.name: getattr(self, f.name) for f in dataclasses.fields(component)})
 
     def dataset_config(self) -> DatasetConfig:
-        return DatasetConfig(
-            d_ref=self.d_ref, d_mod=self.d_mod, n_mods=self.n_mods,
-            n_train=self.n_train, n_val=self.n_val, gallery_size=self.gallery_size,
-            noise_sigma=self.noise_sigma, subset_size=self.subset_size, seed=self.seed,
-        )
+        return self._project(DatasetConfig)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d_ref=self.d_ref, d_mod=self.d_mod, hidden=self.hidden, d_out=self.d_out,
-            activation=self.activation, init_scale=self.init_scale, seed=self.seed,
-        )
+        return self._project(ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            gamma=self.gamma, rho=self.rho, eta0=self.eta0, schedule=self.schedule,
-            total_epochs=self.total_epochs, warmup_epochs=self.warmup_epochs,
-            batch_size=self.batch_size, optimizer=self.optimizer, beta1=self.beta1,
-            beta2=self.beta2, eps=self.eps, weight_decay=self.weight_decay,
-            tau=self.tau, eval_every=self.eval_every,
-            checkpoint_every=self.checkpoint_every, seed=self.seed,
-            finetune_mode=self.finetune_mode, lora_rank=self.lora_rank,
-        )
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(tau=self.tau)
-
-    def perturb_config(self) -> PerturbConfig:
-        return PerturbConfig(gamma=self.gamma, rho=self.rho, seed=self.seed)
+        return self._project(TrainConfig)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -226,10 +192,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Path]:
     echo = config_echo_text(config)
     (run_dir / "config.echo").write_text(echo, encoding="utf-8")
     dataset = build_dataset(config)
-    record = train(
-        config.train_config(), config.model_config(), dataset,
-        out_dir=run_dir, config_hash=config_hash(config),
-    )
+    record = train(config.train_config(), config.model_config(), dataset, out_dir=run_dir)
     return record, run_dir
 
 
@@ -258,13 +221,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_sweep_values(param: str, text: str) -> list:
+def _parse_sweep_list(text: str, kind, what: str) -> list:
+    """Sorted distinct values of a comma-separated sweep argument."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
-        raise ConfigError("sweep needs at least one value")
-    if param == "lora_rank":
-        return [int(tok) for tok in tokens]
-    return [float(tok) for tok in tokens]
+        raise ConfigError(f"sweep needs at least one {what}")
+    try:
+        return sorted({kind(tok) for tok in tokens})
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep {what}: {exc}") from exc
 
 
 def _sweep_config(base: dict, param: str, value, seed: int) -> ExperimentConfig:
@@ -283,10 +248,9 @@ def _sweep_config(base: dict, param: str, value, seed: int) -> ExperimentConfig:
 def cmd_sweep(args) -> int:
     try:
         base = apply_overrides(read_config_file(args.config), args.set)
-        values = sorted(set(_parse_sweep_values(args.param, args.values)))
-        seeds = sorted({int(tok) for tok in args.seeds.split(",") if tok.strip()})
-        if not seeds:
-            raise ConfigError("sweep needs at least one seed")
+        kind = int if args.param == "lora_rank" else float
+        values = _parse_sweep_list(args.values, kind, "value")
+        seeds = _parse_sweep_list(args.seeds, int, "seed")
         planned = [
             (value, seed, _sweep_config(base, args.param, value, seed))
             for value in values
@@ -326,12 +290,15 @@ def cmd_landscape(args) -> int:
         run_dir = ckpt_path.parent
         config = load_config_echo(run_dir / "config.echo")
         model = RetrievalModel(
-            config.model_config(),
-            mode=config.finetune_mode,
-            lora_rank=config.lora_rank if config.finetune_mode == "lora" else None,
+            config.model_config(), mode=config.finetune_mode, lora_rank=config.lora_rank
         )
-        trainable = model.init_params().trainable_names
-        params = load_checkpoint(ckpt_path, trainable=trainable)
+        expected = model.init_params()
+        params = load_checkpoint(ckpt_path, trainable=expected.trainable_names)
+        if params.shapes() != expected.shapes():
+            raise DataError(
+                f"{ckpt_path}: layer shapes {params.shapes()} do not fit the run's "
+                f"config.echo, which builds {expected.shapes()}"
+            )
         dataset = build_dataset(config)
     except (ConfigError, DataError, OSError) as exc:
         return _fail(str(exc), 2)

@@ -262,10 +262,6 @@ class Graph:
     def input_names(self) -> tuple[str, ...]:
         return tuple(self._input_ids)
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(self._param_ids)
-
 
 class Executor:
     """Runs a graph forward and, from the stored tape, backward.
@@ -326,11 +322,6 @@ class Executor:
         _PASS_COUNTS["forward"] += 1
         return values[output]
 
-    def value(self, node_id: int) -> np.ndarray:
-        if self._values is None:
-            raise StateError("no forward pass has run")
-        return self._values[node_id]
-
     def backward(self, loss_node: int | None = None) -> GradientSet:
         if self._values is None or self._params is None:
             raise StateError("backward called before forward")
@@ -370,15 +361,6 @@ class Executor:
                 grads[name] = np.zeros_like(params[name])
         _PASS_COUNTS["backward"] += 1
         return grads
-
-
-def value_and_grad(
-    graph: Graph, inputs: dict[str, np.ndarray], params: ParameterSet
-) -> tuple[float, GradientSet]:
-    """One forward plus one backward through the final (scalar) node."""
-    ex = Executor(graph)
-    loss = ex.forward(inputs, params)
-    return float(np.ravel(loss)[0]), ex.backward()
 
 
 def finite_diff_gradient(

@@ -2,18 +2,14 @@
 
 Ranking is by descending dot product with ties broken by ascending
 gallery index, everywhere, including inside candidate subsets (the
-global order restricted to the subset). recall_report uses a
-rank-of-target computation that avoids materializing full rankings;
-rank_gallery is the reference form and the two are cross-checked in
-tests. WRF_THREADS (default 1) caps query-chunk parallelism in
-recall_report; results are concatenated in order, so the thread count
-never changes any number.
+global order restricted to the subset). recall_report counts the rank
+of each query's target instead of materializing full rankings; the
+tests check it against a full-sort reference ranking.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -25,16 +21,6 @@ from .params import ParameterSet
 from .perturb import Perturbation, apply_perturbation
 
 _DIR_TAG = 0x51
-
-THREADS_ENV = "WRF_THREADS"
-
-
-def thread_count() -> int:
-    try:
-        n = int(os.environ.get(THREADS_ENV, "1"))
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer")
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -52,42 +38,8 @@ def _check_embeddings(queries: np.ndarray, gallery: np.ndarray) -> None:
         )
 
 
-def rank_gallery(query_embs: np.ndarray, gallery_embs: np.ndarray) -> np.ndarray:
-    """(Q, G) gallery indices per query, best first; ties by ascending index."""
-    _check_embeddings(query_embs, gallery_embs)
-    scores = query_embs @ gallery_embs.T
-    return np.argsort(-scores, axis=1, kind="stable")
-
-
-def recall_at_k(rankings: np.ndarray, targets: np.ndarray, k: int) -> float:
-    if k < 1:
-        raise ConfigError(f"K must be >= 1, got {k}")
-    if k > rankings.shape[1]:
-        raise ConfigError(f"K={k} exceeds gallery size {rankings.shape[1]}")
-    hits = (rankings[:, :k] == np.asarray(targets)[:, None]).any(axis=1)
-    return float(100.0 * hits.mean())
-
-
-def recall_subset_at_k(
-    rankings: np.ndarray, subsets: np.ndarray, targets: np.ndarray, k: int
-) -> float:
-    """Recall after restricting each query's ranking to its candidate subset."""
-    if not (1 <= k <= subsets.shape[1]):
-        raise ConfigError(f"K must lie in [1, subset_size], got {k}")
-    targets = np.asarray(targets)
-    if not (subsets == targets[:, None]).any(axis=1).all():
-        raise DataError("a candidate subset is missing its query's target")
-    q, g = rankings.shape
-    inv = np.empty_like(rankings)
-    np.put_along_axis(inv, rankings, np.broadcast_to(np.arange(g), (q, g)), axis=1)
-    member_pos = np.take_along_axis(inv, subsets.astype(np.int64), axis=1)
-    target_pos = np.take_along_axis(inv, targets[:, None].astype(np.int64), axis=1)
-    subset_rank = 1 + (member_pos < target_pos).sum(axis=1)
-    return float(100.0 * (subset_rank <= k).mean())
-
-
 def target_ranks(query_embs: np.ndarray, gallery_embs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """1-based global rank of each query's target, same tie rule as rank_gallery."""
+    """1-based global rank of each query's target; ties by ascending index."""
     _check_embeddings(query_embs, gallery_embs)
     targets = np.asarray(targets, dtype=np.int64)
     scores = query_embs @ gallery_embs.T
@@ -116,16 +68,6 @@ def subset_target_ranks(
     return (1 + ahead + ties).astype(np.int64)
 
 
-def _chunked(fn: Callable[[slice], np.ndarray], total: int) -> np.ndarray:
-    threads = thread_count()
-    if threads == 1 or total < 2 * threads:
-        return fn(slice(0, total))
-    bounds = np.linspace(0, total, threads + 1).astype(int)
-    chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(fn, chunks)))
-
-
 def recall_report(
     query_embs: np.ndarray,
     gallery_embs: np.ndarray,
@@ -138,10 +80,7 @@ def recall_report(
     if not ks:
         raise ConfigError("need at least one K value")
     targets = np.asarray(targets, dtype=np.int64)
-    ranks = _chunked(
-        lambda s: target_ranks(query_embs[s], gallery_embs, targets[s]),
-        len(targets),
-    )
+    ranks = target_ranks(query_embs, gallery_embs, targets)
     recall_at = {int(k): float(100.0 * (ranks <= k).mean()) for k in ks}
     for k in recall_at:
         if not (1 <= k <= gallery_embs.shape[0]):
@@ -149,10 +88,7 @@ def recall_report(
     rmean = float(np.mean(list(recall_at.values())))
     recall_subset_at = None
     if subsets is not None:
-        sub_ranks = _chunked(
-            lambda s: subset_target_ranks(query_embs[s], gallery_embs, subsets[s], targets[s]),
-            len(targets),
-        )
+        sub_ranks = subset_target_ranks(query_embs, gallery_embs, subsets, targets)
         recall_subset_at = {
             int(k): float(100.0 * (sub_ranks <= k).mean()) for k in subset_ks
         }

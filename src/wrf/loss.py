@@ -9,64 +9,20 @@ a learned parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .diffcore import Graph
-from .errors import ConfigError, ShapeError
-
-DEFAULT_TAU = 10.0
-
-# How far a row norm may drift from 1 before the batch is rejected.
-UNIT_NORM_ATOL = 1e-6
+from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    tau: float = DEFAULT_TAU
-
-    def __post_init__(self):
-        _check_tau(self.tau)
-
-
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not (np.isfinite(tau) and tau > 0.0):
-        raise ConfigError(f"temperature must be positive and finite, got {tau}")
-    return tau
-
-
-def contrastive_q2t(queries: np.ndarray, targets: np.ndarray, tau: float = DEFAULT_TAU) -> float:
-    """Reference implementation on plain arrays.
-
-    queries, targets: (B, d) with unit rows, B >= 2. Stabilized with the
-    row-max trick so large tau stays finite.
-    """
-    tau = _check_tau(tau)
-    u = np.asarray(queries, dtype=np.float64)
-    v = np.asarray(targets, dtype=np.float64)
-    if u.ndim != 2 or v.ndim != 2 or u.shape != v.shape:
-        raise ShapeError(f"expected matching (B, d) embeddings, got {u.shape} and {v.shape}")
-    if u.shape[0] < 2:
-        raise ValueError("contrastive loss needs a batch of at least two pairs")
-    for role, mat in (("query", u), ("target", v)):
-        norms = np.linalg.norm(mat, axis=1)
-        drift = np.abs(norms - 1.0).max()
-        if drift > UNIT_NORM_ATOL:
-            raise ValueError(f"{role} rows are not unit-normalized (max drift {drift:.3e})")
-    logits = tau * (u @ v.T)
-    row_max = logits.max(axis=1)
-    lse = row_max + np.log(np.exp(logits - row_max[:, None]).sum(axis=1))
-    return float((lse - np.diag(logits)).mean())
-
-
-def attach_q2t_loss(graph: Graph, query_node: int, target_node: int, tau: float = DEFAULT_TAU) -> int:
+def attach_q2t_loss(graph: Graph, query_node: int, target_node: int, tau: float) -> int:
     """Append the contrastive loss to a graph; returns the scalar loss node.
 
     The embedding nodes should already be row-normalized (l2norm_rows);
     the softmax cross-entropy op handles stabilization itself.
     """
-    tau = _check_tau(tau)
+    tau = float(tau)
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ConfigError(f"temperature must be positive and finite, got {tau}")
     scores = graph.pairwise_dot(query_node, target_node)
     return graph.softmax_xent(graph.scalar_mul(scores, tau))

@@ -81,10 +81,6 @@ class ParameterSet:
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {n: a.shape for n, a in self._layers.items()}
 
-    def total_size(self, trainable_only: bool = False) -> int:
-        names = self._trainable if trainable_only else self.names
-        return int(sum(self._layers[n].size for n in names))
-
     def copy(self) -> "ParameterSet":
         return ParameterSet(
             {n: a.copy() for n, a in self._layers.items()}, self._trainable
@@ -92,14 +88,6 @@ class ParameterSet:
 
     def zeros_like_trainable(self) -> GradientSet:
         return {n: np.zeros_like(self._layers[n]) for n in self._trainable}
-
-    def allclose(self, other: "ParameterSet", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        if self.names != other.names:
-            return False
-        return all(
-            np.allclose(self._layers[n], other[n], atol=atol, rtol=rtol)
-            for n in self.names
-        )
 
     def equal_bits(self, other: "ParameterSet") -> bool:
         """True when both sets hold bit-identical tensors in the same order."""

@@ -10,7 +10,9 @@ equality for every layer with a usable gradient. The random variant
 draws standard normal entries and rescales to the same per-layer
 budget, which makes the two kinds directly comparable in ablations.
 Layers with vanishing gradient or weight norm get a zero perturbation;
-frozen layers are never touched.
+frozen layers are never touched. apply_perturbation returns a perturbed
+copy and leaves its input as it was, so dropping the copy restores
+theta bit for bit.
 """
 
 from __future__ import annotations
@@ -24,22 +26,6 @@ from .params import GradientSet, ParameterSet, check_gradient_keys
 
 # Below this, a norm counts as zero and the layer is left unperturbed.
 ZERO_NORM_EPS = 1e-12
-
-KINDS = ("adversarial", "random")
-
-
-@dataclass(frozen=True)
-class PerturbConfig:
-    gamma: float = 0.001
-    rho: float = 1.0  # probability a step perturbs adversarially rather than randomly
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ConfigError(f"rho must lie in [0, 1], got {self.rho}")
-
 
 @dataclass(frozen=True)
 class Perturbation:
@@ -93,9 +79,9 @@ def random_perturbation(params: ParameterSet, gamma: float, rng: np.random.Gener
     return _build(params, raw, gamma, "random")
 
 
-def choose_kind(config: PerturbConfig, rng: np.random.Generator) -> str:
+def choose_kind(rho: float, rng: np.random.Generator) -> str:
     """One Bernoulli(rho) draw: adversarial with probability rho, else random."""
-    return "adversarial" if rng.random() < config.rho else "random"
+    return "adversarial" if rng.random() < rho else "random"
 
 
 def apply_perturbation(params: ParameterSet, pert: Perturbation) -> ParameterSet:
@@ -111,18 +97,3 @@ def apply_perturbation(params: ParameterSet, pert: Perturbation) -> ParameterSet
             raise ShapeError(f"delta for {name!r}: {delta.shape} vs {arr.shape}")
         arr += delta
     return out
-
-
-def snapshot(params: ParameterSet) -> ParameterSet:
-    return params.copy()
-
-
-def restore_snapshot(params: ParameterSet, snap: ParameterSet) -> ParameterSet:
-    """Exact removal of any perturbation: hand back a copy of the snapshot.
-
-    Numerically identical to subtracting delta again, without the
-    floating-point residue that literal subtraction can leave.
-    """
-    if params.names != snap.names:
-        raise ConfigError("snapshot does not match the parameter layout")
-    return snap.copy()

@@ -17,9 +17,7 @@ sweeps are nested.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,21 +25,6 @@ from .errors import ConfigError, DataError
 
 _GEN_TAG = 0x41
 _SUB_TAG = 0x42
-
-MAGIC = "WRFDATA v1"
-
-# Header echo order; also the load-time parse schema.
-_CONFIG_FIELDS = (
-    ("d_ref", int),
-    ("d_mod", int),
-    ("n_mods", int),
-    ("n_train", int),
-    ("n_val", int),
-    ("gallery_size", int),
-    ("noise_sigma", float),
-    ("subset_size", int),
-    ("seed", int),
-)
 
 
 @dataclass(frozen=True)
@@ -72,13 +55,6 @@ class DatasetConfig:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not (2 <= self.subset_size <= self.gallery_size):
             raise ConfigError("subset_size must lie in [2, gallery_size]")
-
-
-@dataclass(frozen=True)
-class Triplet:
-    ref: np.ndarray
-    mod_code: int
-    target_index: int
 
 
 @dataclass(frozen=True)
@@ -119,9 +95,6 @@ class TripletTable:
             self.target_indices[idx].copy(),
             self.subsets[idx].copy(),
         )
-
-    def triplet(self, i: int) -> Triplet:
-        return Triplet(self.refs[i], int(self.mod_codes[i]), int(self.target_indices[i]))
 
 
 @dataclass(frozen=True)
@@ -224,87 +197,3 @@ def subsample_dataset(dataset: SynthDataset, fraction: float, seed: int) -> Synt
         dataset.mod_embeddings,
         dataset.edit_maps,
     )
-
-
-def _config_echo(config: DatasetConfig, n_train: int, n_val: int) -> list[str]:
-    values = {name: getattr(config, name) for name, _ in _CONFIG_FIELDS}
-    values["n_train"] = n_train  # echo actual table sizes (subsampled saves)
-    values["n_val"] = n_val
-    out = []
-    for name, kind in _CONFIG_FIELDS:
-        val = values[name]
-        out.append(f"{name}={repr(float(val)) if kind is float else int(val)}")
-    return out
-
-
-def save_dataset(path: str | os.PathLike, dataset: SynthDataset) -> None:
-    header_lines = [MAGIC, *_config_echo(dataset.config, len(dataset.train), len(dataset.val))]
-    header = "\n".join(header_lines) + "\n\n"
-    parts = [header.encode("utf-8")]
-
-    def f64(arr):
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-    def u32(arr):
-        parts.append(np.ascontiguousarray(arr, dtype="<u4").tobytes())
-
-    f64(dataset.gallery)
-    f64(dataset.mod_embeddings)
-    for table in (dataset.train, dataset.val):
-        f64(table.refs)
-        u32(table.mod_codes)
-        u32(table.target_indices)
-        u32(table.subsets)
-    Path(path).write_bytes(b"".join(parts))
-
-
-def load_dataset(path: str | os.PathLike) -> SynthDataset:
-    raw = Path(path).read_bytes()
-    split = raw.find(b"\n\n")
-    if split < 0:
-        raise DataError(f"{path}: missing header terminator")
-    lines = raw[:split].decode("utf-8").split("\n")
-    if not lines or lines[0] != MAGIC:
-        raise DataError(f"{path}: bad magic line (expected {MAGIC!r})")
-    kv = {}
-    for line in lines[1:]:
-        if "=" not in line:
-            raise DataError(f"{path}: bad config line {line!r}")
-        key, _, value = line.partition("=")
-        kv[key] = value
-    try:
-        fields = {name: kind(kv[name]) for name, kind in _CONFIG_FIELDS}
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: bad or missing config field ({exc})") from exc
-    config = DatasetConfig(**fields)
-
-    body = raw[split + 2 :]
-    offset = 0
-
-    def read(dtype, shape):
-        nonlocal offset
-        count = int(np.prod(shape))
-        nbytes = count * np.dtype(dtype).itemsize
-        if offset + nbytes > len(body):
-            raise DataError(f"{path}: truncated binary section")
-        arr = np.frombuffer(body, dtype=dtype, count=count, offset=offset).reshape(shape)
-        offset += nbytes
-        return arr.copy()
-
-    d, s = config.d_ref, config.subset_size
-    gallery = read("<f8", (config.gallery_size, d))
-    mod_embeddings = read("<f8", (config.n_mods, config.d_mod))
-    tables = []
-    for n in (config.n_train, config.n_val):
-        refs = read("<f8", (n, d))
-        codes = read("<u4", (n,))
-        targets = read("<u4", (n,))
-        subsets = read("<u4", (n, s))
-        if codes.size and codes.max() >= config.n_mods:
-            raise DataError(f"{path}: modification code out of range")
-        if targets.size and targets.max() >= config.gallery_size:
-            raise DataError(f"{path}: target index out of range")
-        tables.append(TripletTable(refs, codes, targets, subsets))
-    if offset != len(body):
-        raise DataError(f"{path}: {len(body) - offset} trailing bytes")
-    return SynthDataset(config, tables[0], tables[1], gallery, mod_embeddings)

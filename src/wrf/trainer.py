@@ -3,18 +3,17 @@
 A WRF step costs two forward-backward passes: gradient at theta picks
 the perturbation direction, gradient at theta+delta drives the
 optimizer update, and theta itself is never mutated in between (the
-perturbed copy is dropped, which restores the snapshot exactly).
-Baseline steps (warm-up epochs, or gamma=0 runs) do one pass.
+perturbation is applied to a copy, and dropping the copy restores theta
+exactly). Baseline steps (warm-up epochs, or gamma=0 runs) do one pass.
 
 Optimizer moments see only the perturbed-pass gradient; decoupled
 weight decay acts on the unperturbed weights. A literal
 subtract-the-delta SGD variant is kept purely as a cross-check of the
-snapshot-restore implementation.
+copy-on-apply implementation.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -27,10 +26,9 @@ import numpy as np
 from . import evalkit
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, NumericError
-from .model import ModelConfig, RetrievalModel
+from .model import MODES, ModelConfig, RetrievalModel
 from .params import GradientSet, ParameterSet
 from .perturb import (
-    PerturbConfig,
     adversarial_perturbation,
     apply_perturbation,
     choose_kind,
@@ -91,6 +89,7 @@ class RetrievalObjective:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    tau: float = 10.0
     gamma: float = 0.001
     rho: float = 1.0
     eta0: float = 1e-3
@@ -103,7 +102,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.05
-    tau: float = 10.0
     eval_every: int = 1
     checkpoint_every: int = 0  # extra epoch_<n>.ckpt cadence; final epoch always saved
     seed: int = 0
@@ -144,6 +142,8 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 1")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
+        if self.finetune_mode not in MODES:
+            raise ConfigError(f"finetune_mode must be one of {MODES}, got {self.finetune_mode!r}")
         if self.finetune_mode == "lora" and self.lora_rank < 1:
             raise ConfigError("lora mode needs lora_rank >= 1")
 
@@ -248,8 +248,7 @@ def baseline_step(
 
 
 def _draw_perturbation(state: TrainState, config: TrainConfig, grads: GradientSet):
-    pcfg = PerturbConfig(gamma=config.gamma, rho=config.rho, seed=config.seed)
-    kind = choose_kind(pcfg, state.rng_kind)
+    kind = choose_kind(config.rho, state.rng_kind)
     if kind == "adversarial":
         return adversarial_perturbation(state.params, grads, config.gamma)
     return random_perturbation(state.params, config.gamma, state.rng_noise)
@@ -274,8 +273,8 @@ def wrf_step(
         raise NumericError(
             f"pass at theta+delta failed: {exc} [{_diagnostics(state.params, config.gamma)}]"
         ) from exc
-    # state.params was never mutated: dropping `perturbed` here IS the
-    # snapshot restore, bit for bit. The optimizer then sees theta.
+    # state.params was never mutated: dropping `perturbed` here restores
+    # theta bit for bit. The optimizer then sees theta.
     _optimizer_update(state, grads_p, lr, config)
     state.step += 1
     if pert.kind == "adversarial":
@@ -291,8 +290,8 @@ def wrf_step_literal_sgd(
     """Update-rule cross-check: step at theta+delta, then subtract delta.
 
     Mathematically the same update as wrf_step under SGD; numerically it
-    reintroduces delta round-off, which is why the production path uses
-    snapshot semantics instead. Exists only so tests can compare both.
+    reintroduces delta round-off, which is why the production path
+    perturbs a copy instead. Exists only so tests can compare both.
     """
     if config.optimizer != "sgd":
         raise ConfigError("the literal update form is defined for sgd only")
@@ -329,7 +328,6 @@ class EpochRow:
 
 @dataclass
 class RunRecord:
-    config_hash: str
     seed: int
     rows: list[EpochRow] = field(default_factory=list)
     best_epoch: int | None = None
@@ -399,11 +397,6 @@ def metrics_rows(row: EpochRow) -> list[str]:
     return lines
 
 
-def _config_hash(train_cfg: TrainConfig, model_cfg: ModelConfig, dataset: SynthDataset) -> str:
-    text = f"{train_cfg!r}|{model_cfg!r}|{dataset.config!r}|n_train={len(dataset.train)}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
 def _epoch_batches(table: TripletTable, order: np.ndarray, batch_size: int):
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
@@ -423,7 +416,6 @@ def train(
     model_config: ModelConfig,
     dataset: SynthDataset,
     out_dir: str | Path | None = None,
-    config_hash: str | None = None,
 ) -> RunRecord:
     """Run the full loop; returns the RunRecord and (optionally) writes artifacts.
 
@@ -436,17 +428,10 @@ def train(
     """
     if len(dataset.train) < 2:
         raise ConfigError("training split needs at least two triplets")
-    model = RetrievalModel(
-        model_config,
-        mode=config.finetune_mode,
-        lora_rank=config.lora_rank if config.finetune_mode == "lora" else None,
-    )
+    model = RetrievalModel(model_config, mode=config.finetune_mode, lora_rank=config.lora_rank)
     objective = RetrievalObjective(model, tau=config.tau)
     state = new_train_state(config, model.init_params())
-    record = RunRecord(
-        config_hash=config_hash or _config_hash(config, model_config, dataset),
-        seed=config.seed,
-    )
+    record = RunRecord(seed=config.seed)
     ks = [k for k in EVAL_KS if k <= dataset.gallery.shape[0]]
     train_eval_idx = np.arange(len(dataset.train))
     if len(train_eval_idx) > TRAIN_EVAL_CAP:

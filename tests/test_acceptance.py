@@ -27,10 +27,7 @@ from wrf.evalkit import (
     default_alpha_grid,
     flatness_score,
     landscape_probe,
-    rank_gallery,
-    recall_at_k,
 )
-from wrf.loss import contrastive_q2t
 from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet
 from wrf.perturb import adversarial_perturbation
@@ -45,6 +42,8 @@ from wrf.trainer import (
     wrf_step,
     wrf_step_literal_sgd,
 )
+
+from oracles import contrastive_q2t, rank_gallery, recall_at_k
 
 SEEDS = (0, 1, 2, 3, 4)
 GAMMA_SWEEP = (0.0, 5e-4, 1e-3, 2e-3, 5e-3)

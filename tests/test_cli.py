@@ -147,6 +147,27 @@ def test_sweep_bad_values_are_exit_2(cfg_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, text", [("--values", "abc"), ("--seeds", "x")])
+def test_sweep_non_numeric_token_is_exit_2(cfg_file, tmp_path, capsys, flag, text):
+    args = {"--values": "0.5", "--seeds": "0", flag: text}
+    code = cli.main([
+        "sweep", "--config", str(cfg_file), "--param", "rho",
+        "--values", args["--values"], "--seeds", args["--seeds"],
+    ])
+    assert code == 2
+    assert "bad sweep" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_finetune_mode_is_rejected_before_any_run_dir(cfg_file, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="finetune_mode"):
+        cli.build_config({"finetune_mode": "bogus"})
+    code = cli.main(["train", "--config", str(cfg_file), "--set", "finetune_mode=bogus"])
+    assert code == 2
+    assert "finetune_mode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_lora_rank_zero_means_full_mode(cfg_file, tmp_path, capsys):
     code = cli.main([
         "sweep", "--config", str(cfg_file), "--param", "lora_rank",
@@ -183,6 +204,24 @@ def test_landscape_corrupt_checkpoint_is_exit_2(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, value", [("d_ref", "10"), ("hidden", "12")])
+def test_landscape_rejects_checkpoint_that_does_not_fit_its_echo(
+    cfg_file, tmp_path, capsys, key, value
+):
+    assert cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"]) == 0
+    echo = tmp_path / "out" / "a" / "config.echo"
+    lines = [
+        f"{key}={value}" if line.startswith(f"{key}=") else line
+        for line in echo.read_text().splitlines()
+    ]
+    echo.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    ckpt = tmp_path / "out" / "a" / "best.ckpt"
+    assert cli.main(["landscape", "--checkpoint", str(ckpt), "--directions", "1"]) == 2
+    assert "do not fit" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "a" / "landscape.csv").exists()
+
+
 def test_selfcheck_passes_clean_and_fails_injected(capsys):
     assert cli.main(["selfcheck"]) == 0
     out = capsys.readouterr().out
@@ -204,6 +243,52 @@ def test_value_parsing_round_trip():
         cli.build_config({"fraction": "0"})
     with pytest.raises(ConfigError):
         cli.build_config({"run_name": "a/b"})
+
+
+DEFAULT_ECHO = """\
+run_name=run
+out_dir=runs
+seed=0
+fraction=1.0
+d_ref=32
+d_mod=8
+n_mods=8
+n_train=512
+n_val=512
+gallery_size=2048
+noise_sigma=0.1
+subset_size=6
+hidden=64,64
+d_out=16
+activation=tanh
+init_scale=1.0
+tau=10.0
+gamma=0.001
+rho=1.0
+eta0=0.001
+schedule=cosine
+total_epochs=60
+warmup_epochs=3
+batch_size=64
+optimizer=adamw
+beta1=0.9
+beta2=0.999
+eps=1e-08
+weight_decay=0.05
+eval_every=1
+checkpoint_every=0
+finetune_mode=full
+lora_rank=0
+config_hash=921955767115b6e8
+"""
+
+
+def test_default_config_echo_is_pinned():
+    # Key order, formatting and the hash are part of the run-directory
+    # format: an echo written earlier must reproduce its run.
+    config = cli.build_config({})
+    assert cli.config_echo_text(config) == DEFAULT_ECHO
+    assert cli.config_hash(config) == "921955767115b6e8"
 
 
 def test_module_entry_point():

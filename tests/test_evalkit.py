@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrf import evalkit
 from wrf.errors import ConfigError, DataError, NumericError, ShapeError
 from wrf.evalkit import (
     MetricReport,
@@ -15,16 +14,15 @@ from wrf.evalkit import (
     generalization_gap,
     landscape_probe,
     landscape_to_csv,
-    rank_gallery,
-    recall_at_k,
     recall_report,
-    recall_subset_at_k,
     sharpness,
     subset_target_ranks,
     target_ranks,
 )
 from wrf.params import ParameterSet
 from wrf.perturb import Perturbation, adversarial_perturbation
+
+from oracles import rank_gallery, recall_at_k, recall_subset_at_k
 
 
 def unit_rows(arr):
@@ -195,19 +193,6 @@ def test_recall_report_matches_reference_path():
     assert report.recall_subset_at[1] == recall_subset_at_k(rankings, subsets, targets, 1)
     assert report.rmean == pytest.approx(np.mean(list(report.recall_at.values())))
     assert report.split == "val"
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    rng = np.random.default_rng(6)
-    queries, gallery = random_instance(rng, q=32, g=40, d=5)
-    targets = rng.integers(0, 40, size=32)
-    base = recall_report(queries, gallery, targets, None, (1, 5), "val")
-    monkeypatch.setenv(evalkit.THREADS_ENV, "4")
-    threaded = recall_report(queries, gallery, targets, None, (1, 5), "val")
-    assert base == threaded
-    monkeypatch.setenv(evalkit.THREADS_ENV, "oops")
-    with pytest.raises(ConfigError):
-        recall_report(queries, gallery, targets, None, (1, 5), "val")
 
 
 def test_cirr_avg_arithmetic():

@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrf.diffcore import Executor, Graph, finite_diff_gradient, value_and_grad
+from wrf.diffcore import Executor, Graph, finite_diff_gradient
 from wrf.errors import ConfigError, ShapeError
-from wrf.loss import LossConfig, attach_q2t_loss, contrastive_q2t
+from wrf.loss import attach_q2t_loss
 from wrf.params import ParameterSet
+from wrf.trainer import TrainConfig
+
+from oracles import contrastive_q2t, value_and_grad
 
 
 def unit_rows(arr):
@@ -124,8 +127,13 @@ def test_graph_form_gradient_matches_finite_difference():
 
 
 def test_loss_config_validates_tau():
-    assert LossConfig().tau == 10.0
-    assert LossConfig(tau=0.5).tau == 0.5
+    # The temperature is configured on TrainConfig and checked again
+    # where the loss is attached to a graph.
+    assert TrainConfig().tau == 10.0
+    assert TrainConfig(tau=0.5).tau == 0.5
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ConfigError):
-            LossConfig(tau=bad)
+            TrainConfig(tau=bad)
+        g = Graph()
+        with pytest.raises(ConfigError):
+            attach_q2t_loss(g, g.input("u"), g.input("v"), tau=bad)

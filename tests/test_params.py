@@ -48,14 +48,6 @@ def test_rejects_nonfinite_and_empty_and_unknown_trainable():
         ParameterSet({"w": np.ones(1)}, trainable=[])
 
 
-def test_total_size_counts_trainable_separately():
-    ps = ParameterSet(
-        {"a": np.ones((2, 3)), "b": np.ones(4)}, trainable=["b"]
-    )
-    assert ps.total_size() == 10
-    assert ps.total_size(trainable_only=True) == 4
-
-
 def test_equal_bits_detects_any_difference():
     ps = ParameterSet({"w": np.array([1.0, 2.0])})
     same = ps.copy()

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from wrf.errors import ConfigError, NumericError
 from wrf.params import ParameterSet
 from wrf.perturb import (
-    PerturbConfig,
     adversarial_perturbation,
     apply_perturbation,
     choose_kind,
     random_perturbation,
-    restore_snapshot,
-    snapshot,
 )
+from wrf.trainer import TrainConfig
 
 
 def random_params(rng, n_layers=3, frozen=False):
@@ -130,25 +128,24 @@ def test_frozen_layers_never_perturbed():
 
 
 def test_choose_kind_extremes_and_concentration():
-    cfg_all = PerturbConfig(gamma=0.001, rho=1.0)
-    cfg_none = PerturbConfig(gamma=0.001, rho=0.0)
     rng = np.random.default_rng(5)
-    assert all(choose_kind(cfg_all, rng) == "adversarial" for _ in range(100))
-    assert all(choose_kind(cfg_none, rng) == "random" for _ in range(100))
-    cfg_half = PerturbConfig(gamma=0.001, rho=0.5)
-    draws = sum(choose_kind(cfg_half, rng) == "adversarial" for _ in range(10_000))
+    assert all(choose_kind(1.0, rng) == "adversarial" for _ in range(100))
+    assert all(choose_kind(0.0, rng) == "random" for _ in range(100))
+    draws = sum(choose_kind(0.5, rng) == "adversarial" for _ in range(10_000))
     assert abs(draws / 10_000 - 0.5) <= 0.02
 
 
 def test_apply_and_restore_are_exact():
+    # The perturbation lands on a copy, so theta itself is the restore.
     rng = np.random.default_rng(8)
     ps = random_params(rng)
-    snap = snapshot(ps)
+    before = ps.copy()
     pert = adversarial_perturbation(ps, grads_like(ps, rng), gamma=0.05)
     perturbed = apply_perturbation(ps, pert)
     assert not perturbed.equal_bits(ps)
-    restored = restore_snapshot(perturbed, snap)
-    assert restored.equal_bits(ps)
+    for name in ps.trainable_names:
+        assert np.array_equal(perturbed[name], before[name] + pert.deltas[name])
+    assert ps.equal_bits(before)
 
 
 def test_apply_leaves_input_untouched():
@@ -177,9 +174,9 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         adversarial_perturbation(ps, {"other": np.ones(2)}, gamma=0.1)
     with pytest.raises(ConfigError):
-        PerturbConfig(rho=1.5)
+        TrainConfig(rho=1.5)
     with pytest.raises(ConfigError):
-        PerturbConfig(gamma=float("inf"))
+        TrainConfig(gamma=float("inf"))
 
 
 @settings(deadline=None, max_examples=50)

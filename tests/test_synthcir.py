@@ -1,16 +1,14 @@
-"""Dataset generation, subsampling, and the binary export format."""
+"""Dataset generation and nested train subsampling."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrf.errors import ConfigError, DataError
+from wrf.errors import ConfigError
 from wrf.synthcir import (
     DatasetConfig,
     generate,
-    load_dataset,
-    save_dataset,
     subsample,
     subsample_dataset,
 )
@@ -154,62 +152,3 @@ def test_subsample_dataset_keeps_val_and_gallery(small_ds):
     assert len(sub.train) == 20
     assert sub.val is small_ds.val
     assert sub.gallery is small_ds.gallery
-
-
-def test_round_trip_preserves_everything(tmp_path, small_ds):
-    path = tmp_path / "data.wrfdata"
-    save_dataset(path, small_ds)
-    back = load_dataset(path)
-    assert back.config == small_ds.config
-    assert np.array_equal(back.gallery, small_ds.gallery)
-    assert np.array_equal(back.mod_embeddings, small_ds.mod_embeddings)
-    for a, b in ((back.train, small_ds.train), (back.val, small_ds.val)):
-        assert np.array_equal(a.refs, b.refs)
-        assert np.array_equal(a.mod_codes, b.mod_codes)
-        assert np.array_equal(a.target_indices, b.target_indices)
-        assert np.array_equal(a.subsets, b.subsets)
-    assert back.edit_maps is None  # maps live only in the generating process
-
-
-def test_round_trip_is_byte_exact(tmp_path, small_ds):
-    p1, p2 = tmp_path / "a.wrfdata", tmp_path / "b.wrfdata"
-    save_dataset(p1, small_ds)
-    save_dataset(p2, load_dataset(p1))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_subsampled_save_echoes_actual_counts(tmp_path, small_ds):
-    sub = subsample_dataset(small_ds, 0.5, seed=2)
-    path = tmp_path / "sub.wrfdata"
-    save_dataset(path, sub)
-    back = load_dataset(path)
-    assert back.config.n_train == 20
-    assert np.array_equal(back.train.refs, sub.train.refs)
-
-
-def test_corrupt_files_rejected(tmp_path, small_ds):
-    path = tmp_path / "data.wrfdata"
-    save_dataset(path, small_ds)
-    raw = path.read_bytes()
-
-    bad = tmp_path / "bad.wrfdata"
-    bad.write_bytes(b"NOTDATA v9" + raw[10:])
-    with pytest.raises(DataError):
-        load_dataset(bad)
-
-    trunc = tmp_path / "trunc.wrfdata"
-    trunc.write_bytes(raw[:-4])
-    with pytest.raises(DataError):
-        load_dataset(trunc)
-
-    padded = tmp_path / "padded.wrfdata"
-    padded.write_bytes(raw + b"\x00" * 4)
-    with pytest.raises(DataError):
-        load_dataset(padded)
-
-
-def test_triplet_view(small_ds):
-    t = small_ds.train.triplet(5)
-    assert np.array_equal(t.ref, small_ds.train.refs[5])
-    assert t.target_index == 5
-    assert 0 <= t.mod_code < SMALL.n_mods

@@ -4,12 +4,21 @@ Graphs are declarative: build once with Graph methods, then run any
 number of times through an Executor bound to concrete inputs and a
 ParameterSet. Everything is dense float64 numpy; every node's output is
 checked finite so a blow-up is reported at the node that produced it
-instead of surfacing later as a silent NaN.
+instead of surfacing later as a silent NaN. The check stays per node
+because a non-finite intermediate can vanish before the loss
+(relu(-inf) is 0).
+
+A graph compiles once into a flat plan (Graph.plan) that every Executor
+of it reuses: one step per node for the forward pass and, per set of
+trainable names, backward steps that skip every node unable to reach a
+trainable parameter, so no gradient is formed for inputs or frozen
+layers. Pruning changes no bit of the gradients that remain.
 
 The op set is deliberately tiny (ten ops). Each op is a (forward,
-backward) pair in the _OPS registry; the selfcheck command relies on
-that registry to inject a broken backward rule and prove the gradient
-suite catches it.
+backward) pair in the _OPS registry, looked up on every pass rather
+than bound into the plan; the selfcheck command relies on that registry
+to inject a broken backward rule and prove the gradient suite catches
+it.
 """
 
 from __future__ import annotations
@@ -197,6 +206,7 @@ class Graph:
         self.nodes: list[Node] = []
         self._input_ids: dict[str, int] = {}
         self._param_ids: dict[str, int] = {}
+        self._plan: _Plan | None = None
 
     def _push(self, node: Node) -> int:
         self.nodes.append(node)
@@ -262,6 +272,51 @@ class Graph:
     def input_names(self) -> tuple[str, ...]:
         return tuple(self._input_ids)
 
+    def plan(self) -> "_Plan":
+        """The compiled plan, rebuilt only after nodes were appended."""
+        if self._plan is None or self._plan.size != len(self.nodes):
+            self._plan = _Plan(self)
+        return self._plan
+
+
+class _Plan:
+    """A graph compiled once: flat forward steps, plus backward steps per trainable set.
+
+    A forward step is (node id, op, input ids, leaf name or scalar_mul
+    coefficient). A backward step keeps only nodes that can reach a
+    trainable parameter, and marks each input that cannot with None, so
+    no adjoint is built for refs, mods, targets or frozen layers. Kernels
+    are not bound here: every pass looks them up in _OPS, the registry
+    selfcheck's fault injection patches.
+    """
+
+    __slots__ = ("size", "steps", "input_names", "_backward")
+
+    def __init__(self, graph: "Graph"):
+        self.size = len(graph.nodes)
+        self.steps = tuple(
+            (i, n.op, n.inputs, n.const if n.name is None else n.name)
+            for i, n in enumerate(graph.nodes)
+        )
+        self.input_names = frozenset(graph.input_names)
+        self._backward: dict[tuple[int, tuple[str, ...]], tuple] = {}
+
+    def backward_steps(self, loss_node: int, trainable: tuple[str, ...]) -> tuple:
+        key = (loss_node, trainable)
+        steps = self._backward.get(key)
+        if steps is None:
+            wanted = set(trainable)
+            live = [False] * self.size
+            for i, op, ins, arg in self.steps:
+                live[i] = arg in wanted if op == "param" else any(live[j] for j in ins)
+            steps = tuple(
+                (i, op, arg, tuple(j if live[j] else None for j in ins))
+                for i, op, ins, arg in reversed(self.steps[: loss_node + 1])
+                if live[i]
+            )
+            self._backward[key] = steps
+        return steps
+
 
 class Executor:
     """Runs a graph forward and, from the stored tape, backward.
@@ -282,40 +337,38 @@ class Executor:
         params: ParameterSet,
         output: int | None = None,
     ) -> np.ndarray:
-        nodes = self.graph.nodes
+        plan = self.graph.plan()
         if output is None:
-            output = len(nodes) - 1
-        if not (0 <= output < len(nodes)):
+            output = plan.size - 1
+        if not (0 <= output < plan.size):
             raise ConfigError(f"output node id {output} out of range")
-        unknown = set(inputs) - set(self.graph.input_names)
+        unknown = set(inputs) - plan.input_names
         if unknown:
             raise ConfigError(f"unexpected inputs: {sorted(unknown)}")
-        values: list = [None] * len(nodes)
-        ctxs: list = [None] * len(nodes)
-        for i, node in enumerate(nodes):
-            if node.op == "input":
-                if node.name not in inputs:
-                    raise ConfigError(f"missing input {node.name!r}")
-                arr = np.asarray(inputs[node.name], dtype=np.float64)
-                if not np.all(np.isfinite(arr)):
-                    raise NumericError(f"input {node.name!r} has non-finite entries")
-                values[i] = arr
-                continue
-            if node.op == "param":
-                if node.name not in params:
-                    raise ConfigError(f"missing param {node.name!r}")
-                values[i] = params[node.name]
-                continue
-            args = [values[j] for j in node.inputs]
-            if node.op == "scalar_mul":
-                args.append(node.const)
-            # Overflow is not a warning here: non-finite outputs raise below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                out, ctx = _OPS[node.op].forward(i, *args)
-            if not np.all(np.isfinite(out)):
-                raise NumericError(f"node {i} ({node.op}) produced non-finite values")
-            values[i] = out
-            ctxs[i] = ctx
+        values: list = [None] * plan.size
+        ctxs: list = [None] * plan.size
+        ops = _OPS
+        # Overflow is not a warning here: non-finite outputs raise below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, op, ins, arg in plan.steps:
+                if op == "input":
+                    if arg not in inputs:
+                        raise ConfigError(f"missing input {arg!r}")
+                    out = np.asarray(inputs[arg], dtype=np.float64)
+                    if not np.isfinite(out).all():
+                        raise NumericError(f"input {arg!r} has non-finite entries")
+                elif op == "param":
+                    if arg not in params:
+                        raise ConfigError(f"missing param {arg!r}")
+                    out = params[arg]
+                else:
+                    args = [values[j] for j in ins]
+                    if arg is not None:  # the scalar_mul coefficient
+                        args.append(arg)
+                    out, ctxs[i] = ops[op].forward(i, *args)
+                    if not np.isfinite(out).all():
+                        raise NumericError(f"node {i} ({op}) produced non-finite values")
+                values[i] = out
         self._values = values
         self._ctx = ctxs
         self._params = params
@@ -325,37 +378,34 @@ class Executor:
     def backward(self, loss_node: int | None = None) -> GradientSet:
         if self._values is None or self._params is None:
             raise StateError("backward called before forward")
-        nodes = self.graph.nodes
+        plan = self.graph.plan()
         if loss_node is None:
-            loss_node = len(nodes) - 1
+            loss_node = plan.size - 1
         loss_val = self._values[loss_node]
         if np.ndim(loss_val) != 0 and np.size(loss_val) != 1:
             raise ShapeError(
                 f"loss node {loss_node} is not scalar (shape {np.shape(loss_val)})"
             )
-        adjoints: list = [None] * len(nodes)
-        adjoints[loss_node] = np.ones_like(loss_val)
         params = self._params
+        adjoints: list = [None] * plan.size
+        adjoints[loss_node] = np.ones_like(loss_val)
+        ctxs = self._ctx
+        ops = _OPS
         grads: GradientSet = {}
-        for i in range(loss_node, -1, -1):
+        for i, op, arg, ins in plan.backward_steps(loss_node, params.trainable_names):
             g = adjoints[i]
             if g is None:
                 continue
-            node = nodes[i]
-            if node.op == "input":
+            if op == "param":
+                grads[arg] = np.array(g, dtype=np.float64)
                 continue
-            if node.op == "param":
-                if params.is_trainable(node.name):
-                    grads[node.name] = np.array(g, dtype=np.float64)
-                continue
-            in_grads = _OPS[node.op].backward(i, g, self._ctx[i])
-            for j, gj in zip(node.inputs, in_grads):
-                if gj is None:
+            in_grads = ops[op].backward(i, g, ctxs[i])
+            for j, gj in zip(ins, in_grads):
+                if j is None or gj is None:
                     continue
-                if adjoints[j] is None:
-                    adjoints[j] = gj.copy() if isinstance(gj, np.ndarray) else np.asarray(gj)
-                else:
-                    adjoints[j] = adjoints[j] + gj
+                # Adjoints are never updated in place, so aliasing gj is safe.
+                prev = adjoints[j]
+                adjoints[j] = gj if prev is None else prev + gj
         for name in params.trainable_names:
             if name not in grads:
                 grads[name] = np.zeros_like(params[name])

@@ -26,7 +26,7 @@ class ParameterSet:
     anything that must not alias calls copy() first.
     """
 
-    __slots__ = ("_layers", "_trainable")
+    __slots__ = ("_layers", "_trainable", "_trainable_set")
 
     def __init__(
         self,
@@ -36,7 +36,7 @@ class ParameterSet:
         self._layers: dict[str, np.ndarray] = {}
         for name, value in layers.items():
             arr = np.array(value, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise NumericError(f"layer {name!r} has non-finite entries")
             self._layers[name] = arr
         if not self._layers:
@@ -51,6 +51,7 @@ class ParameterSet:
             self._trainable = tuple(n for n in self._layers if n in wanted)
         if not self._trainable:
             raise ConfigError("at least one layer must be trainable")
+        self._trainable_set = frozenset(self._trainable)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -61,7 +62,7 @@ class ParameterSet:
         return self._trainable
 
     def is_trainable(self, name: str) -> bool:
-        return name in set(self._trainable)
+        return name in self._trainable_set
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._layers[name]

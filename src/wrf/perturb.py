@@ -68,7 +68,7 @@ def adversarial_perturbation(params: ParameterSet, grads: GradientSet, gamma: fl
     gamma = _check_gamma(gamma)
     check_gradient_keys(params, grads)
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"gradient for layer {name!r} has non-finite entries")
     return _build(params, grads, gamma, "adversarial")
 

@@ -9,7 +9,9 @@ references, so distractors live on the same manifold and retrieval is
 not trivially easy.
 
 Per-query candidate subsets (for subset recall) are the target plus its
-nearest gallery neighbors by dot product. Fractional subsampling takes
+nearest gallery neighbors by dot product, ties by ascending index,
+found by partial selection rather than a full sort of each row; the
+tests check them against the full stable sort. Fractional subsampling takes
 a prefix of one seeded permutation, so the fractions used in data-size
 sweeps are nested.
 """
@@ -119,13 +121,25 @@ def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def _nearest_subsets(gallery: np.ndarray, targets: np.ndarray, subset_size: int) -> np.ndarray:
-    """Target first, then its (subset_size - 1) nearest gallery rows."""
-    scores = gallery[targets] @ gallery.T
-    scores[np.arange(len(targets)), targets] = -np.inf
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return np.concatenate(
-        [targets[:, None], order[:, : subset_size - 1]], axis=1
-    ).astype(np.uint32)
+    """Target first, then its (subset_size - 1) nearest gallery rows.
+
+    Nearest is by descending dot product, ties by ascending gallery
+    index. Each row keeps as candidates every column scoring at least
+    its k-th best score (k = subset_size - 1, found by np.partition, so
+    every tie at that threshold is kept) and sorts only those, stably;
+    this picks exactly the first k columns of a full stable sort.
+    """
+    k = subset_size - 1
+    neg = -(gallery[targets] @ gallery.T)  # ascending neg = descending score
+    neg[np.arange(len(targets)), targets] = np.inf
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    candidate = neg <= kth
+    rows, cols = np.nonzero(candidate)  # row-major: columns ascend within a row
+    order = np.lexsort((neg[rows, cols], rows))
+    counts = np.count_nonzero(candidate, axis=1)
+    starts = np.cumsum(counts) - counts
+    nearest = cols[order][starts[:, None] + np.arange(k)]
+    return np.concatenate([targets[:, None], nearest], axis=1).astype(np.uint32)
 
 
 def generate(config: DatasetConfig, edit_maps: np.ndarray | None = None) -> SynthDataset:

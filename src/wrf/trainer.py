@@ -144,6 +144,8 @@ class TrainConfig:
             raise ConfigError("checkpoint_every must be >= 0")
         if self.finetune_mode not in MODES:
             raise ConfigError(f"finetune_mode must be one of {MODES}, got {self.finetune_mode!r}")
+        if self.lora_rank < 0:
+            raise ConfigError(f"lora_rank must be >= 0, got {self.lora_rank}")
         if self.finetune_mode == "lora" and self.lora_rank < 1:
             raise ConfigError("lora mode needs lora_rank >= 1")
 

@@ -2,15 +2,18 @@
 
 Each function here is the plain, full-materialization version of
 something the package computes a cheaper way: a full gallery sort for
-the rank-of-target counting in ``wrf.evalkit``, the contrastive loss on
-plain arrays for the graph form in ``wrf.loss``, and one forward plus
-one backward through a graph's final node.
+the rank-of-target counting in ``wrf.evalkit`` and for the nearest
+neighbour subsets in ``wrf.synthcir``, the contrastive loss on plain
+arrays for the graph form in ``wrf.loss``, a node-by-node executor for
+the compiled plan in ``wrf.diffcore``, and one forward plus one
+backward through a graph's final node.
 """
 
 import numpy as np
 
+from wrf import diffcore
 from wrf.diffcore import Executor, Graph
-from wrf.errors import ConfigError, DataError, ShapeError
+from wrf.errors import ConfigError, DataError, NumericError, ShapeError
 from wrf.params import GradientSet, ParameterSet
 
 # How far a row norm may drift from 1 before contrastive_q2t rejects it.
@@ -23,6 +26,94 @@ def rank_gallery(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
         raise ShapeError(f"embedding dims do not match: {queries.shape} vs {gallery.shape}")
     scores = queries @ gallery.T
     return np.argsort(-scores, axis=1, kind="stable")
+
+
+def target_ranks_by_sort(queries, gallery, targets, subsets=None):
+    """Rank of each target in the full sorted gallery, and within its subset."""
+    rankings = rank_gallery(queries, gallery)
+    targets = np.asarray(targets)
+    ranks = 1 + np.argmax(rankings == targets[:, None], axis=1)
+    if subsets is None:
+        return ranks
+    sub_ranks = np.array([
+        1 + [g for g in row if g in set(members.tolist())].index(t)
+        for row, members, t in zip(rankings, subsets, targets)
+    ])
+    return ranks, sub_ranks
+
+
+def nearest_subsets_by_sort(gallery: np.ndarray, targets: np.ndarray, subset_size: int) -> np.ndarray:
+    """Target first, then the head of a full stable sort of its gallery scores."""
+    scores = gallery[targets] @ gallery.T
+    scores[np.arange(len(targets)), targets] = -np.inf
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return np.concatenate(
+        [targets[:, None], order[:, : subset_size - 1]], axis=1
+    ).astype(np.uint32)
+
+
+class NodeByNodeExecutor:
+    """Walks the graph's node list on every pass, kernels from ``diffcore._OPS``.
+
+    Same interface as ``Executor`` for forward and backward; it does no
+    pass counting, checks every node, and backpropagates through every
+    node, reachable from a trainable parameter or not.
+    """
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+
+    def forward(self, inputs, params, output=None):
+        nodes = self.graph.nodes
+        if output is None:
+            output = len(nodes) - 1
+        values: list = [None] * len(nodes)
+        ctxs: list = [None] * len(nodes)
+        for i, node in enumerate(nodes):
+            if node.op == "input":
+                values[i] = np.asarray(inputs[node.name], dtype=np.float64)
+                continue
+            if node.op == "param":
+                values[i] = params[node.name]
+                continue
+            args = [values[j] for j in node.inputs]
+            if node.op == "scalar_mul":
+                args.append(node.const)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out, ctx = diffcore._OPS[node.op].forward(i, *args)
+            if not np.all(np.isfinite(out)):
+                raise NumericError(f"node {i} ({node.op}) produced non-finite values")
+            values[i], ctxs[i] = out, ctx
+        self._values, self._ctx, self._params = values, ctxs, params
+        return values[output]
+
+    def backward(self, loss_node=None):
+        nodes = self.graph.nodes
+        if loss_node is None:
+            loss_node = len(nodes) - 1
+        adjoints: list = [None] * len(nodes)
+        adjoints[loss_node] = np.ones_like(self._values[loss_node])
+        params = self._params
+        grads = {}
+        for i in range(loss_node, -1, -1):
+            g = adjoints[i]
+            node = nodes[i]
+            if g is None or node.op == "input":
+                continue
+            if node.op == "param":
+                if params.is_trainable(node.name):
+                    grads[node.name] = np.array(g, dtype=np.float64)
+                continue
+            in_grads = diffcore._OPS[node.op].backward(i, g, self._ctx[i])
+            for j, gj in zip(node.inputs, in_grads):
+                if adjoints[j] is None:
+                    adjoints[j] = gj.copy() if isinstance(gj, np.ndarray) else np.asarray(gj)
+                else:
+                    adjoints[j] = adjoints[j] + gj
+        for name in params.trainable_names:
+            if name not in grads:
+                grads[name] = np.zeros_like(params[name])
+        return grads
 
 
 def recall_at_k(rankings: np.ndarray, targets: np.ndarray, k: int) -> float:

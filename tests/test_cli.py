@@ -291,6 +291,16 @@ def test_default_config_echo_is_pinned():
     assert cli.config_hash(config) == "921955767115b6e8"
 
 
+def test_negative_lora_rank_is_rejected_in_every_mode(cfg_file, tmp_path, capsys):
+    for mode in ("full", "lora"):
+        with pytest.raises(ConfigError, match="lora_rank must be >= 0"):
+            cli.build_config({"lora_rank": "-3", "finetune_mode": mode})
+    code = cli.main(["train", "--config", str(cfg_file), "--set", "lora_rank=-3"])
+    assert code == 2
+    assert "lora_rank" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "wrf.cli", "--help"],

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from wrf import diffcore
 from wrf.diffcore import Executor, Graph, finite_diff_gradient
 from wrf.errors import ConfigError, NumericError, ShapeError, StateError
+from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet
 
-from oracles import value_and_grad
+from oracles import NodeByNodeExecutor, value_and_grad
 
 FD_H = 1e-5
 FD_RTOL = 1e-6
@@ -364,3 +365,99 @@ def test_l2norm_rows_are_unit_or_zero(seed, rows, cols):
     norms = np.linalg.norm(out, axis=1)
     for val in norms:
         assert abs(val - 1.0) <= 1e-12 or val == 0.0
+
+
+# -------------------------------------------- compiled plan vs node-by-node
+
+
+def _model_case(activation, mode, seed):
+    cfg = ModelConfig(d_ref=6, d_mod=3, hidden=(8, 5), d_out=4, activation=activation, seed=seed)
+    model = RetrievalModel(cfg, mode=mode, lora_rank=2 if mode == "lora" else None)
+    ps = model.init_params()
+    rng = np.random.default_rng(seed)
+    for name in ps.trainable_names:  # move off the init (lora_b starts at zero)
+        ps[name][...] += 0.3 * rng.standard_normal(ps[name].shape)
+    batch = {
+        "refs": rng.normal(size=(7, 6)),
+        "mods": rng.normal(size=(7, 3)),
+        "targets": rng.normal(size=(7, 6)),
+    }
+    return model, ps, batch
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("mode", ["full", "lora"])
+def test_plan_matches_node_by_node_bit_for_bit(activation, mode):
+    for seed in range(3):
+        model, ps, batch = _model_case(activation, mode, seed)
+        g, out = model._loss_graph(5.0)
+        ex, ref = Executor(g), NodeByNodeExecutor(g)
+        for _ in range(2):  # the second pass reuses the cached plan
+            assert ex.forward(batch, ps, out) == ref.forward(batch, ps, out)
+            got, want = ex.backward(out), ref.backward(out)
+            assert list(got) == list(want)  # same key order, not only same keys
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+        queries = model.embed_queries(ps, batch["refs"], batch["mods"])
+        q_graph, q_out = model._query_graph, model._query_out
+        want_q = NodeByNodeExecutor(q_graph).forward(batch, ps, q_out)
+        assert queries.tobytes() == want_q.tobytes()
+
+
+def test_backward_gradients_are_fresh_arrays():
+    g = Graph()
+    w = g.param("w")
+    g.softmax_xent(g.pairwise_dot(g.add(w, w), g.input("v")))
+    ps = ParameterSet({"w": rand((3, 2), 1)})
+    ex = Executor(g)
+    ex.forward({"v": rand((3, 2), 2)}, ps)
+    grads = ex.backward()
+    assert not np.shares_memory(grads["w"], ps["w"])
+    assert all(not np.shares_memory(grads["w"], v) for v in ex._values if isinstance(v, np.ndarray))
+
+
+def test_plan_follows_appended_nodes_and_trainable_sets():
+    g = Graph()
+    a, b = g.param("a"), g.param("b")
+    s = g.pairwise_dot(g.matmul(g.input("x"), a), g.matmul(g.input("x"), b))
+    g.softmax_xent(s)
+    x = {"x": rand((3, 2), 3)}
+    layers = {"a": rand((2, 2), 4), "b": rand((2, 2), 5)}
+    for trainable in (None, ["a"], ["b"]):
+        ps = ParameterSet(layers, trainable)
+        ex, ref = Executor(g), NodeByNodeExecutor(g)
+        ex.forward(x, ps)
+        ref.forward(x, ps)
+        got, want = ex.backward(), ref.backward()
+        assert list(got) == list(want)
+        assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+    first = g.plan()
+    assert g.plan() is first
+    g.scalar_mul(s, 2.0)
+    assert g.plan() is not first and g.plan().size == len(g.nodes)
+
+
+def test_overflow_names_the_same_node_as_node_by_node():
+    # relu(-inf) is 0, so the loss would be finite: only a per-node check
+    # catches the overflow at node 2.
+    g = Graph()
+    h = g.relu(g.scalar_mul(g.scalar_mul(g.input("x"), -1e200), 1e200))
+    g.softmax_xent(g.pairwise_dot(h, g.param("w")))
+    args = ({"x": np.ones((2, 2))}, ParameterSet({"w": np.ones((2, 2))}))
+    messages = []
+    for ex in (Executor(g), NodeByNodeExecutor(g)):
+        with pytest.raises(NumericError, match="node 2 \\(scalar_mul\\)") as err:
+            ex.forward(*args)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+    model, ps, batch = _model_case("relu", "full", 0)
+    batch["refs"] = np.full_like(batch["refs"], 1e200)
+    ps["fusion.0.w"][...] = 1e200  # the first fusion matmul overflows
+    g, out = model._loss_graph(5.0)
+    messages = []
+    for ex in (Executor(g), NodeByNodeExecutor(g)):
+        with pytest.raises(NumericError) as err:
+            ex.forward(batch, ps, out)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and "(matmul)" in messages[0]

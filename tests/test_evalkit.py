@@ -22,7 +22,7 @@ from wrf.evalkit import (
 from wrf.params import ParameterSet
 from wrf.perturb import Perturbation, adversarial_perturbation
 
-from oracles import rank_gallery, recall_at_k, recall_subset_at_k
+from oracles import rank_gallery, recall_at_k, recall_subset_at_k, target_ranks_by_sort
 
 
 def unit_rows(arr):
@@ -128,6 +128,46 @@ def test_subset_ranks_agree_with_restricted_rankings():
             members = set(subsets[i].tolist())
             restricted = [g for g in rankings[i] if g in members]
             assert got[i] == 1 + restricted.index(targets[i])
+
+
+def test_ranks_with_ties_before_and_after_the_target():
+    # Twelve gallery rows drawn from three vectors: every target ties with
+    # rows at lower and at higher indices (except at the ends of a group).
+    rng = np.random.default_rng(8)
+    base = unit_rows(rng.normal(size=(3, 4)))
+    gallery = base[np.array([0, 1, 0, 2, 1, 0, 2, 0, 1, 2, 0, 1])]
+    queries = unit_rows(rng.normal(size=(12, 4)))
+    targets = np.arange(12)
+    subsets = np.stack([
+        np.concatenate([[t], rng.permutation(np.setdiff1d(np.arange(12), [t]))[:5]])
+        for t in targets
+    ])
+    ranks, sub_ranks = target_ranks(queries, gallery, targets, subsets)
+    want, want_sub = target_ranks_by_sort(queries, gallery, targets, subsets)
+    assert np.array_equal(ranks, want) and np.array_equal(sub_ranks, want_sub)
+    assert np.array_equal(target_ranks(queries, gallery, targets), want)
+    assert np.array_equal(subset_target_ranks(queries, gallery, subsets, targets), want_sub)
+    assert ranks.dtype == sub_ranks.dtype == np.int64
+    # Target 5 shares its vector with rows 0, 2, 7 and 10: two tied rows
+    # rank ahead of it and two behind.
+    tied = gallery[5] @ queries[5] == gallery @ queries[5]
+    assert np.flatnonzero(tied).tolist() == [0, 2, 5, 7, 10]
+    report = recall_report(queries, gallery, targets, subsets, (1, 5), "val", (1, 2))
+    assert report.recall_at[5] == 100.0 * np.mean(want <= 5)
+    assert report.recall_subset_at[2] == 100.0 * np.mean(want_sub <= 2)
+
+
+def test_ranks_past_the_uint16_count_range():
+    # 70000 columns take the int64 row count; ranks run past 2**16.
+    rng = np.random.default_rng(9)
+    gallery = unit_rows(rng.normal(size=(70_000, 2)))
+    gallery[69_000] = gallery[3]  # a tie behind the first target
+    queries = unit_rows(rng.normal(size=(3, 2)))
+    targets = np.array([3, 69_000, 12])
+    targets[2] = int(np.argsort(-(queries[2] @ gallery.T), kind="stable")[-1])
+    want = target_ranks_by_sort(queries, gallery, targets)
+    got = target_ranks(queries, gallery, targets)
+    assert np.array_equal(got, want) and got.max() == 70_000
 
 
 def test_subset_recall_basics():

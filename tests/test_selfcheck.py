@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wrf import diffcore, selfcheck
+from wrf.model import ModelConfig, RetrievalModel
 
 
 def test_clean_build_passes_all_checks():
@@ -50,3 +51,16 @@ def test_quad_objective_gradient_is_identity():
     loss, grads = obj.loss_and_grads(ps, None)
     assert loss == pytest.approx(6.5)
     assert np.array_equal(grads["w"], ps["w"])
+
+
+def test_fault_injected_after_the_plan_exists_still_breaks_gradients():
+    model = RetrievalModel(ModelConfig(d_ref=6, d_mod=3, hidden=(8,), d_out=4, seed=2))
+    ps = model.init_params()
+    rng = np.random.default_rng(4)
+    batch = (rng.normal(size=(5, 6)), rng.normal(size=(5, 3)), rng.normal(size=(5, 6)))
+    _, clean = model.loss_and_grads(ps, *batch, tau=5.0)  # compiles and caches the plan
+    with selfcheck.inject_fault("grad-sign"):
+        _, broken = model.loss_and_grads(ps, *batch, tau=5.0)
+    _, again = model.loss_and_grads(ps, *batch, tau=5.0)
+    assert not np.allclose(broken["fusion.0.w"], clean["fusion.0.w"])
+    assert all(np.array_equal(again[n], clean[n]) for n in clean)

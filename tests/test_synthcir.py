@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from wrf.errors import ConfigError
 from wrf.synthcir import (
     DatasetConfig,
+    _nearest_subsets,
     generate,
     subsample,
     subsample_dataset,
 )
+
+from oracles import nearest_subsets_by_sort
 
 SMALL = DatasetConfig(
     d_ref=8, d_mod=4, n_mods=3, n_train=40, n_val=30, gallery_size=120,
@@ -59,6 +62,30 @@ def test_subsets_contain_target_first(small_ds):
         assert table.subsets.shape[1] == SMALL.subset_size
         assert np.array_equal(table.subsets[:, 0], table.target_indices)
         assert len(set(map(tuple, table.subsets))) == len(table)  # rows distinct
+
+
+@pytest.mark.parametrize("subset_size", [2, 4, 6, 120])
+def test_generated_subsets_equal_a_full_stable_sort(subset_size):
+    cfg = DatasetConfig(**{**SMALL.__dict__, "subset_size": subset_size})
+    ds = generate(cfg)
+    targets = np.arange(70, dtype=np.uint32)
+    want = nearest_subsets_by_sort(ds.gallery, targets, subset_size)
+    got = np.concatenate([ds.train.subsets, ds.val.subsets])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_nearest_subsets_break_ties_like_a_full_stable_sort():
+    # Duplicate rows of a few vectors tie at, above and below every
+    # row's selection threshold.
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(4, 3))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    gallery = base[rng.integers(0, 4, size=40)]
+    targets = np.arange(40, dtype=np.uint32)
+    for subset_size in (2, 3, 7, 11, 25, 40):
+        want = nearest_subsets_by_sort(gallery, targets, subset_size)
+        got = _nearest_subsets(gallery, targets, subset_size)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), subset_size
 
 
 def test_identity_edits_no_noise_recover_references():

@@ -8,6 +8,7 @@ terminating the header, then each layer's values as raw little-endian
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import Iterable
@@ -58,7 +59,9 @@ def load_checkpoint(
             shape = tuple(int(p) for p in parts[1:])
         except ValueError as exc:
             raise DataError(f"{path}: bad shape for layer {name!r}: {line!r}") from exc
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if any(d < 0 for d in shape):
+            raise DataError(f"{path}: negative dimension for layer {name!r}: {line!r}")
+        count = math.prod(shape)  # exact: an int64 product could wrap to a small count
         nbytes = count * 8
         if offset + nbytes > len(body):
             raise DataError(f"{path}: truncated data for layer {name!r}")

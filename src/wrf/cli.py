@@ -323,7 +323,10 @@ def cmd_landscape(args) -> int:
     except NumericError as exc:
         return _fail(f"numeric abort: {exc}", 3)
     out = Path(args.out) if args.out else run_dir / "landscape.csv"
-    landscape_to_csv(curves, out)
+    try:
+        landscape_to_csv(curves, out)
+    except OSError as exc:
+        return _fail(str(exc), 2)
     print(f"landscape: {out} ({len(curves)} directions x {len(alphas)} alphas)")
     try:
         print(f"flatness at alpha=0.05: {flatness_score(curves, 0.05):.6f}")

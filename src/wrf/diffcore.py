@@ -14,6 +14,10 @@ trainable names, backward steps that skip every node unable to reach a
 trainable parameter, so no gradient is formed for inputs or frozen
 layers. Pruning changes no bit of the gradients that remain.
 
+Softmax cross-entropy takes each row reduction once: forward keeps
+exp(logits - row max) and its row sums, and the probabilities are
+formed only in backward, so forward-only passes never divide.
+
 The op set is deliberately tiny (ten ops). Each op is a (forward,
 backward) pair in the _OPS registry, looked up on every pass rather
 than bound into the plan; the selfcheck command relies on that registry
@@ -165,17 +169,25 @@ def _fw_softmax_xent(i, logits):
     n, m = logits.shape
     if n != m:
         raise ShapeError(f"node {i} (softmax_xent): logits must be square, got {logits.shape}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=1, keepdims=True)
-    lse = np.log(expd.sum(axis=1)) + logits.max(axis=1)
+    row_max = logits.max(axis=1, keepdims=True)
+    expd = logits - row_max
+    np.exp(expd, out=expd)
+    sums = expd.sum(axis=1, keepdims=True)
+    lse = np.log(sums[:, 0]) + row_max[:, 0]
     loss = np.float64((lse - np.diag(logits)).mean())
-    return loss, (probs, n)
+    return loss, (expd, sums)
 
 
 def _bw_softmax_xent(i, g, ctx):
-    probs, n = ctx
-    return ((probs - np.eye(n)) * (float(g) / n),)
+    # A fresh array: backward may run more than once on one tape, so ctx
+    # is never written. Off the diagonal p - 0 is p exactly, so this is
+    # (probs - eye(n)) * (g / n) bit for bit.
+    expd, sums = ctx
+    n = expd.shape[0]
+    grad = expd / sums
+    grad.flat[:: n + 1] -= 1.0
+    grad *= float(g) / n
+    return (grad,)
 
 
 _OPS: dict[str, _Op] = {

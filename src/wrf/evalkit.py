@@ -191,12 +191,14 @@ def landscape_probe(
 
     Directions are rescaled per trainable layer to match that layer's
     weight norm, so slices are comparable across checkpoints. A
-    non-finite loss is recorded as nan in the curve rather than raised.
+    non-finite loss is recorded as nan in the curve rather than raised,
+    but non-finite params raise NumericError: every curve would be nan.
     The input params are never modified.
     """
     if n_directions < 1:
         raise ConfigError("n_directions must be >= 1")
     alphas = _check_alphas(alphas)
+    params.require_finite()
     curves = []
     for d_id in range(n_directions):
         rng = np.random.default_rng([_DIR_TAG, seed, d_id])

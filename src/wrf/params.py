@@ -33,12 +33,10 @@ class ParameterSet:
         layers: Mapping[str, np.ndarray],
         trainable: Iterable[str] | None = None,
     ):
-        self._layers: dict[str, np.ndarray] = {}
-        for name, value in layers.items():
-            arr = np.array(value, dtype=np.float64)
-            if not np.isfinite(arr).all():
-                raise NumericError(f"layer {name!r} has non-finite entries")
-            self._layers[name] = arr
+        self._layers: dict[str, np.ndarray] = {
+            name: np.array(value, dtype=np.float64) for name, value in layers.items()
+        }
+        self.require_finite()
         if not self._layers:
             raise ConfigError("a ParameterSet needs at least one layer")
         if trainable is None:
@@ -82,10 +80,25 @@ class ParameterSet:
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {n: a.shape for n, a in self._layers.items()}
 
+    def require_finite(self) -> None:
+        """Raise NumericError naming the first layer with a non-finite entry.
+
+        The constructor checks its input; in-place updates through
+        __getitem__ are not checked, so a caller that must not run on a
+        blown-up set checks it here.
+        """
+        for name, arr in self._layers.items():
+            if not np.isfinite(arr).all():
+                raise NumericError(f"layer {name!r} has non-finite entries")
+
     def copy(self) -> "ParameterSet":
-        return ParameterSet(
-            {n: a.copy() for n, a in self._layers.items()}, self._trainable
-        )
+        """A deep copy. The arrays are owned float64 already, so neither
+        conversion nor the finiteness check runs again."""
+        dup = ParameterSet.__new__(ParameterSet)
+        dup._layers = {n: a.copy() for n, a in self._layers.items()}
+        dup._trainable = self._trainable
+        dup._trainable_set = self._trainable_set
+        return dup
 
     def zeros_like_trainable(self) -> GradientSet:
         return {n: np.zeros_like(self._layers[n]) for n in self._trainable}

@@ -5,7 +5,8 @@ something the package computes a cheaper way: a full gallery sort for
 the rank-of-target counting in ``wrf.evalkit`` and for the nearest
 neighbour subsets in ``wrf.synthcir``, the contrastive loss on plain
 arrays for the graph form in ``wrf.loss``, a node-by-node executor for
-the compiled plan in ``wrf.diffcore``, and one forward plus one
+the compiled plan in ``wrf.diffcore``, the softmax cross-entropy kernel
+pair that forms the probabilities in forward, and one forward plus one
 backward through a graph's final node.
 """
 
@@ -50,6 +51,24 @@ def nearest_subsets_by_sort(gallery: np.ndarray, targets: np.ndarray, subset_siz
     return np.concatenate(
         [targets[:, None], order[:, : subset_size - 1]], axis=1
     ).astype(np.uint32)
+
+
+def softmax_xent_forward(i, logits):
+    """Mean row cross-entropy against the diagonal; ctx holds the probabilities."""
+    n, m = logits.shape
+    if n != m:
+        raise ShapeError(f"node {i} (softmax_xent): logits must be square, got {logits.shape}")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    probs = expd / expd.sum(axis=1, keepdims=True)
+    lse = np.log(expd.sum(axis=1)) + logits.max(axis=1)
+    loss = np.float64((lse - np.diag(logits)).mean())
+    return loss, (probs, n)
+
+
+def softmax_xent_backward(i, g, ctx):
+    probs, n = ctx
+    return ((probs - np.eye(n)) * (float(g) / n),)
 
 
 class NodeByNodeExecutor:

@@ -78,6 +78,19 @@ def test_corruption_is_rejected(tmp_path):
     with pytest.raises(DataError):
         load_checkpoint(no_header_end)
 
+    body = raw[raw.find(b"\n\n") + 2 :]
+    for header in (b"w -1", b"w 0 -1", b"w 2 -2"):
+        negative = tmp_path / "negative.ckpt"
+        negative.write_bytes(b"WRFCKPT v1\n" + header + b"\n\n" + body)
+        with pytest.raises(DataError, match="negative dimension for layer 'w'"):
+            load_checkpoint(negative)
+
+    # 2**32 x 2**32 wraps to 0 in int64: the count must not.
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(b"WRFCKPT v1\nw 4294967296 4294967296\n\n" + body)
+    with pytest.raises(DataError, match="truncated data for layer 'w'"):
+        load_checkpoint(huge)
+
 
 def test_name_with_whitespace_is_rejected(tmp_path):
     ps = ParameterSet({"bad name": np.ones(1)})

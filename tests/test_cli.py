@@ -1,5 +1,6 @@
 """Front-end behavior: exit codes, echo round-trips, artifact layout."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 from wrf import cli
 from wrf.errors import ConfigError
+
+REPO = Path(__file__).resolve().parent.parent
 
 SMALL_CFG = """\
 # desk-size smoke configuration
@@ -204,6 +207,19 @@ def test_landscape_corrupt_checkpoint_is_exit_2(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_landscape_out_in_a_missing_directory_is_exit_2(cfg_file, tmp_path, capsys):
+    cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
+    capsys.readouterr()
+    out = tmp_path / "missing" / "landscape.csv"
+    code = cli.main([
+        "landscape", "--checkpoint", str(tmp_path / "out" / "a" / "best.ckpt"),
+        "--directions", "1", "--alpha-steps", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("key, value", [("d_ref", "10"), ("hidden", "12")])
 def test_landscape_rejects_checkpoint_that_does_not_fit_its_echo(
     cfg_file, tmp_path, capsys, key, value
@@ -309,3 +325,17 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for name in ("train", "sweep", "landscape", "selfcheck"):
         assert name in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script", ["data_fractions", "direction_ablation", "gamma_sweep", "landscape_compare"]
+)
+def test_study_driver_help(script):
+    # The drivers import wrf.cli; a renamed entry point fails here, not in a study.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / f"{script}.py"), "--help"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

@@ -16,7 +16,12 @@ from wrf.errors import ConfigError, NumericError, ShapeError, StateError
 from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet
 
-from oracles import NodeByNodeExecutor, value_and_grad
+from oracles import (
+    NodeByNodeExecutor,
+    softmax_xent_backward,
+    softmax_xent_forward,
+    value_and_grad,
+)
 
 FD_H = 1e-5
 FD_RTOL = 1e-6
@@ -461,3 +466,34 @@ def test_overflow_names_the_same_node_as_node_by_node():
             ex.forward(batch, ps, out)
         messages.append(str(err.value))
     assert messages[0] == messages[1] and "(matmul)" in messages[0]
+
+
+# ------------------------------------- softmax_xent vs the reference kernel
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 512])
+def test_softmax_xent_matches_the_reference_kernel_bit_for_bit(n):
+    op = diffcore._OPS["softmax_xent"]
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 10.0, 50.0):
+        logits = scale * rng.standard_normal((n, n))
+        logits[0] = logits[0, 0]  # a row of ties: uniform probabilities
+        logits[-1, : (n + 1) // 2] = logits[-1].max()  # ties at the row max
+        want_loss, want_ctx = softmax_xent_forward(0, logits)
+        got_loss, got_ctx = op.forward(0, logits)
+        assert got_loss.tobytes() == want_loss.tobytes(), scale
+        for upstream in (np.float64(1.0), np.float64(0.7)):
+            (want,) = softmax_xent_backward(0, upstream, want_ctx)
+            (got,) = op.backward(0, upstream, got_ctx)
+            assert got.tobytes() == want.tobytes(), (scale, upstream)
+
+
+@pytest.mark.parametrize("mode", ["full", "lora"])
+def test_backward_twice_on_one_tape_is_bit_identical(mode):
+    model, ps, batch = _model_case("tanh", mode, 1)
+    g, out = model._loss_graph(5.0)
+    ex = Executor(g)
+    ex.forward(batch, ps, out)
+    first, second = ex.backward(out), ex.backward(out)
+    assert list(first) == list(second)
+    assert all(first[n].tobytes() == second[n].tobytes() for n in first)

@@ -329,6 +329,21 @@ def test_landscape_records_nonfinite_instead_of_raising():
     assert np.isfinite(losses[2])
 
 
+def test_landscape_rejects_a_nonfinite_base_set_before_any_loss():
+    calls = []
+
+    def loss(p):
+        calls.append(1)
+        return quad_loss(p)
+
+    ps = ParameterSet({"w": np.ones(2), "b": np.ones(2)})
+    ps["b"][0] = np.inf
+    for alphas in (default_alpha_grid(0.1, 2), np.array([0.0, 0.1])):
+        with pytest.raises(NumericError, match="layer 'b' has non-finite entries"):
+            landscape_probe(loss, ps, 2, alphas)
+    assert not calls
+
+
 def test_landscape_grid_validation():
     ps = ParameterSet({"w": np.ones(1)})
     with pytest.raises(ConfigError):

@@ -22,11 +22,31 @@ def test_arrays_are_copied_in_and_cast_to_float64():
 
 
 def test_copy_is_deep():
-    ps = ParameterSet({"w": np.ones(3)})
+    ps = ParameterSet(
+        {"w": np.ones((2, 3)), "b": np.arange(3.0), "s": np.float64(2.5)}, trainable=["b", "s"]
+    )
     dup = ps.copy()
-    dup["w"][0] = 7.0
-    assert ps["w"][0] == 1.0
+    assert dup.equal_bits(ps)
     assert dup.trainable_names == ps.trainable_names
+    assert not dup.is_trainable("w")
+    for name in ps.names:
+        assert not np.shares_memory(dup[name], ps[name]), name
+        assert dup[name].dtype == np.float64 and dup[name].shape == ps[name].shape
+    dup["w"][0, 0] = 7.0
+    dup["s"][...] = 3.0
+    assert ps["w"][0, 0] == 1.0 and ps["s"] == 2.5
+
+
+def test_require_finite_names_the_first_nonfinite_layer():
+    ps = ParameterSet({"a": np.ones(2), "b": np.ones(3), "c": np.ones(1)})
+    ps.require_finite()
+    ps["b"][1] = np.nan  # in-place updates are not checked
+    ps["c"][0] = np.inf
+    dup = ps.copy()  # nor is a copy: it hands the set on as it is
+    assert np.isnan(dup["b"][1])
+    for s in (ps, dup):
+        with pytest.raises(NumericError, match="layer 'b' has non-finite entries"):
+            s.require_finite()
 
 
 def test_trainable_subset_preserves_layer_order():

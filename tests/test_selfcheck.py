@@ -64,3 +64,14 @@ def test_fault_injected_after_the_plan_exists_still_breaks_gradients():
     _, again = model.loss_and_grads(ps, *batch, tau=5.0)
     assert not np.allclose(broken["fusion.0.w"], clean["fusion.0.w"])
     assert all(np.array_equal(again[n], clean[n]) for n in clean)
+
+
+def test_flipped_softmax_xent_backward_fails_the_gradient_oracle(monkeypatch):
+    original = diffcore._OPS["softmax_xent"]
+
+    def flipped(i, g, ctx):
+        (grad,) = original.backward(i, g, ctx)
+        return (-grad,)
+
+    monkeypatch.setitem(diffcore._OPS, "softmax_xent", diffcore._Op(original.forward, flipped))
+    assert selfcheck.check_gradient_oracle(n_seeds=2).ok is False

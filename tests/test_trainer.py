@@ -253,6 +253,19 @@ def test_loss_decreases_on_real_model():
     assert last < first * 0.8
 
 
+def test_wrf_step_on_a_nonfinite_set_fails_at_the_pass_at_theta():
+    dataset = generate(DATA_CFG)
+    model = RetrievalModel(MODEL_CFG)
+    cfg = TrainConfig(gamma=1e-3, rho=0.5, total_epochs=2, warmup_epochs=0, seed=0)
+    state = new_train_state(cfg, model.init_params())
+    state.params["fusion.0.w"][0, 0] = np.nan
+    with pytest.raises(
+        NumericError, match=r"^pass at theta failed: node \d+ \(matmul\) produced non-finite"
+    ):
+        wrf_step(state, make_batch(dataset, np.arange(16)), cfg, RetrievalObjective(model, tau=10.0))
+    assert state.step == 0
+
+
 def test_config_validation():
     ok = dict(total_epochs=4, warmup_epochs=1)
     TrainConfig(**ok)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .params import ParameterSet
 
 MAGIC = "WRFCKPT v1"
@@ -72,4 +72,7 @@ def load_checkpoint(
         raise DataError(f"{path}: {len(body) - offset} trailing bytes after last layer")
     if not layers:
         raise DataError(f"{path}: no layers in checkpoint")
-    return ParameterSet(layers, trainable)
+    try:
+        return ParameterSet(layers, trainable)
+    except NumericError as exc:
+        raise DataError(f"{path}: {exc}") from exc

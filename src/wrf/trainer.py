@@ -10,13 +10,36 @@ Optimizer moments see only the perturbed-pass gradient; decoupled
 weight decay acts on the unperturbed weights. A literal
 subtract-the-delta SGD variant is kept purely as a cross-check of the
 copy-on-apply implementation.
+
+Per-epoch Recall@K evaluation overlaps the next epoch's training. Where
+the fork start method exists, the process runs a single thread and it
+may run on more CPUs than BLAS starts threads (OPENBLAS_NUM_THREADS=1 on
+two CPUs, say), train() forks one eval worker per run and sends it the
+epoch's parameters; the worker embeds the gallery and both query splits and returns the two
+reports while the parent trains on. The parent does everything that
+depends on the reports (gap, best-so-far, best.ckpt, metrics.csv rows,
+checkpoints) when they come back, strictly in epoch order and with that
+epoch's parameters and rng state, so every artifact is the same as in a
+run without the worker. At most one evaluation is in flight. Otherwise
+the same deferred path evaluates in-process at the end of each eval
+epoch: on one CPU the worker would only take turns with training, and
+next to a BLAS pool that already uses every CPU it slows each training
+step more than it saves. Forward passes inside the worker do not reach
+this process's diffcore.pass_counts().
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import multiprocessing
+import os
+import signal
+import threading
 import time
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Protocol
@@ -413,6 +436,171 @@ def _split_report(model, params, table, gallery_embs, mod_embs, ks, split):
     )
 
 
+def _evaluate(model, dataset, train_eval_table, ks, params):
+    """(train report, val report) of one epoch's parameters."""
+    gallery_embs = model.embed_targets(params, dataset.gallery)
+    return (
+        _split_report(model, params, train_eval_table, gallery_embs,
+                      dataset.mod_embeddings, ks, "train"),
+        _split_report(model, params, dataset.val, gallery_embs,
+                      dataset.mod_embeddings, ks, "val"),
+    )
+
+
+class _Evaluator:
+    """Runs evaluate(params) for each eval epoch; a with block stops it."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(failed=exc_type is not None)
+
+    def close(self, failed: bool) -> None:
+        pass
+
+
+class _InlineEval(_Evaluator):
+    """Evaluates at submit time, in this process."""
+
+    def __init__(self, evaluate):
+        self._evaluate = evaluate
+        self._reports = None
+
+    def submit(self, params: ParameterSet) -> None:
+        self._reports = self._evaluate(params)
+
+    def ready(self) -> bool:
+        return True
+
+    def result(self):
+        return self._reports
+
+
+def _worker_loop(conn, parent_end, evaluate) -> None:
+    """Eval worker body: parameters in, (ok, reports or exception) out."""
+    # Without the parent's end of the pipe, a parent that dies leaves
+    # this process an EOF instead of a recv that never returns.
+    parent_end.close()
+    # Ctrl-C reaches the whole process group; the parent stops this process.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            params = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, evaluate(params))
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send(reply)
+
+
+class _EvalWorker(_Evaluator):
+    """A forked process that runs one evaluation at a time."""
+
+    def __init__(self, evaluate):
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(
+            target=_worker_loop, args=(child_end, self._conn, evaluate),
+            name="wrf-eval", daemon=True,
+        )
+        self._proc.start()
+        child_end.close()
+        self._busy = False
+
+    def _exited(self) -> RuntimeError:
+        self._proc.join()
+        return RuntimeError(f"eval worker exited with code {self._proc.exitcode}")
+
+    def submit(self, params: ParameterSet) -> None:
+        try:
+            self._conn.send(params)
+        except BrokenPipeError:
+            raise self._exited() from None
+        self._busy = True
+
+    def ready(self) -> bool:
+        """True when result() would not block."""
+        return not self._busy or self._conn.poll()
+
+    def result(self):
+        """The reports of the evaluation in flight; its error is raised here.
+
+        The worker holds the only other end of the pipe, so its exit
+        ends a blocked recv() with EOFError.
+        """
+        try:
+            ok, value = self._conn.recv()
+        except EOFError:
+            raise self._exited() from None
+        self._busy = False
+        if not ok:
+            raise value
+        return value
+
+    def close(self, failed: bool) -> None:
+        self._conn.close()  # the worker sees EOF and returns
+        if not failed:
+            self._proc.join(timeout=10.0)
+        if self._proc.is_alive():
+            self._proc.terminate()
+        self._proc.join()
+
+
+# Unset, OpenBLAS and MKL start one BLAS thread per usable CPU.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads(cpus: int) -> int:
+    """BLAS threads per process, as the environment sets them."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n >= 1:
+            return min(n, cpus)
+    return cpus
+
+
+def _eval_worker_available() -> bool:
+    """fork to share the dataset, safe only while this process runs one
+    thread; a CPU that training's BLAS threads leave free; and a process
+    that may have children (a daemonic one may not)."""
+    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
+        return False
+    cpus = len(os.sched_getaffinity(0))
+    return (
+        cpus > _blas_threads(cpus)
+        and threading.active_count() == 1
+        and not multiprocessing.current_process().daemon
+    )
+
+
+@contextmanager
+def _metrics_file(out_path: Path | None):
+    """metrics.csv with its header written, or None without an out_dir."""
+    if out_path is None:
+        yield None
+        return
+    with (out_path / "metrics.csv").open("w", encoding="utf-8") as fh:
+        fh.write(METRICS_HEADER + "\n")
+        fh.flush()
+        yield fh
+
+
+@dataclass
+class _PendingEpoch:
+    """An epoch whose artifacts wait for its evaluation (or an earlier one)."""
+
+    row: EpochRow
+    params: ParameterSet  # the epoch-end parameters
+    rng_state: dict  # the epoch-end rng streams
+    evaluated: bool
+
+
 def train(
     config: TrainConfig,
     model_config: ModelConfig,
@@ -427,6 +615,14 @@ def train(
     epoch, and each checkpoint gets a .rng.json sidecar holding the
     three rng stream states. Per-epoch seconds cover the step loop
     only, so perturbation overhead is measurable next to evaluation.
+
+    Evaluation runs in a forked worker when _eval_worker_available(),
+    in-process otherwise (see the module docstring); only this process
+    writes files. Failures keep the order of a sequential loop: an
+    evaluation error is raised after the rows of the epochs before it,
+    and a step that fails while the previous epoch is being evaluated
+    first lets that epoch finish. The worker is stopped before train()
+    returns or raises.
     """
     if len(dataset.train) < 2:
         raise ConfigError("training split needs at least two triplets")
@@ -442,21 +638,45 @@ def train(
     train_eval_table = dataset.train.take(train_eval_idx)
 
     out_path = Path(out_dir) if out_dir is not None else None
-    metrics_fh = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        metrics_fh = (out_path / "metrics.csv").open("w", encoding="utf-8")
-        metrics_fh.write(METRICS_HEADER + "\n")
-        metrics_fh.flush()
+    pending: deque[_PendingEpoch] = deque()
 
-    def save_ckpt(name: str) -> None:
+    def save_ckpt(name: str, params: ParameterSet, rng_state: dict) -> None:
         if out_path is None:
             return
         path = out_path / name
-        save_checkpoint(path, state.params)
-        Path(f"{path}.rng.json").write_text(json.dumps(state.rng_state()), encoding="utf-8")
+        save_checkpoint(path, params)
+        Path(f"{path}.rng.json").write_text(json.dumps(rng_state), encoding="utf-8")
 
-    try:
+    def finish(epoch: _PendingEpoch, reports) -> None:
+        row = epoch.row
+        if reports is not None:
+            row.train_report, row.val_report = reports
+            row.gap = evalkit.generalization_gap(row.train_report, row.val_report)
+            if record.best_val_rmean is None or row.val_report.rmean > record.best_val_rmean:
+                record.best_val_rmean = row.val_report.rmean
+                record.best_epoch = row.epoch
+                save_ckpt("best.ckpt", epoch.params, epoch.rng_state)
+            record.final_val_rmean = row.val_report.rmean
+        record.rows.append(row)
+        if metrics_fh is not None:
+            for line in metrics_rows(row):
+                metrics_fh.write(line + "\n")
+            metrics_fh.flush()
+        if config.checkpoint_every and row.epoch % config.checkpoint_every == 0:
+            save_ckpt(f"epoch_{row.epoch}.ckpt", epoch.params, epoch.rng_state)
+
+    def collect() -> None:
+        """Finish every pending epoch, waiting for the evaluation in flight."""
+        while pending:
+            epoch = pending.popleft()
+            finish(epoch, evaluator.result() if epoch.evaluated else None)
+
+    evaluate = functools.partial(_evaluate, model, dataset, train_eval_table, ks)
+    evaluator = _EvalWorker(evaluate) if _eval_worker_available() else _InlineEval(evaluate)
+    # The worker forks before this process opens any file of the run.
+    with evaluator, _metrics_file(out_path) as metrics_fh:
         for epoch in range(config.total_epochs):
             state.epoch = epoch
             step_fn = baseline_step
@@ -466,14 +686,18 @@ def train(
             order = state.rng_shuffle.permutation(len(dataset.train))
             losses = []
             tick = time.perf_counter()
-            for idx in _epoch_batches(dataset.train, order, config.batch_size):
-                batch = TripletBatch(
-                    refs=dataset.train.refs[idx],
-                    mods=dataset.mod_embeddings[dataset.train.mod_codes[idx]],
-                    targets=dataset.gallery[dataset.train.target_indices[idx]],
-                )
-                info = step_fn(state, batch, config, objective)
-                losses.append(info.loss)
+            try:
+                for idx in _epoch_batches(dataset.train, order, config.batch_size):
+                    batch = TripletBatch(
+                        refs=dataset.train.refs[idx],
+                        mods=dataset.mod_embeddings[dataset.train.mod_codes[idx]],
+                        targets=dataset.gallery[dataset.train.target_indices[idx]],
+                    )
+                    info = step_fn(state, batch, config, objective)
+                    losses.append(info.loss)
+            except Exception:
+                collect()  # the epochs before this one end first, as in a sequential loop
+                raise
             seconds = time.perf_counter() - tick
 
             epoch_no = epoch + 1
@@ -485,31 +709,17 @@ def train(
                 adv_steps=state.adv_steps - adv_before,
                 rand_steps=state.rand_steps - rand_before,
             )
-            if epoch_no % config.eval_every == 0 or epoch_no == config.total_epochs:
-                gallery_embs = model.embed_targets(state.params, dataset.gallery)
-                row.train_report = _split_report(
-                    model, state.params, train_eval_table, gallery_embs,
-                    dataset.mod_embeddings, ks, "train",
-                )
-                row.val_report = _split_report(
-                    model, state.params, dataset.val, gallery_embs,
-                    dataset.mod_embeddings, ks, "val",
-                )
-                row.gap = evalkit.generalization_gap(row.train_report, row.val_report)
-                if record.best_val_rmean is None or row.val_report.rmean > record.best_val_rmean:
-                    record.best_val_rmean = row.val_report.rmean
-                    record.best_epoch = epoch_no
-                    save_ckpt("best.ckpt")
-                record.final_val_rmean = row.val_report.rmean
-            record.rows.append(row)
-            if metrics_fh is not None:
-                for line in metrics_rows(row):
-                    metrics_fh.write(line + "\n")
-                metrics_fh.flush()
-            if config.checkpoint_every and epoch_no % config.checkpoint_every == 0:
-                save_ckpt(f"epoch_{epoch_no}.ckpt")
-        save_ckpt(f"epoch_{config.total_epochs}.ckpt")
-    finally:
-        if metrics_fh is not None:
-            metrics_fh.close()
+            evaluated = epoch_no % config.eval_every == 0 or epoch_no == config.total_epochs
+            if evaluated:
+                collect()  # one evaluation in flight at a time
+                evaluator.submit(state.params)
+            pending.append(_PendingEpoch(row, state.params, state.rng_state(), evaluated))
+            if evaluator.ready():
+                collect()
+            # The next epoch updates state.params in place.
+            for waiting in pending:
+                if waiting.params is state.params:
+                    waiting.params = state.params.copy()
+        collect()
+        save_ckpt(f"epoch_{config.total_epochs}.ckpt", state.params, state.rng_state())
     return record

@@ -91,6 +91,11 @@ def test_corruption_is_rejected(tmp_path):
     with pytest.raises(DataError, match="truncated data for layer 'w'"):
         load_checkpoint(huge)
 
+    nonfinite = tmp_path / "nan.ckpt"
+    nonfinite.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    with pytest.raises(DataError, match=r"nan\.ckpt: layer 'a' has non-finite entries"):
+        load_checkpoint(nonfinite)
+
 
 def test_name_with_whitespace_is_rejected(tmp_path):
     ps = ParameterSet({"bad name": np.ones(1)})

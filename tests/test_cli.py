@@ -207,6 +207,19 @@ def test_landscape_corrupt_checkpoint_is_exit_2(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_landscape_nonfinite_checkpoint_is_exit_2(cfg_file, tmp_path, capsys):
+    cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
+    ckpt = tmp_path / "out" / "a" / "best.ckpt"
+    last = cli.load_checkpoint(ckpt).names[-1]
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    capsys.readouterr()
+    assert cli.main(["landscape", "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: layer {last!r} has non-finite entries")
+    assert not (ckpt.parent / "landscape.csv").exists()
+
+
 def test_landscape_out_in_a_missing_directory_is_exit_2(cfg_file, tmp_path, capsys):
     cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
     capsys.readouterr()

@@ -1,12 +1,18 @@
 """Step semantics, optimizer math, schedules, and the full loop."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wrf import diffcore, trainer
+from wrf import cli, diffcore, evalkit, trainer
 from wrf.errors import ConfigError, NumericError
 from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet
@@ -324,17 +330,14 @@ def test_metrics_rows_layout():
     assert va[10] == "" and va[12] == ""
 
 
-def run_dirs_equal(dir_a: Path, dir_b: Path):
-    """metrics.csv comparison with the wall-clock column blanked."""
-    def rows(d):
-        out = []
-        for line in (d / "metrics.csv").read_text().strip().split("\n"):
-            cells = line.split(",")
-            cells[11] = ""
-            out.append(",".join(cells))
-        return out
-
-    return rows(dir_a) == rows(dir_b)
+def metrics_lines(run_dir: Path) -> list[str]:
+    """metrics.csv lines with the wall-clock column blanked."""
+    out = []
+    for line in (run_dir / "metrics.csv").read_text().strip().split("\n"):
+        cells = line.split(",")
+        cells[11] = ""
+        out.append(",".join(cells))
+    return out
 
 
 def small_run_config(**overrides):
@@ -379,7 +382,7 @@ def test_train_integration(tmp_path):
 
     out_b = tmp_path / "run_b"
     train(cfg, MODEL_CFG, dataset, out_dir=out_b)
-    assert run_dirs_equal(out, out_b)
+    assert metrics_lines(out) == metrics_lines(out_b)
 
 
 def test_train_gamma_zero_never_perturbs(tmp_path):
@@ -391,25 +394,180 @@ def test_train_gamma_zero_never_perturbs(tmp_path):
     assert not (tmp_path / "r" / "epoch_2.ckpt").exists()
 
 
+EVAL_PATHS = ("worker", "in-process")
+
+
+def use_eval_path(monkeypatch, path: str) -> None:
+    """Make train() evaluate in the forked worker or in-process, whatever
+    the CPU count and BLAS threads."""
+    if path == "worker" and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the eval worker needs the fork start method")
+    monkeypatch.setattr(trainer, "_eval_worker_available", lambda: path == "worker")
+
+
 def test_train_partial_metrics_survive_abort(tmp_path, monkeypatch):
     dataset = generate(DATA_CFG)
+    paths = EVAL_PATHS if "fork" in multiprocessing.get_all_start_methods() else EVAL_PATHS[1:]
+    for step_name, gamma in (("baseline_step", 0.0), ("wrf_step", 1e-3)):
+        for path in paths:
+            with monkeypatch.context() as patch:
+                use_eval_path(patch, path)
+                cfg = small_run_config(gamma=gamma, eval_every=1)
+                clean = tmp_path / f"clean_{step_name}_{path}"
+                train(cfg, MODEL_CFG, dataset, out_dir=clean)
+                calls = {"n": 0}
+                real = getattr(trainer, step_name)
+
+                def flaky(state, batch, config, objective, real=real, calls=calls):
+                    calls["n"] += 1
+                    if calls["n"] > 3 and state.epoch >= 2:
+                        raise NumericError("synthetic blow-up")
+                    return real(state, batch, config, objective)
+
+                patch.setattr(trainer, step_name, flaky)
+                out = tmp_path / f"abort_{step_name}_{path}"
+                with pytest.raises(NumericError, match="^synthetic blow-up$"):
+                    train(cfg, MODEL_CFG, dataset, out_dir=out)
+            # The two epochs before the failing one are written in full,
+            # the second one's evaluation included, even when it was
+            # still running in the worker when the step failed.
+            lines = metrics_lines(out)
+            assert len(lines) == 1 + 2 * 2, (step_name, path)
+            assert lines == metrics_lines(clean)[: 1 + 2 * 2], (step_name, path)
+            assert (out / "epoch_2.ckpt").read_bytes() == (clean / "epoch_2.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("path", EVAL_PATHS)
+def test_eval_error_is_raised_after_the_rows_before_it(tmp_path, monkeypatch, path):
+    use_eval_path(monkeypatch, path)
+    real = evalkit.recall_report
     calls = {"n": 0}
-    real = trainer.baseline_step
 
-    def flaky(state, batch, config, objective):
+    def failing(*args, **kwargs):
         calls["n"] += 1
-        if calls["n"] > 3 and state.epoch >= 2:
-            raise NumericError("synthetic blow-up")
-        return real(state, batch, config, objective)
+        if calls["n"] == 2 * 2 + 1:  # the train report of the third evaluation
+            raise NumericError("synthetic eval failure")
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(trainer, "baseline_step", flaky)
-    cfg = small_run_config(gamma=0.0, eval_every=1)
+    monkeypatch.setattr(evalkit, "recall_report", failing)
     out = tmp_path / "r"
-    with pytest.raises(NumericError):
-        train(cfg, MODEL_CFG, dataset, out_dir=out)
-    lines = (out / "metrics.csv").read_text().strip().split("\n")
-    assert lines[0] == trainer.METRICS_HEADER
-    assert len(lines) == 1 + 2 * 2  # two completed epochs flushed before the abort
+    with pytest.raises(NumericError, match="^synthetic eval failure$") as info:
+        train(small_run_config(eval_every=1), MODEL_CFG, generate(DATA_CFG), out_dir=out)
+    assert type(info.value) is NumericError
+    lines = metrics_lines(out)
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["1", "train"], ["1", "val"], ["2", "train"], ["2", "val"],
+    ]
+    assert (out / "epoch_2.ckpt").exists()
+    assert not (out / "epoch_4.ckpt").exists()
+
+
+def test_a_dead_eval_worker_fails_the_run_promptly(tmp_path, monkeypatch):
+    use_eval_path(monkeypatch, "worker")
+    parent = os.getpid()
+    real = evalkit.recall_report
+
+    def die_in_the_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evalkit, "recall_report", die_in_the_worker)
+    out = tmp_path / "r"
+    tick = time.perf_counter()
+    with pytest.raises(RuntimeError, match="^eval worker exited with code 1$"):
+        train(small_run_config(eval_every=1), MODEL_CFG, generate(DATA_CFG), out_dir=out)
+    assert time.perf_counter() - tick < 10.0
+    assert (out / "metrics.csv").read_text() == trainer.METRICS_HEADER + "\n"
+
+
+def test_worker_and_in_process_evaluation_write_the_same_files(tmp_path, monkeypatch):
+    """The worker path against a `wrf train` pinned to one CPU (in-process path)."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs")
+    use_eval_path(monkeypatch, "worker")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "d_ref=8\nd_mod=4\nn_mods=3\nn_train=40\nn_val=30\ngallery_size=120\n"
+        "noise_sigma=0.05\nsubset_size=4\nhidden=16\nd_out=8\ntotal_epochs=6\n"
+        "warmup_epochs=1\nbatch_size=16\neval_every=1\ncheckpoint_every=2\n"
+        f"gamma=0.01\nrho=0.5\nrun_name=r\nout_dir={tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    config = cli.build_config(cli.read_config_file(cfg))
+    before = diffcore.pass_counts()
+    _, run_dir = cli.run_experiment(config)
+    after = diffcore.pass_counts()
+    # Evaluation's forward passes ran in the worker, not here.
+    assert after["forward"] - before["forward"] == after["backward"] - before["backward"]
+    worker_dir = run_dir.rename(tmp_path / "worker")
+
+    cpu = min(os.sched_getaffinity(0))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wrf.cli", "train", "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in worker_dir.iterdir())
+    assert names == sorted(p.name for p in run_dir.iterdir())
+    assert "best.ckpt" in names and "epoch_2.ckpt" in names and "epoch_6.ckpt" in names
+    for name in names:
+        if name == "metrics.csv":
+            assert metrics_lines(worker_dir) == metrics_lines(run_dir)
+        else:
+            assert (worker_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("cpus, env, want", [
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({0, 1, 2, 3}, {"OMP_NUM_THREADS": "2"}, True),
+    ({0, 1}, {}, False),  # unset, BLAS starts a thread per CPU
+    ({0, 1}, {"MKL_NUM_THREADS": "4"}, False),
+    ({0}, {"OPENBLAS_NUM_THREADS": "1"}, False),
+])
+def test_eval_worker_needs_a_cpu_that_blas_leaves_free(monkeypatch, cpus, env, want):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    for var in trainer._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert trainer._eval_worker_available() is want
+    if want:
+        # fork copies only the calling thread; another live thread forbids it.
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert not trainer._eval_worker_available()
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+
+def test_train_in_a_daemonic_process_evaluates_in_process(tmp_path, monkeypatch):
+    # A daemonic process may not start children, so train() must not fork there.
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    for var in trainer._BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert trainer._eval_worker_available()  # here; the forked child inherits both
+    dataset = generate(DATA_CFG)
+    cfg = small_run_config()
+    train(cfg, MODEL_CFG, dataset, out_dir=tmp_path / "here")
+    proc = multiprocessing.get_context("fork").Process(
+        target=train, args=(cfg, MODEL_CFG, dataset), kwargs={"out_dir": tmp_path / "daemon"},
+        daemon=True,
+    )
+    proc.start()
+    proc.join(timeout=60)
+    assert proc.exitcode == 0
+    assert metrics_lines(tmp_path / "daemon") == metrics_lines(tmp_path / "here")
 
 
 def test_train_rejects_tiny_split():

@@ -2,14 +2,16 @@
 
 The package is organized bottom-up:
 
-- diffcore: reverse-mode autodiff over a fixed ten-op set
+- diffcore: reverse-mode autodiff over a fixed ten-op set, backward pruned
+  to the trainable layers
 - params / checkpoint: named float64 tensors and their binary format
 - model: fusion MLP + target projection, optional low-rank adapters
 - loss: query-to-target contrastive objective
 - perturb: adversarial / random weight perturbations with per-layer budgets
-- trainer: SGD / AdamW loops with the two-pass perturbed update
+- trainer: SGD / AdamW loops with the two-pass perturbed update; each
+  epoch is committed once the next one has trained
 - synthcir: seeded synthetic retrieval datasets
-- evalkit: recall metrics, sharpness, loss-landscape probes
+- evalkit: recall metrics, loss-landscape probes along random perturbations
 - cli: train / sweep / landscape / selfcheck commands
 """
 

@@ -8,11 +8,12 @@ instead of surfacing later as a silent NaN. The check stays per node
 because a non-finite intermediate can vanish before the loss
 (relu(-inf) is 0).
 
-A graph compiles once into a flat plan (Graph.plan) that every Executor
-of it reuses: one step per node for the forward pass and, per set of
-trainable names, backward steps that skip every node unable to reach a
-trainable parameter, so no gradient is formed for inputs or frozen
-layers. Pruning changes no bit of the gradients that remain.
+Executor.forward walks Graph.nodes directly. Backward runs steps that
+skip every node unable to reach a trainable parameter, so no gradient is
+formed for inputs or frozen layers; the graph caches them per (loss
+node, trainable names), and appending nodes never stales that cache
+because a node depends only on lower ids. Pruning changes no bit of the
+gradients that remain.
 
 Softmax cross-entropy takes each row reduction once: forward keeps
 exp(logits - row max) and its row sums, and the probabilities are
@@ -20,7 +21,7 @@ formed only in backward, so forward-only passes never divide.
 
 The op set is deliberately tiny (ten ops). Each op is a (forward,
 backward) pair in the _OPS registry, looked up on every pass rather
-than bound into the plan; the selfcheck command relies on that registry
+than bound into the graph; the selfcheck command relies on that registry
 to inject a broken backward rule and prove the gradient suite catches
 it.
 """
@@ -45,11 +46,6 @@ _PASS_COUNTS = {"forward": 0, "backward": 0}
 
 def pass_counts() -> dict[str, int]:
     return dict(_PASS_COUNTS)
-
-
-def reset_pass_counts() -> None:
-    _PASS_COUNTS["forward"] = 0
-    _PASS_COUNTS["backward"] = 0
 
 
 class _Op(NamedTuple):
@@ -207,8 +203,7 @@ _OPS: dict[str, _Op] = {
 class Node(NamedTuple):
     op: str  # one of _OPS, or the leaf kinds "input" / "param"
     inputs: tuple[int, ...]
-    name: str | None = None  # leaf name
-    const: float | None = None  # scalar_mul coefficient
+    arg: str | float | None = None  # leaf name, or the scalar_mul coefficient
 
 
 class Graph:
@@ -218,7 +213,7 @@ class Graph:
         self.nodes: list[Node] = []
         self._input_ids: dict[str, int] = {}
         self._param_ids: dict[str, int] = {}
-        self._plan: _Plan | None = None
+        self._backward: dict[tuple[int, tuple[str, ...]], tuple] = {}
 
     def _push(self, node: Node) -> int:
         self.nodes.append(node)
@@ -234,7 +229,7 @@ class Graph:
             return self._input_ids[name]
         if name in self._param_ids:
             raise ConfigError(f"{name!r} already used as a param leaf")
-        i = self._push(Node("input", (), name=name))
+        i = self._push(Node("input", (), name))
         self._input_ids[name] = i
         return i
 
@@ -243,7 +238,7 @@ class Graph:
             return self._param_ids[name]
         if name in self._input_ids:
             raise ConfigError(f"{name!r} already used as an input leaf")
-        i = self._push(Node("param", (), name=name))
+        i = self._push(Node("param", (), name))
         self._param_ids[name] = i
         return i
 
@@ -275,55 +270,29 @@ class Graph:
         c = float(c)
         if not np.isfinite(c):
             raise ConfigError(f"scalar_mul coefficient must be finite, got {c}")
-        return self._push(Node("scalar_mul", (self._check_id(x),), const=c))
+        return self._push(Node("scalar_mul", (self._check_id(x),), c))
 
     def softmax_xent(self, logits: int) -> int:
         return self._push(Node("softmax_xent", (self._check_id(logits),)))
 
-    @property
-    def input_names(self) -> tuple[str, ...]:
-        return tuple(self._input_ids)
-
-    def plan(self) -> "_Plan":
-        """The compiled plan, rebuilt only after nodes were appended."""
-        if self._plan is None or self._plan.size != len(self.nodes):
-            self._plan = _Plan(self)
-        return self._plan
-
-
-class _Plan:
-    """A graph compiled once: flat forward steps, plus backward steps per trainable set.
-
-    A forward step is (node id, op, input ids, leaf name or scalar_mul
-    coefficient). A backward step keeps only nodes that can reach a
-    trainable parameter, and marks each input that cannot with None, so
-    no adjoint is built for refs, mods, targets or frozen layers. Kernels
-    are not bound here: every pass looks them up in _OPS, the registry
-    selfcheck's fault injection patches.
-    """
-
-    __slots__ = ("size", "steps", "input_names", "_backward")
-
-    def __init__(self, graph: "Graph"):
-        self.size = len(graph.nodes)
-        self.steps = tuple(
-            (i, n.op, n.inputs, n.const if n.name is None else n.name)
-            for i, n in enumerate(graph.nodes)
-        )
-        self.input_names = frozenset(graph.input_names)
-        self._backward: dict[tuple[int, tuple[str, ...]], tuple] = {}
-
     def backward_steps(self, loss_node: int, trainable: tuple[str, ...]) -> tuple:
+        """(node id, op, leaf name or coefficient, input ids) per node from
+        loss_node down, keeping only nodes that can reach a trainable
+        parameter; an input that cannot is None, so no adjoint is built
+        for refs, mods, targets or frozen layers. Kernels are not bound
+        here: every pass looks them up in _OPS, the registry selfcheck's
+        fault injection patches."""
         key = (loss_node, trainable)
         steps = self._backward.get(key)
         if steps is None:
             wanted = set(trainable)
-            live = [False] * self.size
-            for i, op, ins, arg in self.steps:
-                live[i] = arg in wanted if op == "param" else any(live[j] for j in ins)
+            nodes = self.nodes[: loss_node + 1]
+            live: list[bool] = []
+            for op, ins, arg in nodes:
+                live.append(arg in wanted if op == "param" else any(live[j] for j in ins))
             steps = tuple(
                 (i, op, arg, tuple(j if live[j] else None for j in ins))
-                for i, op, ins, arg in reversed(self.steps[: loss_node + 1])
+                for i, (op, ins, arg) in reversed(list(enumerate(nodes)))
                 if live[i]
             )
             self._backward[key] = steps
@@ -349,20 +318,20 @@ class Executor:
         params: ParameterSet,
         output: int | None = None,
     ) -> np.ndarray:
-        plan = self.graph.plan()
+        nodes = self.graph.nodes
         if output is None:
-            output = plan.size - 1
-        if not (0 <= output < plan.size):
+            output = len(nodes) - 1
+        if not (0 <= output < len(nodes)):
             raise ConfigError(f"output node id {output} out of range")
-        unknown = set(inputs) - plan.input_names
+        unknown = inputs.keys() - self.graph._input_ids.keys()
         if unknown:
             raise ConfigError(f"unexpected inputs: {sorted(unknown)}")
-        values: list = [None] * plan.size
-        ctxs: list = [None] * plan.size
+        values: list = [None] * len(nodes)
+        ctxs: list = [None] * len(nodes)
         ops = _OPS
         # Overflow is not a warning here: non-finite outputs raise below.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, op, ins, arg in plan.steps:
+            for i, (op, ins, arg) in enumerate(nodes):
                 if op == "input":
                     if arg not in inputs:
                         raise ConfigError(f"missing input {arg!r}")
@@ -390,21 +359,21 @@ class Executor:
     def backward(self, loss_node: int | None = None) -> GradientSet:
         if self._values is None or self._params is None:
             raise StateError("backward called before forward")
-        plan = self.graph.plan()
+        graph = self.graph
         if loss_node is None:
-            loss_node = plan.size - 1
+            loss_node = len(graph.nodes) - 1
         loss_val = self._values[loss_node]
         if np.ndim(loss_val) != 0 and np.size(loss_val) != 1:
             raise ShapeError(
                 f"loss node {loss_node} is not scalar (shape {np.shape(loss_val)})"
             )
         params = self._params
-        adjoints: list = [None] * plan.size
+        adjoints: list = [None] * len(graph.nodes)
         adjoints[loss_node] = np.ones_like(loss_val)
         ctxs = self._ctx
         ops = _OPS
         grads: GradientSet = {}
-        for i, op, arg, ins in plan.backward_steps(loss_node, params.trainable_names):
+        for i, op, arg, ins in graph.backward_steps(loss_node, params.trainable_names):
             g = adjoints[i]
             if g is None:
                 continue

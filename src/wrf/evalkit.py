@@ -1,4 +1,4 @@
-"""Retrieval metrics, sharpness, and loss-landscape probes.
+"""Retrieval metrics and loss-landscape probes.
 
 Ranking is by descending dot product with ties broken by ascending
 gallery index, everywhere, including inside candidate subsets (the
@@ -8,6 +8,10 @@ takes the global and the subset ranks from one Q x G score matrix; the
 index-ordered tie count runs only on rows where another entry ties the
 target's score. The tests check the ranks against a full-sort
 reference ranking.
+
+A landscape direction is a random perturbation at budget 1: standard
+normal entries per trainable layer, rescaled to that layer's weight
+norm, drawn from a stream seeded per direction.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .params import ParameterSet
-from .perturb import Perturbation, apply_perturbation
+from .perturb import random_perturbation
 
 _DIR_TAG = 0x51
 
@@ -129,15 +133,6 @@ def recall_report(
     return MetricReport(split, recall_at, rmean, recall_subset_at)
 
 
-def cirr_avg(report: MetricReport) -> float:
-    """Mean of Recall@5 and Recall_subset@1."""
-    if 5 not in report.recall_at:
-        raise ConfigError("report lacks Recall@5")
-    if not report.recall_subset_at or 1 not in report.recall_subset_at:
-        raise ConfigError("report lacks Recall_subset@1")
-    return (report.recall_at[5] + report.recall_subset_at[1]) / 2.0
-
-
 def generalization_gap(train_report: MetricReport, val_report: MetricReport) -> float:
     """Train rmean minus val rmean; both reports must use the same K set."""
     if set(train_report.recall_at) != set(val_report.recall_at):
@@ -145,21 +140,12 @@ def generalization_gap(train_report: MetricReport, val_report: MetricReport) -> 
     return train_report.rmean - val_report.rmean
 
 
-def sharpness(
-    loss_fn: Callable[[ParameterSet], float],
-    params: ParameterSet,
-    pert: Perturbation,
-) -> float:
-    """Loss increase under a perturbation: L(theta+delta) - L(theta)."""
-    return loss_fn(apply_perturbation(params, pert)) - loss_fn(params)
-
-
 @dataclass(frozen=True)
 class LandscapeCurve:
     direction_id: int
     alphas: np.ndarray
     losses: np.ndarray  # may contain nan/inf where the loss blew up
-    scales: dict[str, float]  # per-layer norm each direction was scaled to
+    scales: dict[str, float]  # per-layer norm of the direction (the weight norm, or 0)
 
 
 def default_alpha_grid(alpha_max: float = 0.1, half_steps: int = 10) -> np.ndarray:
@@ -201,26 +187,14 @@ def landscape_probe(
     params.require_finite()
     curves = []
     for d_id in range(n_directions):
-        rng = np.random.default_rng([_DIR_TAG, seed, d_id])
-        direction: dict[str, np.ndarray] = {}
-        scales: dict[str, float] = {}
-        for name in params.trainable_names:
-            raw = rng.standard_normal(params[name].shape)
-            w_norm = float(np.linalg.norm(params[name]))
-            r_norm = float(np.linalg.norm(raw))
-            if w_norm < 1e-12 or r_norm < 1e-12:
-                direction[name] = np.zeros_like(raw)
-                scales[name] = 0.0
-            else:
-                direction[name] = raw * (w_norm / r_norm)
-                scales[name] = w_norm
+        pert = random_perturbation(params, 1.0, np.random.default_rng([_DIR_TAG, seed, d_id]))
         losses = np.empty(len(alphas))
         for j, alpha in enumerate(alphas):
             if alpha == 0.0:
                 probe = params  # the alpha=0 row is the exact base loss
             else:
                 probe = params.copy()
-                for name, d_l in direction.items():
+                for name, d_l in pert.deltas.items():
                     arr = probe[name]
                     arr += alpha * d_l
             try:
@@ -228,7 +202,7 @@ def landscape_probe(
             except NumericError:
                 val = float("nan")
             losses[j] = val if np.isfinite(val) else float("nan")
-        curves.append(LandscapeCurve(d_id, alphas.copy(), losses, scales))
+        curves.append(LandscapeCurve(d_id, alphas.copy(), losses, pert.delta_norms))
     return curves
 
 

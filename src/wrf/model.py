@@ -140,16 +140,6 @@ def _append_target_branch(g: Graph) -> int:
     return g.l2norm_rows(x)
 
 
-def build_query_graph(config: ModelConfig, mode: str = "full") -> tuple[Graph, int]:
-    g = Graph()
-    return g, _append_query_branch(g, config, mode)
-
-
-def build_target_graph(config: ModelConfig) -> tuple[Graph, int]:
-    g = Graph()
-    return g, _append_target_branch(g)
-
-
 def build_loss_graph(config: ModelConfig, mode: str, tau: float) -> tuple[Graph, int]:
     """Joint graph: both branches plus the contrastive loss, one backward pass."""
     g = Graph()
@@ -172,8 +162,9 @@ class RetrievalModel:
             raise ConfigError(f"fine-tune mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "lora" and (self.lora_rank is None or self.lora_rank < 1):
             raise ConfigError("lora mode needs a positive lora_rank")
-        self._query_graph, self._query_out = build_query_graph(self.config, self.mode)
-        self._target_graph, self._target_out = build_target_graph(self.config)
+        self._query_graph, self._target_graph = Graph(), Graph()
+        self._query_out = _append_query_branch(self._query_graph, self.config, self.mode)
+        self._target_out = _append_target_branch(self._target_graph)
 
     def init_params(self) -> ParameterSet:
         base = init_model(self.config)

@@ -26,7 +26,7 @@ class ParameterSet:
     anything that must not alias calls copy() first.
     """
 
-    __slots__ = ("_layers", "_trainable", "_trainable_set")
+    __slots__ = ("_layers", "_trainable")
 
     def __init__(
         self,
@@ -49,7 +49,6 @@ class ParameterSet:
             self._trainable = tuple(n for n in self._layers if n in wanted)
         if not self._trainable:
             raise ConfigError("at least one layer must be trainable")
-        self._trainable_set = frozenset(self._trainable)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -58,9 +57,6 @@ class ParameterSet:
     @property
     def trainable_names(self) -> tuple[str, ...]:
         return self._trainable
-
-    def is_trainable(self, name: str) -> bool:
-        return name in self._trainable_set
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._layers[name]
@@ -97,17 +93,10 @@ class ParameterSet:
         dup = ParameterSet.__new__(ParameterSet)
         dup._layers = {n: a.copy() for n, a in self._layers.items()}
         dup._trainable = self._trainable
-        dup._trainable_set = self._trainable_set
         return dup
 
     def zeros_like_trainable(self) -> GradientSet:
         return {n: np.zeros_like(self._layers[n]) for n in self._trainable}
-
-    def equal_bits(self, other: "ParameterSet") -> bool:
-        """True when both sets hold bit-identical tensors in the same order."""
-        if self.names != other.names:
-            return False
-        return all(np.array_equal(self._layers[n], other[n]) for n in self.names)
 
 
 def check_gradient_keys(params: ParameterSet, grads: GradientSet) -> None:

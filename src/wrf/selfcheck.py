@@ -9,13 +9,14 @@ a quadratic toy objective, not on experiment-sized models.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import diffcore
 from .diffcore import finite_diff_gradient
-from .model import ModelConfig, RetrievalModel
+from .model import ACTIVATIONS, MODES, ModelConfig, RetrievalModel
 from .params import ParameterSet
 from .perturb import adversarial_perturbation, random_perturbation
 from .trainer import (
@@ -55,19 +56,21 @@ def _toy_params(seed):
 
 
 def check_gradient_oracle(n_seeds: int = 25) -> CheckResult:
-    """Backward pass vs central differences on the full loss graph."""
-    config = ModelConfig(d_ref=6, d_mod=3, hidden=(8,), d_out=4, seed=0)
-    model = RetrievalModel(config)
+    """Backward pass vs central differences on the full loss graph, in
+    both activations and both fine-tune modes."""
     worst = 0.0
-    for seed in range(n_seeds):
+    for activation, mode, seed in itertools.product(ACTIVATIONS, MODES, range(n_seeds)):
+        config = ModelConfig(d_ref=6, d_mod=3, hidden=(8,), d_out=4, activation=activation, seed=seed)
+        model = RetrievalModel(config, mode=mode, lora_rank=2 if mode == "lora" else None)
         rng = np.random.default_rng([0x5C, seed])
         refs = rng.normal(size=(5, 6))
         mods = rng.normal(size=(5, 3))
         raw = rng.normal(size=(5, 6))
         targets = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        params = RetrievalModel(
-            ModelConfig(d_ref=6, d_mod=3, hidden=(8,), d_out=4, seed=seed)
-        ).init_params()
+        params = model.init_params()
+        for name in params.trainable_names:
+            if name.endswith(".lora_b"):  # zero at init, which leaves lora_a no gradient
+                params[name][...] = rng.normal(size=params[name].shape)
         _, grads = model.loss_and_grads(params, refs, mods, targets, tau=5.0)
         oracle = finite_diff_gradient(
             lambda p: model.batch_loss(p, refs, mods, targets, tau=5.0), params
@@ -79,7 +82,8 @@ def check_gradient_oracle(n_seeds: int = 25) -> CheckResult:
     ok = worst <= 1.0
     return CheckResult(
         "gradient-oracle", ok,
-        f"max error {worst:.3e} of allowance over {n_seeds} seeds",
+        f"max error {worst:.3e} of allowance over {n_seeds} seeds in each of "
+        f"{len(ACTIVATIONS) * len(MODES)} activation/mode pairs",
     )
 
 
@@ -169,22 +173,27 @@ CHECKS: tuple[Callable[[], CheckResult], ...] = (
 )
 
 
+# The fault names the CLI offers, each the op whose backward it flips.
+FAULTS = {"grad-sign": "tanh"}
+
+
 @contextlib.contextmanager
-def inject_fault(kind: str):
-    """Mutation fixture: break one backward rule, restore on exit."""
-    if kind != "grad-sign":
-        raise ValueError(f"unknown fault {kind!r}")
-    original = diffcore._OPS["tanh"]
+def inject_fault(op: str):
+    """Mutation fixture: flip the sign of one op's backward rule (an op
+    name from diffcore._OPS, or a name in FAULTS), restore on exit."""
+    op = FAULTS.get(op, op)
+    if op not in diffcore._OPS:
+        raise ValueError(f"unknown fault {op!r}")
+    original = diffcore._OPS[op]
 
     def flipped(i, g, ctx):
-        (grad,) = original.backward(i, g, ctx)
-        return (-grad,)
+        return tuple(-grad for grad in original.backward(i, g, ctx))
 
-    diffcore._OPS["tanh"] = diffcore._Op(original.forward, flipped)
+    diffcore._OPS[op] = diffcore._Op(original.forward, flipped)
     try:
         yield
     finally:
-        diffcore._OPS["tanh"] = original
+        diffcore._OPS[op] = original
 
 
 def run_selfcheck(inject: str | None = None) -> list[CheckResult]:

@@ -11,21 +11,19 @@ weight decay acts on the unperturbed weights. A literal
 subtract-the-delta SGD variant is kept purely as a cross-check of the
 copy-on-apply implementation.
 
-Per-epoch Recall@K evaluation overlaps the next epoch's training. Where
-the fork start method exists, the process runs a single thread and it
-may run on more CPUs than BLAS starts threads (OPENBLAS_NUM_THREADS=1 on
-two CPUs, say), train() forks one eval worker per run and sends it the
-epoch's parameters; the worker embeds the gallery and both query splits and returns the two
-reports while the parent trains on. The parent does everything that
-depends on the reports (gap, best-so-far, best.ckpt, metrics.csv rows,
-checkpoints) when they come back, strictly in epoch order and with that
-epoch's parameters and rng state, so every artifact is the same as in a
-run without the worker. At most one evaluation is in flight. Otherwise
-the same deferred path evaluates in-process at the end of each eval
-epoch: on one CPU the worker would only take turns with training, and
-next to a BLAS pool that already uses every CPU it slows each training
-step more than it saves. Forward passes inside the worker do not reach
-this process's diffcore.pass_counts().
+Per-epoch Recall@K evaluation overlaps the next epoch's training in a
+forked eval worker where the fork start method exists, the process runs
+one thread and BLAS leaves a CPU free (OPENBLAS_NUM_THREADS=1 on two
+CPUs, say); otherwise it runs in-process, since on one CPU, or next to a
+BLAS pool that uses every CPU, the worker slows training more than it
+saves. train() keeps at most one epoch uncommitted: at the end of epoch
+e it commits epoch e-1 (waiting for its reports if it was evaluated),
+copies the parameters once, and submits the copy if epoch e is
+evaluated. Committing writes what depends on the reports (gap,
+best-so-far, best.ckpt, metrics.csv rows, checkpoints) with that
+epoch's parameters and rng state, so artifacts are the same on both
+paths and as in a sequential loop; metrics.csv trails training by one
+epoch. Worker passes do not reach this process's diffcore.pass_counts().
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import os
 import signal
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -470,9 +467,6 @@ class _InlineEval(_Evaluator):
     def submit(self, params: ParameterSet) -> None:
         self._reports = self._evaluate(params)
 
-    def ready(self) -> bool:
-        return True
-
     def result(self):
         return self._reports
 
@@ -508,7 +502,6 @@ class _EvalWorker(_Evaluator):
         )
         self._proc.start()
         child_end.close()
-        self._busy = False
 
     def _exited(self) -> RuntimeError:
         self._proc.join()
@@ -519,11 +512,6 @@ class _EvalWorker(_Evaluator):
             self._conn.send(params)
         except BrokenPipeError:
             raise self._exited() from None
-        self._busy = True
-
-    def ready(self) -> bool:
-        """True when result() would not block."""
-        return not self._busy or self._conn.poll()
 
     def result(self):
         """The reports of the evaluation in flight; its error is raised here.
@@ -535,7 +523,6 @@ class _EvalWorker(_Evaluator):
             ok, value = self._conn.recv()
         except EOFError:
             raise self._exited() from None
-        self._busy = False
         if not ok:
             raise value
         return value
@@ -591,16 +578,6 @@ def _metrics_file(out_path: Path | None):
         yield fh
 
 
-@dataclass
-class _PendingEpoch:
-    """An epoch whose artifacts wait for its evaluation (or an earlier one)."""
-
-    row: EpochRow
-    params: ParameterSet  # the epoch-end parameters
-    rng_state: dict  # the epoch-end rng streams
-    evaluated: bool
-
-
 def train(
     config: TrainConfig,
     model_config: ModelConfig,
@@ -620,9 +597,8 @@ def train(
     in-process otherwise (see the module docstring); only this process
     writes files. Failures keep the order of a sequential loop: an
     evaluation error is raised after the rows of the epochs before it,
-    and a step that fails while the previous epoch is being evaluated
-    first lets that epoch finish. The worker is stopped before train()
-    returns or raises.
+    and a failing step first commits the epoch before it. The worker is
+    stopped before train() returns or raises.
     """
     if len(dataset.train) < 2:
         raise ConfigError("training split needs at least two triplets")
@@ -640,7 +616,9 @@ def train(
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-    pending: deque[_PendingEpoch] = deque()
+    # The last epoch trained and not yet committed:
+    # (row, epoch-end params copy, epoch-end rng state, evaluated).
+    pending: tuple[EpochRow, ParameterSet, dict, bool] | None = None
 
     def save_ckpt(name: str, params: ParameterSet, rng_state: dict) -> None:
         if out_path is None:
@@ -649,15 +627,20 @@ def train(
         save_checkpoint(path, params)
         Path(f"{path}.rng.json").write_text(json.dumps(rng_state), encoding="utf-8")
 
-    def finish(epoch: _PendingEpoch, reports) -> None:
-        row = epoch.row
-        if reports is not None:
-            row.train_report, row.val_report = reports
+    def commit() -> None:
+        """Write the pending epoch, waiting for its reports if it was evaluated."""
+        nonlocal pending
+        if pending is None:
+            return
+        row, params, rng_state, evaluated = pending
+        pending = None
+        if evaluated:
+            row.train_report, row.val_report = evaluator.result()
             row.gap = evalkit.generalization_gap(row.train_report, row.val_report)
             if record.best_val_rmean is None or row.val_report.rmean > record.best_val_rmean:
                 record.best_val_rmean = row.val_report.rmean
                 record.best_epoch = row.epoch
-                save_ckpt("best.ckpt", epoch.params, epoch.rng_state)
+                save_ckpt("best.ckpt", params, rng_state)
             record.final_val_rmean = row.val_report.rmean
         record.rows.append(row)
         if metrics_fh is not None:
@@ -665,13 +648,7 @@ def train(
                 metrics_fh.write(line + "\n")
             metrics_fh.flush()
         if config.checkpoint_every and row.epoch % config.checkpoint_every == 0:
-            save_ckpt(f"epoch_{row.epoch}.ckpt", epoch.params, epoch.rng_state)
-
-    def collect() -> None:
-        """Finish every pending epoch, waiting for the evaluation in flight."""
-        while pending:
-            epoch = pending.popleft()
-            finish(epoch, evaluator.result() if epoch.evaluated else None)
+            save_ckpt(f"epoch_{row.epoch}.ckpt", params, rng_state)
 
     evaluate = functools.partial(_evaluate, model, dataset, train_eval_table, ks)
     evaluator = _EvalWorker(evaluate) if _eval_worker_available() else _InlineEval(evaluate)
@@ -696,7 +673,7 @@ def train(
                     info = step_fn(state, batch, config, objective)
                     losses.append(info.loss)
             except Exception:
-                collect()  # the epochs before this one end first, as in a sequential loop
+                commit()  # the epoch before this one ends first, as in a sequential loop
                 raise
             seconds = time.perf_counter() - tick
 
@@ -710,16 +687,11 @@ def train(
                 rand_steps=state.rand_steps - rand_before,
             )
             evaluated = epoch_no % config.eval_every == 0 or epoch_no == config.total_epochs
+            commit()  # one evaluation in flight at a time
+            params = state.params.copy()  # the next epoch updates state.params in place
             if evaluated:
-                collect()  # one evaluation in flight at a time
-                evaluator.submit(state.params)
-            pending.append(_PendingEpoch(row, state.params, state.rng_state(), evaluated))
-            if evaluator.ready():
-                collect()
-            # The next epoch updates state.params in place.
-            for waiting in pending:
-                if waiting.params is state.params:
-                    waiting.params = state.params.copy()
-        collect()
+                evaluator.submit(params)
+            pending = (row, params, state.rng_state(), evaluated)
+        commit()
         save_ckpt(f"epoch_{config.total_epochs}.ckpt", state.params, state.rng_state())
     return record

@@ -4,10 +4,14 @@ Each function here is the plain, full-materialization version of
 something the package computes a cheaper way: a full gallery sort for
 the rank-of-target counting in ``wrf.evalkit`` and for the nearest
 neighbour subsets in ``wrf.synthcir``, the contrastive loss on plain
-arrays for the graph form in ``wrf.loss``, a node-by-node executor for
-the compiled plan in ``wrf.diffcore``, the softmax cross-entropy kernel
-pair that forms the probabilities in forward, and one forward plus one
-backward through a graph's final node.
+arrays for the graph form in ``wrf.loss``, a node-by-node executor
+without backward pruning for ``wrf.diffcore.Executor``, the softmax
+cross-entropy kernel pair that forms the probabilities in forward, and
+one forward plus one backward through a graph's final node.
+
+It also holds the small helpers only tests use: pass-count deltas,
+bit-for-bit parameter equality, sharpness under a perturbation and the
+CIRR-style average of two recalls.
 """
 
 import numpy as np
@@ -15,7 +19,9 @@ import numpy as np
 from wrf import diffcore
 from wrf.diffcore import Executor, Graph
 from wrf.errors import ConfigError, DataError, NumericError, ShapeError
+from wrf.evalkit import MetricReport
 from wrf.params import GradientSet, ParameterSet
+from wrf.perturb import Perturbation, apply_perturbation
 
 # How far a row norm may drift from 1 before contrastive_q2t rejects it.
 UNIT_NORM_ATOL = 1e-6
@@ -90,14 +96,14 @@ class NodeByNodeExecutor:
         ctxs: list = [None] * len(nodes)
         for i, node in enumerate(nodes):
             if node.op == "input":
-                values[i] = np.asarray(inputs[node.name], dtype=np.float64)
+                values[i] = np.asarray(inputs[node.arg], dtype=np.float64)
                 continue
             if node.op == "param":
-                values[i] = params[node.name]
+                values[i] = params[node.arg]
                 continue
             args = [values[j] for j in node.inputs]
             if node.op == "scalar_mul":
-                args.append(node.const)
+                args.append(node.arg)
             with np.errstate(over="ignore", invalid="ignore"):
                 out, ctx = diffcore._OPS[node.op].forward(i, *args)
             if not np.all(np.isfinite(out)):
@@ -120,8 +126,8 @@ class NodeByNodeExecutor:
             if g is None or node.op == "input":
                 continue
             if node.op == "param":
-                if params.is_trainable(node.name):
-                    grads[node.name] = np.array(g, dtype=np.float64)
+                if node.arg in params.trainable_names:
+                    grads[node.arg] = np.array(g, dtype=np.float64)
                 continue
             in_grads = diffcore._OPS[node.op].backward(i, g, self._ctx[i])
             for j, gj in zip(node.inputs, in_grads):
@@ -195,3 +201,47 @@ def value_and_grad(
     ex = Executor(graph)
     loss = ex.forward(inputs, params)
     return float(np.ravel(loss)[0]), ex.backward()
+
+
+def pass_count_delta(before: dict[str, int]) -> dict[str, int]:
+    """Forward/backward passes since ``before = diffcore.pass_counts()``."""
+    now = diffcore.pass_counts()
+    return {kind: now[kind] - before[kind] for kind in now}
+
+
+def equal_bits(a: ParameterSet, b: ParameterSet) -> bool:
+    """True when both sets hold bit-identical tensors in the same order."""
+    if a.names != b.names:
+        return False
+    return all(np.array_equal(a[n], b[n]) for n in a.names)
+
+
+def sharpness(loss_fn, params: ParameterSet, pert: Perturbation) -> float:
+    """Loss increase under a perturbation: L(theta+delta) - L(theta)."""
+    return loss_fn(apply_perturbation(params, pert)) - loss_fn(params)
+
+
+def cirr_avg(report: MetricReport) -> float:
+    """Mean of Recall@5 and Recall_subset@1."""
+    if 5 not in report.recall_at:
+        raise ConfigError("report lacks Recall@5")
+    if not report.recall_subset_at or 1 not in report.recall_subset_at:
+        raise ConfigError("report lacks Recall_subset@1")
+    return (report.recall_at[5] + report.recall_subset_at[1]) / 2.0
+
+
+def landscape_direction_by_loop(params: ParameterSet, seed: int, d_id: int) -> dict[str, np.ndarray]:
+    """One landscape direction drawn and rescaled layer by layer, as
+    ``wrf.evalkit.landscape_probe`` did before it took its directions
+    from ``random_perturbation``."""
+    rng = np.random.default_rng([0x51, seed, d_id])
+    direction = {}
+    for name in params.trainable_names:
+        raw = rng.standard_normal(params[name].shape)
+        w_norm = float(np.linalg.norm(params[name]))
+        r_norm = float(np.linalg.norm(raw))
+        if w_norm < 1e-12 or r_norm < 1e-12:
+            direction[name] = np.zeros_like(raw)
+        else:
+            direction[name] = raw * (w_norm / r_norm)
+    return direction

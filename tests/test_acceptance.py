@@ -23,7 +23,6 @@ from wrf.checkpoint import load_checkpoint
 from wrf.cli import ExperimentConfig, build_dataset
 from wrf.evalkit import (
     MetricReport,
-    cirr_avg,
     default_alpha_grid,
     flatness_score,
     landscape_probe,
@@ -43,7 +42,7 @@ from wrf.trainer import (
     wrf_step_literal_sgd,
 )
 
-from oracles import contrastive_q2t, rank_gallery, recall_at_k
+from oracles import cirr_avg, contrastive_q2t, rank_gallery, recall_at_k
 
 SEEDS = (0, 1, 2, 3, 4)
 GAMMA_SWEEP = (0.0, 5e-4, 1e-3, 2e-3, 5e-3)

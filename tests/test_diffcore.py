@@ -372,7 +372,7 @@ def test_l2norm_rows_are_unit_or_zero(seed, rows, cols):
         assert abs(val - 1.0) <= 1e-12 or val == 0.0
 
 
-# -------------------------------------------- compiled plan vs node-by-node
+# ------------------------------------ pruned executor vs node-by-node
 
 
 def _model_case(activation, mode, seed):
@@ -397,7 +397,7 @@ def test_plan_matches_node_by_node_bit_for_bit(activation, mode):
         model, ps, batch = _model_case(activation, mode, seed)
         g, out = model._loss_graph(5.0)
         ex, ref = Executor(g), NodeByNodeExecutor(g)
-        for _ in range(2):  # the second pass reuses the cached plan
+        for _ in range(2):  # the second pass reuses the cached backward steps
             assert ex.forward(batch, ps, out) == ref.forward(batch, ps, out)
             got, want = ex.backward(out), ref.backward(out)
             assert list(got) == list(want)  # same key order, not only same keys
@@ -425,21 +425,31 @@ def test_plan_follows_appended_nodes_and_trainable_sets():
     g = Graph()
     a, b = g.param("a"), g.param("b")
     s = g.pairwise_dot(g.matmul(g.input("x"), a), g.matmul(g.input("x"), b))
-    g.softmax_xent(s)
+    loss = g.softmax_xent(s)
     x = {"x": rand((3, 2), 3)}
     layers = {"a": rand((2, 2), 4), "b": rand((2, 2), 5)}
-    for trainable in (None, ["a"], ["b"]):
-        ps = ParameterSet(layers, trainable)
+
+    def both_backwards(ps, loss_node):
         ex, ref = Executor(g), NodeByNodeExecutor(g)
         ex.forward(x, ps)
         ref.forward(x, ps)
-        got, want = ex.backward(), ref.backward()
+        got, want = ex.backward(loss_node), ref.backward(loss_node)
         assert list(got) == list(want)
         assert all(got[n].tobytes() == want[n].tobytes() for n in want)
-    first = g.plan()
-    assert g.plan() is first
-    g.scalar_mul(s, 2.0)
-    assert g.plan() is not first and g.plan().size == len(g.nodes)
+        return got
+
+    sets = [ParameterSet(layers, trainable) for trainable in (None, ["a"], ["b"])]
+    before = [
+        (g.backward_steps(loss, ps.trainable_names), both_backwards(ps, loss)) for ps in sets
+    ]
+    # A node depends only on lower ids, so appending nodes leaves the
+    # cached backward steps and the gradients of the old loss as they were.
+    second = g.softmax_xent(g.scalar_mul(s, 2.0))
+    for ps, (steps, grads) in zip(sets, before):
+        assert g.backward_steps(loss, ps.trainable_names) == steps
+        again = both_backwards(ps, loss)
+        assert all(again[n].tobytes() == grads[n].tobytes() for n in grads)
+        both_backwards(ps, second)
 
 
 def test_overflow_names_the_same_node_as_node_by_node():

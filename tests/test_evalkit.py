@@ -8,21 +8,28 @@ from hypothesis import strategies as st
 from wrf.errors import ConfigError, DataError, NumericError, ShapeError
 from wrf.evalkit import (
     MetricReport,
-    cirr_avg,
     default_alpha_grid,
     flatness_score,
     generalization_gap,
     landscape_probe,
     landscape_to_csv,
     recall_report,
-    sharpness,
     subset_target_ranks,
     target_ranks,
 )
+from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet
-from wrf.perturb import Perturbation, adversarial_perturbation
+from wrf.perturb import Perturbation, adversarial_perturbation, random_perturbation
 
-from oracles import rank_gallery, recall_at_k, recall_subset_at_k, target_ranks_by_sort
+from oracles import (
+    cirr_avg,
+    landscape_direction_by_loop,
+    rank_gallery,
+    recall_at_k,
+    recall_subset_at_k,
+    sharpness,
+    target_ranks_by_sort,
+)
 
 
 def unit_rows(arr):
@@ -313,6 +320,26 @@ def test_landscape_direction_norms_match_layer_norms():
     curves = landscape_probe(quad_loss, ps, 1, default_alpha_grid(0.1, 2), seed=0)
     assert curves[0].scales["w"] == pytest.approx(float(np.linalg.norm(ps["w"])))
     assert curves[0].scales["b"] == 0.0  # zero-norm layer gets a zero direction
+
+
+@pytest.mark.parametrize("mode", ["full", "lora"])
+def test_landscape_directions_match_the_per_layer_loop_bit_for_bit(mode):
+    model = RetrievalModel(
+        ModelConfig(d_ref=6, d_mod=3, hidden=(8,), d_out=4, seed=3),
+        mode=mode, lora_rank=2 if mode == "lora" else None,
+    )
+    ps = model.init_params()  # in lora mode the zero lora_b layers get zero directions
+    for seed in range(20):
+        probes = []
+        landscape_probe(lambda p: probes.append(p) or 0.0, ps, 10, [0.0, 1.0], seed=seed)
+        for d_id in range(10):
+            want = landscape_direction_by_loop(ps, seed, d_id)
+            got = random_perturbation(ps, 1.0, np.random.default_rng([0x51, seed, d_id])).deltas
+            assert all(got[n].tobytes() == want[n].tobytes() for n in want), (seed, d_id)
+            probe = probes[2 * d_id + 1]  # the alpha=1 row: ps + 1.0 * direction
+            for name in ps.names:
+                added = ps[name] + 1.0 * want[name] if name in want else ps[name]
+                assert probe[name].tobytes() == added.tobytes(), (seed, d_id, name)
 
 
 def test_landscape_records_nonfinite_instead_of_raising():

@@ -75,3 +75,17 @@ def test_flipped_softmax_xent_backward_fails_the_gradient_oracle(monkeypatch):
 
     monkeypatch.setitem(diffcore._OPS, "softmax_xent", diffcore._Op(original.forward, flipped))
     assert selfcheck.check_gradient_oracle(n_seeds=2).ok is False
+
+
+# Ops whose backward never runs in the gradient oracle: row_concat joins
+# refs and mods, and no parameter lies behind it, so backward pruning
+# skips it in every activation and mode.
+UNREACHABLE_OPS = {"row_concat"}
+
+
+@pytest.mark.parametrize("op", sorted(diffcore._OPS))
+def test_the_gradient_oracle_catches_a_flipped_backward_of_every_reachable_op(op):
+    assert UNREACHABLE_OPS <= set(diffcore._OPS)
+    with selfcheck.inject_fault(op):
+        result = selfcheck.check_gradient_oracle(n_seeds=2)
+    assert result.ok is (op in UNREACHABLE_OPS), result.detail

@@ -32,6 +32,8 @@ from wrf.trainer import (
     wrf_step_literal_sgd,
 )
 
+from oracles import pass_count_delta
+
 DATA_CFG = DatasetConfig(
     d_ref=8, d_mod=4, n_mods=3, n_train=40, n_val=30,
     gallery_size=120, noise_sigma=0.05, subset_size=4, seed=7,
@@ -200,12 +202,12 @@ def test_pass_counts_per_step_kind():
     )
     state = new_train_state(cfg, model.init_params())
     batch = make_batch(dataset, np.arange(16))
-    diffcore.reset_pass_counts()
+    before = diffcore.pass_counts()
     wrf_step(state, batch, cfg, obj)
-    assert diffcore.pass_counts() == {"forward": 2, "backward": 2}
-    diffcore.reset_pass_counts()
+    assert pass_count_delta(before) == {"forward": 2, "backward": 2}
+    before = diffcore.pass_counts()
     baseline_step(state, batch, cfg, obj)
-    assert diffcore.pass_counts() == {"forward": 1, "backward": 1}
+    assert pass_count_delta(before) == {"forward": 1, "backward": 1}
 
 
 def test_step_streams_are_deterministic():
@@ -460,6 +462,27 @@ def test_eval_error_is_raised_after_the_rows_before_it(tmp_path, monkeypatch, pa
     ]
     assert (out / "epoch_2.ckpt").exists()
     assert not (out / "epoch_4.ckpt").exists()
+
+
+@pytest.mark.parametrize("path", EVAL_PATHS)
+def test_metrics_csv_trails_training_by_at_most_one_epoch(tmp_path, monkeypatch, path):
+    use_eval_path(monkeypatch, path)
+    out = tmp_path / "r"
+    seen = {}
+    real = trainer.wrf_step
+
+    def watching(state, batch, config, objective):
+        if state.epoch + 1 not in seen:  # the first step of 1-based epoch e
+            seen[state.epoch + 1] = {int(line.split(",")[0]) for line in metrics_lines(out)[1:]}
+        return real(state, batch, config, objective)
+
+    monkeypatch.setattr(trainer, "wrf_step", watching)
+    cfg = small_run_config(total_epochs=8, warmup_epochs=0, eval_every=3)
+    train(cfg, MODEL_CFG, generate(DATA_CFG), out_dir=out)
+    assert sorted(seen) == list(range(1, 9))
+    for epoch, written in seen.items():
+        assert set(range(1, epoch - 1)) <= written, (epoch, written)
+    assert len(metrics_lines(out)) == 1 + 8 + 3  # val rows for epochs 3, 6 and 8
 
 
 def test_a_dead_eval_worker_fails_the_run_promptly(tmp_path, monkeypatch):

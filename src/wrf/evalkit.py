@@ -145,7 +145,6 @@ class LandscapeCurve:
     direction_id: int
     alphas: np.ndarray
     losses: np.ndarray  # may contain nan/inf where the loss blew up
-    scales: dict[str, float]  # per-layer norm of the direction (the weight norm, or 0)
 
 
 def default_alpha_grid(alpha_max: float = 0.1, half_steps: int = 10) -> np.ndarray:
@@ -202,7 +201,7 @@ def landscape_probe(
             except NumericError:
                 val = float("nan")
             losses[j] = val if np.isfinite(val) else float("nan")
-        curves.append(LandscapeCurve(d_id, alphas.copy(), losses, pert.delta_norms))
+        curves.append(LandscapeCurve(d_id, alphas.copy(), losses))
     return curves
 
 

@@ -10,6 +10,7 @@ An optional low-rank adapter mode freezes every weight matrix and
 trains factor pairs on the fusion layers instead: the effective weight
 is W + A·B with A seeded-random (in x rank) and B zero-initialized
 (rank x out), so at step zero the adapted model equals the base model.
+RetrievalModel.init_params adds the adapters to init_model's weights.
 """
 
 from __future__ import annotations
@@ -72,50 +73,6 @@ def init_model(config: ModelConfig) -> ParameterSet:
     return ParameterSet(layers)
 
 
-def set_finetune_mode(
-    params: ParameterSet,
-    mode: str,
-    rank: int | None = None,
-    config: ModelConfig | None = None,
-) -> ParameterSet:
-    """Return a ParameterSet wired for the given fine-tuning mode.
-
-    full: every layer trainable. lora: weight matrices frozen; each
-    fusion weight gains adapter factors lora_a (seeded random) and
-    lora_b (zeros); only adapters and biases train.
-    """
-    if mode == "full":
-        return ParameterSet({n: a.copy() for n, a in params.items()})
-    if mode != "lora":
-        raise ConfigError(f"fine-tune mode must be one of {MODES}, got {mode!r}")
-    if rank is None or int(rank) < 1:
-        raise ConfigError(f"lora mode needs a positive rank, got {rank}")
-    if config is None:
-        raise ConfigError("lora mode needs the model config for seeded adapter init")
-    rank = int(rank)
-    rng = np.random.default_rng([_LORA_TAG, config.seed])
-    layers: dict[str, np.ndarray] = {}
-    trainable: list[str] = []
-    for name, arr in params.items():
-        if name.endswith((".lora_a", ".lora_b")):
-            raise ConfigError(f"params already carry adapters ({name!r})")
-        layers[name] = arr.copy()
-        if name.startswith("fusion.") and name.endswith(".w"):
-            n_in, n_out = arr.shape
-            if rank > min(n_in, n_out):
-                raise ConfigError(
-                    f"rank {rank} exceeds min dim of {name!r} with shape {arr.shape}"
-                )
-            stem = name[: -len(".w")]
-            bound = config.init_scale / np.sqrt(n_in)
-            layers[f"{stem}.lora_a"] = rng.uniform(-bound, bound, size=(n_in, rank))
-            layers[f"{stem}.lora_b"] = np.zeros((rank, n_out))
-            trainable += [f"{stem}.lora_a", f"{stem}.lora_b"]
-        elif name.endswith(".b"):
-            trainable.append(name)
-    return ParameterSet(layers, trainable)
-
-
 def _fusion_weight_node(graph: Graph, stem: str, mode: str) -> int:
     w = graph.param(f"{stem}.w")
     if mode == "lora":
@@ -140,14 +97,6 @@ def _append_target_branch(g: Graph) -> int:
     return g.l2norm_rows(x)
 
 
-def build_loss_graph(config: ModelConfig, mode: str, tau: float) -> tuple[Graph, int]:
-    """Joint graph: both branches plus the contrastive loss, one backward pass."""
-    g = Graph()
-    query = _append_query_branch(g, config, mode)
-    target = _append_target_branch(g)
-    return g, attach_q2t_loss(g, query, target, tau)
-
-
 @dataclass
 class RetrievalModel:
     """Owns the graphs for one (config, mode) pair and runs them."""
@@ -167,10 +116,32 @@ class RetrievalModel:
         self._target_out = _append_target_branch(self._target_graph)
 
     def init_params(self) -> ParameterSet:
+        """init_model's set, all trainable (full), or with the weight matrices
+        frozen and an adapter pair lora_a (seeded), lora_b (zeros) after each
+        fusion weight (lora), which trains the adapters and biases."""
         base = init_model(self.config)
-        if self.mode == "lora":
-            return set_finetune_mode(base, "lora", rank=self.lora_rank, config=self.config)
-        return set_finetune_mode(base, "full")
+        if self.mode == "full":
+            return base
+        rank = int(self.lora_rank)
+        rng = np.random.default_rng([_LORA_TAG, self.config.seed])
+        layers: dict[str, np.ndarray] = {}
+        trainable: list[str] = []
+        for name, arr in base.items():
+            layers[name] = arr
+            if name.startswith("fusion.") and name.endswith(".w"):
+                n_in, n_out = arr.shape
+                if rank > min(n_in, n_out):
+                    raise ConfigError(
+                        f"rank {rank} exceeds min dim of {name!r} with shape {arr.shape}"
+                    )
+                stem = name[: -len(".w")]
+                bound = self.config.init_scale / np.sqrt(n_in)
+                layers[f"{stem}.lora_a"] = rng.uniform(-bound, bound, size=(n_in, rank))
+                layers[f"{stem}.lora_b"] = np.zeros((rank, n_out))
+                trainable += [f"{stem}.lora_a", f"{stem}.lora_b"]
+            elif name.endswith(".b"):
+                trainable.append(name)
+        return ParameterSet(layers, trainable)
 
     def embed_queries(self, params: ParameterSet, refs: np.ndarray, mods: np.ndarray) -> np.ndarray:
         ex = Executor(self._query_graph)
@@ -181,9 +152,13 @@ class RetrievalModel:
         return ex.forward({"targets": targets}, params, self._target_out)
 
     def _loss_graph(self, tau: float) -> tuple[Graph, int]:
+        """Joint graph: both branches plus the contrastive loss, one backward pass."""
         key = float(tau)
         if key not in self._loss_graphs:
-            self._loss_graphs[key] = build_loss_graph(self.config, self.mode, key)
+            g = Graph()
+            query = _append_query_branch(g, self.config, self.mode)
+            target = _append_target_branch(g)
+            self._loss_graphs[key] = g, attach_q2t_loss(g, query, target, key)
         return self._loss_graphs[key]
 
     def batch_loss(self, params: ParameterSet, refs, mods, targets, tau: float) -> float:

@@ -29,13 +29,10 @@ ZERO_NORM_EPS = 1e-12
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Per-layer deltas over the trainable layers, plus recorded norms."""
+    """Per-layer deltas over the trainable layers, and the kind that drew them."""
 
     deltas: dict[str, np.ndarray]
-    delta_norms: dict[str, float]
-    weight_norms: dict[str, float]
     kind: str
-    gamma: float
 
 
 def _check_gamma(gamma: float) -> float:
@@ -48,20 +45,15 @@ def _check_gamma(gamma: float) -> float:
 def _build(params: ParameterSet, raw: dict[str, np.ndarray], gamma: float, kind: str) -> Perturbation:
     """Rescale raw directions to ||delta_l|| = gamma * ||theta_l|| per layer."""
     deltas: dict[str, np.ndarray] = {}
-    delta_norms: dict[str, float] = {}
-    weight_norms: dict[str, float] = {}
     for name in params.trainable_names:
         w_norm = float(np.linalg.norm(params[name]))
-        weight_norms[name] = w_norm
         direction = raw[name]
         d_norm = float(np.linalg.norm(direction))
         if gamma == 0.0 or d_norm < ZERO_NORM_EPS or w_norm < ZERO_NORM_EPS:
             deltas[name] = np.zeros_like(params[name])
-            delta_norms[name] = 0.0
         else:
             deltas[name] = direction * (gamma * w_norm / d_norm)
-            delta_norms[name] = float(np.linalg.norm(deltas[name]))
-    return Perturbation(deltas, delta_norms, weight_norms, kind, gamma)
+    return Perturbation(deltas, kind)
 
 
 def adversarial_perturbation(params: ParameterSet, grads: GradientSet, gamma: float) -> Perturbation:

@@ -17,13 +17,15 @@ one thread and BLAS leaves a CPU free (OPENBLAS_NUM_THREADS=1 on two
 CPUs, say); otherwise it runs in-process, since on one CPU, or next to a
 BLAS pool that uses every CPU, the worker slows training more than it
 saves. train() keeps at most one epoch uncommitted: at the end of epoch
-e it commits epoch e-1 (waiting for its reports if it was evaluated),
-copies the parameters once, and submits the copy if epoch e is
-evaluated. Committing writes what depends on the reports (gap,
-best-so-far, best.ckpt, metrics.csv rows, checkpoints) with that
-epoch's parameters and rng state, so artifacts are the same on both
-paths and as in a sequential loop; metrics.csv trails training by one
-epoch. Worker passes do not reach this process's diffcore.pass_counts().
+e it commits epoch e-1, copies the parameters once and, if epoch e is
+evaluated, hands the copy to the worker. Committing an evaluated epoch
+first takes its reports: it waits for the worker's, or, in-process,
+evaluates the copy then, at the end of the next epoch. It then writes
+what depends on the reports (gap, best-so-far, best.ckpt, metrics.csv
+rows, checkpoints) with that epoch's parameters and rng state, so
+artifacts are the same on both paths and as in a sequential loop;
+metrics.csv trails training by one epoch. Worker passes do not reach
+this process's diffcore.pass_counts().
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ import os
 import signal
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -444,33 +446,6 @@ def _evaluate(model, dataset, train_eval_table, ks, params):
     )
 
 
-class _Evaluator:
-    """Runs evaluate(params) for each eval epoch; a with block stops it."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(failed=exc_type is not None)
-
-    def close(self, failed: bool) -> None:
-        pass
-
-
-class _InlineEval(_Evaluator):
-    """Evaluates at submit time, in this process."""
-
-    def __init__(self, evaluate):
-        self._evaluate = evaluate
-        self._reports = None
-
-    def submit(self, params: ParameterSet) -> None:
-        self._reports = self._evaluate(params)
-
-    def result(self):
-        return self._reports
-
-
 def _worker_loop(conn, parent_end, evaluate) -> None:
     """Eval worker body: parameters in, (ok, reports or exception) out."""
     # Without the parent's end of the pipe, a parent that dies leaves
@@ -490,8 +465,8 @@ def _worker_loop(conn, parent_end, evaluate) -> None:
         conn.send(reply)
 
 
-class _EvalWorker(_Evaluator):
-    """A forked process that runs one evaluation at a time."""
+class _EvalWorker:
+    """A forked process that runs one evaluation at a time; a with block stops it."""
 
     def __init__(self, evaluate):
         ctx = multiprocessing.get_context("fork")
@@ -503,15 +478,28 @@ class _EvalWorker(_Evaluator):
         self._proc.start()
         child_end.close()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._conn.close()  # the worker sees EOF and returns
+        if exc_type is None:
+            self._proc.join(timeout=10.0)
+        if self._proc.is_alive():
+            self._proc.terminate()
+        self._proc.join()
+
     def _exited(self) -> RuntimeError:
         self._proc.join()
         return RuntimeError(f"eval worker exited with code {self._proc.exitcode}")
 
-    def submit(self, params: ParameterSet) -> None:
+    def submit(self, params: ParameterSet):
+        """Start evaluating params; returns the call that waits for the reports."""
         try:
             self._conn.send(params)
         except BrokenPipeError:
             raise self._exited() from None
+        return self.result
 
     def result(self):
         """The reports of the evaluation in flight; its error is raised here.
@@ -526,14 +514,6 @@ class _EvalWorker(_Evaluator):
         if not ok:
             raise value
         return value
-
-    def close(self, failed: bool) -> None:
-        self._conn.close()  # the worker sees EOF and returns
-        if not failed:
-            self._proc.join(timeout=10.0)
-        if self._proc.is_alive():
-            self._proc.terminate()
-        self._proc.join()
 
 
 # Unset, OpenBLAS and MKL start one BLAS thread per usable CPU.
@@ -616,9 +596,9 @@ def train(
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-    # The last epoch trained and not yet committed:
-    # (row, epoch-end params copy, epoch-end rng state, evaluated).
-    pending: tuple[EpochRow, ParameterSet, dict, bool] | None = None
+    # The last epoch trained and not yet committed: (row, epoch-end params
+    # copy, epoch-end rng state, the call that returns its reports or None).
+    pending: tuple[EpochRow, ParameterSet, dict, Callable | None] | None = None
 
     def save_ckpt(name: str, params: ParameterSet, rng_state: dict) -> None:
         if out_path is None:
@@ -628,14 +608,14 @@ def train(
         Path(f"{path}.rng.json").write_text(json.dumps(rng_state), encoding="utf-8")
 
     def commit() -> None:
-        """Write the pending epoch, waiting for its reports if it was evaluated."""
+        """Write the pending epoch, taking its reports first if it was evaluated."""
         nonlocal pending
         if pending is None:
             return
-        row, params, rng_state, evaluated = pending
+        row, params, rng_state, reports = pending
         pending = None
-        if evaluated:
-            row.train_report, row.val_report = evaluator.result()
+        if reports is not None:
+            row.train_report, row.val_report = reports()
             row.gap = evalkit.generalization_gap(row.train_report, row.val_report)
             if record.best_val_rmean is None or row.val_report.rmean > record.best_val_rmean:
                 record.best_val_rmean = row.val_report.rmean
@@ -647,13 +627,15 @@ def train(
             for line in metrics_rows(row):
                 metrics_fh.write(line + "\n")
             metrics_fh.flush()
-        if config.checkpoint_every and row.epoch % config.checkpoint_every == 0:
+        if row.epoch == config.total_epochs or (
+            config.checkpoint_every and row.epoch % config.checkpoint_every == 0
+        ):
             save_ckpt(f"epoch_{row.epoch}.ckpt", params, rng_state)
 
     evaluate = functools.partial(_evaluate, model, dataset, train_eval_table, ks)
-    evaluator = _EvalWorker(evaluate) if _eval_worker_available() else _InlineEval(evaluate)
+    worker = _EvalWorker(evaluate) if _eval_worker_available() else None
     # The worker forks before this process opens any file of the run.
-    with evaluator, _metrics_file(out_path) as metrics_fh:
+    with worker or nullcontext(), _metrics_file(out_path) as metrics_fh:
         for epoch in range(config.total_epochs):
             state.epoch = epoch
             step_fn = baseline_step
@@ -686,12 +668,11 @@ def train(
                 adv_steps=state.adv_steps - adv_before,
                 rand_steps=state.rand_steps - rand_before,
             )
-            evaluated = epoch_no % config.eval_every == 0 or epoch_no == config.total_epochs
             commit()  # one evaluation in flight at a time
             params = state.params.copy()  # the next epoch updates state.params in place
-            if evaluated:
-                evaluator.submit(params)
-            pending = (row, params, state.rng_state(), evaluated)
+            reports = None
+            if epoch_no % config.eval_every == 0 or epoch_no == config.total_epochs:
+                reports = worker.submit(params) if worker else functools.partial(evaluate, params)
+            pending = (row, params, state.rng_state(), reports)
         commit()
-        save_ckpt(f"epoch_{config.total_epochs}.ckpt", state.params, state.rng_state())
     return record

@@ -331,11 +331,12 @@ def test_negative_lora_rank_is_rejected_in_every_mode(cfg_file, tmp_path, capsys
 
 
 def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "wrf.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     for name in ("train", "sweep", "landscape", "selfcheck"):
         assert name in proc.stdout
 

@@ -271,9 +271,9 @@ def quad_loss(ps):
 
 def test_sharpness_quadratic_hand_value():
     ps = ParameterSet({"w": np.array([1.0])})
-    pert = Perturbation({"w": np.array([0.5])}, {"w": 0.5}, {"w": 1.0}, "adversarial", 0.5)
+    pert = Perturbation({"w": np.array([0.5])}, "adversarial")
     assert sharpness(quad_loss, ps, pert) == pytest.approx(0.625, abs=1e-15)
-    zero = Perturbation({"w": np.zeros(1)}, {"w": 0.0}, {"w": 1.0}, "adversarial", 0.0)
+    zero = Perturbation({"w": np.zeros(1)}, "adversarial")
     assert sharpness(quad_loss, ps, zero) == 0.0
 
 
@@ -317,9 +317,11 @@ def test_landscape_probe_base_row_and_determinism():
 def test_landscape_direction_norms_match_layer_norms():
     rng = np.random.default_rng(10)
     ps = ParameterSet({"w": rng.normal(size=(4, 4)), "b": np.zeros(4)})
-    curves = landscape_probe(quad_loss, ps, 1, default_alpha_grid(0.1, 2), seed=0)
-    assert curves[0].scales["w"] == pytest.approx(float(np.linalg.norm(ps["w"])))
-    assert curves[0].scales["b"] == 0.0  # zero-norm layer gets a zero direction
+    probes = []
+    landscape_probe(lambda p: probes.append(p) or 0.0, ps, 1, [0.0, 1.0], seed=0)
+    direction = {n: probes[1][n] - ps[n] for n in ps.names}  # the alpha=1 row minus the base
+    assert float(np.linalg.norm(direction["w"])) == pytest.approx(float(np.linalg.norm(ps["w"])))
+    assert float(np.linalg.norm(direction["b"])) == 0.0  # zero-norm layer gets a zero direction
 
 
 @pytest.mark.parametrize("mode", ["full", "lora"])
@@ -392,7 +394,7 @@ def test_flatness_score_cross_checks_against_sharpness():
     raw = dir_rng.standard_normal(ps["w"].shape)
     w_norm = np.linalg.norm(ps["w"])
     delta = raw * (w_norm / np.linalg.norm(raw)) * 0.05
-    pert = Perturbation({"w": delta}, {"w": float(np.linalg.norm(delta))}, {"w": float(w_norm)}, "random", 0.05)
+    pert = Perturbation({"w": delta}, "random")
     assert score == pytest.approx(sharpness(quad_loss, ps, pert), abs=1e-12)
     with pytest.raises(ConfigError):
         flatness_score(curves, alpha=0.037)

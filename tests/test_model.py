@@ -12,7 +12,6 @@ from wrf.model import (
     RetrievalModel,
     fusion_dims,
     init_model,
-    set_finetune_mode,
 )
 from wrf.params import ParameterSet
 
@@ -107,7 +106,10 @@ def test_identity_target_projection_returns_input():
 def test_lora_adds_expected_trainable_counts():
     # rank 4 on the 40-in / 64-out first fusion layer: 4*40 + 64*4 = 416.
     cfg = ModelConfig(d_ref=32, d_mod=8, hidden=(64, 64), d_out=16)
-    ps = set_finetune_mode(init_model(cfg), "lora", rank=4, config=cfg)
+    ps = RetrievalModel(cfg, mode="lora", lora_rank=4).init_params()
+    assert ps.names == tuple(  # each fusion weight is followed by its adapter pair
+        f"fusion.{i}.{part}" for i in range(3) for part in ("w", "lora_a", "lora_b", "b")
+    ) + ("target.w", "target.b")
     assert ps["fusion.0.lora_a"].size + ps["fusion.0.lora_b"].size == 416
     assert np.array_equal(ps["fusion.0.lora_b"], np.zeros((4, 64)))
     frozen = [n for n in ps.names if n.endswith(".w")]
@@ -130,12 +132,12 @@ def test_lora_warm_start_equals_base_model():
 
 
 def test_lora_rank_validation():
+    with pytest.raises(ConfigError, match="exceeds min dim"):
+        RetrievalModel(SMALL, mode="lora", lora_rank=5).init_params()  # min dim is 4
     with pytest.raises(ConfigError):
-        set_finetune_mode(init_model(SMALL), "lora", rank=5, config=SMALL)  # min dim is 4
+        RetrievalModel(SMALL, mode="lora", lora_rank=0)
     with pytest.raises(ConfigError):
-        set_finetune_mode(init_model(SMALL), "lora", rank=0, config=SMALL)
-    with pytest.raises(ConfigError):
-        set_finetune_mode(init_model(SMALL), "nope")
+        RetrievalModel(SMALL, mode="nope")
 
 
 def test_lora_gradients_only_touch_trainable():

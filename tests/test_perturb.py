@@ -188,6 +188,6 @@ def test_budget_property(seed, gamma):
     ps = random_params(rng)
     pert = adversarial_perturbation(ps, grads_like(ps, rng), gamma)
     for name in ps.trainable_names:
-        d_norm = pert.delta_norms[name]
-        budget = gamma * pert.weight_norms[name]
+        d_norm = float(np.linalg.norm(pert.deltas[name]))
+        budget = gamma * float(np.linalg.norm(ps[name]))
         assert d_norm == 0.0 or abs(d_norm - budget) <= 1e-10 * budget

@@ -1,5 +1,6 @@
 """Step semantics, optimizer math, schedules, and the full loop."""
 
+import collections
 import json
 import multiprocessing
 import os
@@ -439,8 +440,11 @@ def test_train_partial_metrics_survive_abort(tmp_path, monkeypatch):
             assert (out / "epoch_2.ckpt").read_bytes() == (clean / "epoch_2.ckpt").read_bytes()
 
 
-@pytest.mark.parametrize("path", EVAL_PATHS)
-def test_eval_error_is_raised_after_the_rows_before_it(tmp_path, monkeypatch, path):
+@pytest.mark.parametrize("path, next_step_fails", [
+    pytest.param(path, fails, id=f"{path}-and-a-step-of-the-next-epoch" if fails else path)
+    for fails in (False, True) for path in EVAL_PATHS
+])
+def test_eval_error_is_raised_after_the_rows_before_it(tmp_path, monkeypatch, path, next_step_fails):
     use_eval_path(monkeypatch, path)
     real = evalkit.recall_report
     calls = {"n": 0}
@@ -452,6 +456,15 @@ def test_eval_error_is_raised_after_the_rows_before_it(tmp_path, monkeypatch, pa
         return real(*args, **kwargs)
 
     monkeypatch.setattr(evalkit, "recall_report", failing)
+    if next_step_fails:
+        real_step = trainer.wrf_step
+
+        def failing_step(state, batch, config, objective):
+            if state.epoch == 3:  # 1-based epoch 4, trained while epoch 3 is uncommitted
+                raise NumericError("synthetic step failure")
+            return real_step(state, batch, config, objective)
+
+        monkeypatch.setattr(trainer, "wrf_step", failing_step)
     out = tmp_path / "r"
     with pytest.raises(NumericError, match="^synthetic eval failure$") as info:
         train(small_run_config(eval_every=1), MODEL_CFG, generate(DATA_CFG), out_dir=out)
@@ -462,6 +475,22 @@ def test_eval_error_is_raised_after_the_rows_before_it(tmp_path, monkeypatch, pa
     ]
     assert (out / "epoch_2.ckpt").exists()
     assert not (out / "epoch_4.ckpt").exists()
+
+
+@pytest.mark.parametrize("path", EVAL_PATHS)
+def test_each_checkpoint_file_is_written_once(tmp_path, monkeypatch, path):
+    use_eval_path(monkeypatch, path)
+    writes = collections.Counter()
+    real = trainer.save_checkpoint
+
+    def counting(file, params):
+        writes[Path(file).name] += 1
+        return real(file, params)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", counting)
+    cfg = small_run_config(total_epochs=4, checkpoint_every=2)
+    train(cfg, MODEL_CFG, generate(DATA_CFG), out_dir=tmp_path / "r")
+    assert writes["epoch_2.ckpt"] == 1 and writes["epoch_4.ckpt"] == 1, writes
 
 
 @pytest.mark.parametrize("path", EVAL_PATHS)

@@ -118,18 +118,14 @@ def check_perturbation_budget(n_draws: int = 250) -> CheckResult:
     return CheckResult("perturbation-budget", ok, detail)
 
 
-def _collapse_gap(optimizer: str, steps: int = 50) -> float:
-    kwargs = dict(
-        gamma=0.0, rho=1.0, eta0=0.05, schedule="constant", optimizer=optimizer,
-        weight_decay=0.01, total_epochs=2, warmup_epochs=0, seed=7,
-    )
-    cfg = TrainConfig(**kwargs)
-    state_a = new_train_state(cfg, _toy_params(3))
-    state_b = new_train_state(cfg, _toy_params(3))
+def _trajectory_gap(cfg: TrainConfig, params_seed: int, step_a, step_b) -> float:
+    """Largest coordinate gap after 50 paired steps from the same toy params."""
+    state_a = new_train_state(cfg, _toy_params(params_seed))
+    state_b = new_train_state(cfg, _toy_params(params_seed))
     obj = _QuadObjective()
-    for _ in range(steps):
-        wrf_step(state_a, _TOY_BATCH, cfg, obj)
-        baseline_step(state_b, _TOY_BATCH, cfg, obj)
+    for _ in range(50):
+        step_a(state_a, _TOY_BATCH, cfg, obj)
+        step_b(state_b, _TOY_BATCH, cfg, obj)
     return max(
         float(np.abs(state_a.params[n] - state_b.params[n]).max())
         for n in state_a.params.names
@@ -137,7 +133,14 @@ def _collapse_gap(optimizer: str, steps: int = 50) -> float:
 
 
 def check_gamma_zero_collapse() -> CheckResult:
-    gap = max(_collapse_gap("sgd"), _collapse_gap("adamw"))
+    configs = [
+        TrainConfig(
+            gamma=0.0, rho=1.0, eta0=0.05, schedule="constant", optimizer=optimizer,
+            weight_decay=0.01, total_epochs=2, warmup_epochs=0, seed=7,
+        )
+        for optimizer in ("sgd", "adamw")
+    ]
+    gap = max(_trajectory_gap(cfg, 3, wrf_step, baseline_step) for cfg in configs)
     return CheckResult(
         "gamma-zero-collapse", gap <= COLLAPSE_TOL,
         f"max trajectory gap {gap:.3e} after 50 steps (sgd and adamw)",
@@ -149,16 +152,7 @@ def check_dual_update_forms() -> CheckResult:
         gamma=0.01, rho=0.5, eta0=0.05, schedule="constant", optimizer="sgd",
         total_epochs=2, warmup_epochs=0, seed=5,
     )
-    state_a = new_train_state(cfg, _toy_params(8))
-    state_b = new_train_state(cfg, _toy_params(8))
-    obj = _QuadObjective()
-    for _ in range(50):
-        wrf_step(state_a, _TOY_BATCH, cfg, obj)
-        wrf_step_literal_sgd(state_b, _TOY_BATCH, cfg, obj)
-    gap = max(
-        float(np.abs(state_a.params[n] - state_b.params[n]).max())
-        for n in state_a.params.names
-    )
+    gap = _trajectory_gap(cfg, 8, wrf_step, wrf_step_literal_sgd)
     return CheckResult(
         "dual-update-forms", gap <= DUAL_TOL,
         f"max gap between update forms {gap:.3e} after 50 steps",

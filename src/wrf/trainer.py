@@ -11,21 +11,23 @@ weight decay acts on the unperturbed weights. A literal
 subtract-the-delta SGD variant is kept purely as a cross-check of the
 copy-on-apply implementation.
 
-Per-epoch Recall@K evaluation overlaps the next epoch's training in a
-forked eval worker where the fork start method exists, the process runs
-one thread and BLAS leaves a CPU free (OPENBLAS_NUM_THREADS=1 on two
-CPUs, say); otherwise it runs in-process, since on one CPU, or next to a
+train() writes every run into an out_dir. Per-epoch Recall@K
+evaluation has one interface, the _evaluator context: submit(params)
+returns the call that gives the reports of params. The evaluation
+overlaps the next epoch's training in a forked eval worker where the
+fork start method exists, the process runs one thread and BLAS leaves a
+CPU free (OPENBLAS_NUM_THREADS=1 on two CPUs, say); otherwise the call
+evaluates in-process when it is made, since on one CPU, or next to a
 BLAS pool that uses every CPU, the worker slows training more than it
 saves. train() keeps at most one epoch uncommitted: at the end of epoch
 e it commits epoch e-1, copies the parameters once and, if epoch e is
-evaluated, hands the copy to the worker. Committing an evaluated epoch
-first takes its reports: it waits for the worker's, or, in-process,
-evaluates the copy then, at the end of the next epoch. It then writes
-what depends on the reports (gap, best-so-far, best.ckpt, metrics.csv
-rows, checkpoints) with that epoch's parameters and rng state, so
-artifacts are the same on both paths and as in a sequential loop;
-metrics.csv trails training by one epoch. Worker passes do not reach
-this process's diffcore.pass_counts().
+evaluated, submits the copy. Committing an evaluated epoch first makes
+its call, at the end of the next epoch. It then writes what depends on
+the reports (gap, best-so-far, best.ckpt, metrics.csv rows,
+checkpoints) with that epoch's parameters and rng state, so artifacts
+are the same on both paths and as in a sequential loop; metrics.csv
+trails training by one epoch. Worker passes do not reach this
+process's diffcore.pass_counts().
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import os
 import signal
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
@@ -154,10 +156,10 @@ class TrainConfig:
             b = getattr(self, name)
             if not (0.0 <= b < 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1), got {b}")
-        if not (self.eps > 0.0):
-            raise ConfigError("eps must be positive")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not (np.isfinite(self.eps) and self.eps > 0.0):
+            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not (np.isfinite(self.tau) and self.tau > 0.0):
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.eval_every < 1:
@@ -183,8 +185,6 @@ class TrainState:
     adam_t: int = 0
     m: GradientSet | None = None
     v: GradientSet | None = None
-    adv_steps: int = 0
-    rand_steps: int = 0
 
     def rng_state(self) -> dict:
         return {
@@ -252,9 +252,16 @@ def _optimizer_update(state: TrainState, grads: GradientSet, lr: float, config: 
         arr -= lr * (m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * arr)
 
 
-def _diagnostics(params: ParameterSet, gamma: float) -> str:
-    norms = {n: round(float(np.linalg.norm(params[n])), 6) for n in params.trainable_names}
-    return f"gamma={gamma}, layer norms={norms}"
+def _pass(objective: Objective, params: ParameterSet, batch: TripletBatch,
+          name: str, state: TrainState, gamma: float) -> tuple[float, GradientSet]:
+    """One loss_and_grads pass; a NumericError names the pass and the
+    layer norms of state.params."""
+    try:
+        return objective.loss_and_grads(params, batch)
+    except NumericError as exc:
+        norms = {n: round(float(np.linalg.norm(state.params[n])), 6)
+                 for n in state.params.trainable_names}
+        raise NumericError(f"{name} failed: {exc} [gamma={gamma}, layer norms={norms}]") from exc
 
 
 def baseline_step(
@@ -262,50 +269,36 @@ def baseline_step(
 ) -> StepInfo:
     """Plain step: one pass at theta, optimizer update with its gradient."""
     lr = current_lr(config, state.epoch)
-    try:
-        loss, grads = objective.loss_and_grads(state.params, batch)
-    except NumericError as exc:
-        raise NumericError(f"loss pass failed: {exc} [{_diagnostics(state.params, 0.0)}]") from exc
+    loss, grads = _pass(objective, state.params, batch, "loss pass", state, 0.0)
     _optimizer_update(state, grads, lr, config)
     state.step += 1
     return StepInfo(loss=loss, lr=lr)
 
 
-def _draw_perturbation(state: TrainState, config: TrainConfig, grads: GradientSet):
-    kind = choose_kind(config.rho, state.rng_kind)
-    if kind == "adversarial":
-        return adversarial_perturbation(state.params, grads, config.gamma)
-    return random_perturbation(state.params, config.gamma, state.rng_noise)
+def _two_passes(state: TrainState, batch: TripletBatch, config: TrainConfig, objective: Objective):
+    """Pass at theta, kind draw, perturbation of a copy, pass at theta+delta:
+    (StepInfo, perturbation, perturbed copy, gradient there); theta untouched."""
+    lr = current_lr(config, state.epoch)
+    loss, grads = _pass(objective, state.params, batch, "pass at theta", state, config.gamma)
+    if choose_kind(config.rho, state.rng_kind) == "adversarial":
+        pert = adversarial_perturbation(state.params, grads, config.gamma)
+    else:
+        pert = random_perturbation(state.params, config.gamma, state.rng_noise)
+    perturbed = apply_perturbation(state.params, pert)
+    loss_p, grads_p = _pass(objective, perturbed, batch, "pass at theta+delta", state, config.gamma)
+    return StepInfo(loss=loss, lr=lr, kind=pert.kind, loss_perturbed=loss_p), pert, perturbed, grads_p
 
 
 def wrf_step(
     state: TrainState, batch: TripletBatch, config: TrainConfig, objective: Objective
 ) -> StepInfo:
     """Two-pass step: direction from theta, update gradient from theta+delta."""
-    lr = current_lr(config, state.epoch)
-    try:
-        loss, grads = objective.loss_and_grads(state.params, batch)
-    except NumericError as exc:
-        raise NumericError(
-            f"pass at theta failed: {exc} [{_diagnostics(state.params, config.gamma)}]"
-        ) from exc
-    pert = _draw_perturbation(state, config, grads)
-    perturbed = apply_perturbation(state.params, pert)
-    try:
-        loss_p, grads_p = objective.loss_and_grads(perturbed, batch)
-    except NumericError as exc:
-        raise NumericError(
-            f"pass at theta+delta failed: {exc} [{_diagnostics(state.params, config.gamma)}]"
-        ) from exc
-    # state.params was never mutated: dropping `perturbed` here restores
+    info, _, _, grads_p = _two_passes(state, batch, config, objective)
+    # state.params was never mutated: dropping the perturbed copy restores
     # theta bit for bit. The optimizer then sees theta.
-    _optimizer_update(state, grads_p, lr, config)
+    _optimizer_update(state, grads_p, info.lr, config)
     state.step += 1
-    if pert.kind == "adversarial":
-        state.adv_steps += 1
-    else:
-        state.rand_steps += 1
-    return StepInfo(loss=loss, lr=lr, kind=pert.kind, loss_perturbed=loss_p)
+    return info
 
 
 def wrf_step_literal_sgd(
@@ -319,22 +312,14 @@ def wrf_step_literal_sgd(
     """
     if config.optimizer != "sgd":
         raise ConfigError("the literal update form is defined for sgd only")
-    lr = current_lr(config, state.epoch)
-    loss, grads = objective.loss_and_grads(state.params, batch)
-    pert = _draw_perturbation(state, config, grads)
-    perturbed = apply_perturbation(state.params, pert)
-    loss_p, grads_p = objective.loss_and_grads(perturbed, batch)
+    info, pert, perturbed, grads_p = _two_passes(state, batch, config, objective)
     for name in perturbed.trainable_names:
         arr = perturbed[name]
-        arr -= lr * grads_p[name]
+        arr -= info.lr * grads_p[name]
         arr -= pert.deltas[name]
     state.params = perturbed
     state.step += 1
-    if pert.kind == "adversarial":
-        state.adv_steps += 1
-    else:
-        state.rand_steps += 1
-    return StepInfo(loss=loss, lr=lr, kind=pert.kind, loss_perturbed=loss_p)
+    return info
 
 
 @dataclass
@@ -369,20 +354,22 @@ class RunRecord:
         return float(np.mean([r.seconds for r in rows])) if rows else float("nan")
 
 
-def _csv_num(value) -> str:
+def _cell(value) -> str:
+    """One metrics.csv cell: empty for None, text and counts as they are,
+    any other number as the repr of its float."""
     if value is None:
         return ""
+    if isinstance(value, (str, int)):
+        return str(value)
     return repr(float(value))
 
 
-def _metric_fields(report: "evalkit.MetricReport | None") -> list[str]:
+def _recall_cells(report: "evalkit.MetricReport | None") -> list:
+    """r_at_1 .. r_at_50, rmean and rsubset_at_1 of a report; all absent without one."""
     if report is None:
-        return [""] * 6
-    cells = [_csv_num(report.recall_at.get(k)) for k in EVAL_KS]
-    cells.append(_csv_num(report.rmean))
-    sub = report.recall_subset_at or {}
-    cells.append(_csv_num(sub.get(1)))
-    return cells
+        return [None] * 6
+    subset = report.recall_subset_at or {}
+    return [*(report.recall_at.get(k) for k in EVAL_KS), report.rmean, subset.get(1)]
 
 
 def metrics_rows(row: EpochRow) -> list[str]:
@@ -392,33 +379,12 @@ def metrics_rows(row: EpochRow) -> list[str]:
     train row; the gap rides on the val row. Absent metrics are empty
     fields, never zeros.
     """
-    lines = []
-    train_cells = [
-        str(row.epoch),
-        "train",
-        _csv_num(row.train_loss),
-        *_metric_fields(row.train_report),
-        "",  # gap lives on the val row
-        _csv_num(row.lr),
-        _csv_num(row.seconds),
-        str(row.adv_steps),
-        str(row.rand_steps),
-    ]
-    lines.append(",".join(train_cells))
+    rows = [[row.epoch, "train", row.train_loss, *_recall_cells(row.train_report), None,
+             row.lr, row.seconds, row.adv_steps, row.rand_steps]]
     if row.val_report is not None:
-        val_cells = [
-            str(row.epoch),
-            "val",
-            "",
-            *_metric_fields(row.val_report),
-            _csv_num(row.gap),
-            "",
-            "",
-            "",
-            "",
-        ]
-        lines.append(",".join(val_cells))
-    return lines
+        rows.append([row.epoch, "val", None, *_recall_cells(row.val_report), row.gap,
+                     None, None, None, None])
+    return [",".join(map(_cell, values)) for values in rows]
 
 
 def _epoch_batches(table: TripletTable, order: np.ndarray, batch_size: int):
@@ -428,21 +394,15 @@ def _epoch_batches(table: TripletTable, order: np.ndarray, batch_size: int):
             yield idx
 
 
-def _split_report(model, params, table, gallery_embs, mod_embs, ks, split):
-    queries = model.embed_queries(params, table.refs, mod_embs[table.mod_codes])
-    return evalkit.recall_report(
-        queries, gallery_embs, table.target_indices, table.subsets, ks, split
-    )
-
-
 def _evaluate(model, dataset, train_eval_table, ks, params):
     """(train report, val report) of one epoch's parameters."""
     gallery_embs = model.embed_targets(params, dataset.gallery)
-    return (
-        _split_report(model, params, train_eval_table, gallery_embs,
-                      dataset.mod_embeddings, ks, "train"),
-        _split_report(model, params, dataset.val, gallery_embs,
-                      dataset.mod_embeddings, ks, "val"),
+    return tuple(
+        evalkit.recall_report(
+            model.embed_queries(params, table.refs, dataset.mod_embeddings[table.mod_codes]),
+            gallery_embs, table.target_indices, table.subsets, ks, split,
+        )
+        for table, split in ((train_eval_table, "train"), (dataset.val, "val"))
     )
 
 
@@ -463,57 +423,6 @@ def _worker_loop(conn, parent_end, evaluate) -> None:
         except Exception as exc:
             reply = (False, exc)
         conn.send(reply)
-
-
-class _EvalWorker:
-    """A forked process that runs one evaluation at a time; a with block stops it."""
-
-    def __init__(self, evaluate):
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_end = ctx.Pipe()
-        self._proc = ctx.Process(
-            target=_worker_loop, args=(child_end, self._conn, evaluate),
-            name="wrf-eval", daemon=True,
-        )
-        self._proc.start()
-        child_end.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._conn.close()  # the worker sees EOF and returns
-        if exc_type is None:
-            self._proc.join(timeout=10.0)
-        if self._proc.is_alive():
-            self._proc.terminate()
-        self._proc.join()
-
-    def _exited(self) -> RuntimeError:
-        self._proc.join()
-        return RuntimeError(f"eval worker exited with code {self._proc.exitcode}")
-
-    def submit(self, params: ParameterSet):
-        """Start evaluating params; returns the call that waits for the reports."""
-        try:
-            self._conn.send(params)
-        except BrokenPipeError:
-            raise self._exited() from None
-        return self.result
-
-    def result(self):
-        """The reports of the evaluation in flight; its error is raised here.
-
-        The worker holds the only other end of the pipe, so its exit
-        ends a blocked recv() with EOFError.
-        """
-        try:
-            ok, value = self._conn.recv()
-        except EOFError:
-            raise self._exited() from None
-        if not ok:
-            raise value
-        return value
 
 
 # Unset, OpenBLAS and MKL start one BLAS thread per usable CPU.
@@ -547,38 +456,81 @@ def _eval_worker_available() -> bool:
 
 
 @contextmanager
-def _metrics_file(out_path: Path | None):
-    """metrics.csv with its header written, or None without an out_dir."""
-    if out_path is None:
-        yield None
+def _evaluator(evaluate):
+    """Yield submit(params), which returns the call that gives evaluate(params).
+
+    In-process the call evaluates when it is made; with an eval worker
+    (_eval_worker_available()) submit() hands params to a forked worker
+    and the call waits for its reply. Leaving the block stops the worker.
+    """
+    if not _eval_worker_available():
+        yield lambda params: functools.partial(evaluate, params)
         return
-    with (out_path / "metrics.csv").open("w", encoding="utf-8") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        fh.flush()
-        yield fh
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+    proc = ctx.Process(
+        target=_worker_loop, args=(child_end, conn, evaluate), name="wrf-eval", daemon=True
+    )
+    proc.start()
+    child_end.close()
+
+    def exited() -> RuntimeError:
+        proc.join()
+        return RuntimeError(f"eval worker exited with code {proc.exitcode}")
+
+    def result():
+        # The worker holds the only other end of the pipe, so its exit
+        # ends a blocked recv() with EOFError.
+        try:
+            ok, value = conn.recv()
+        except EOFError:
+            raise exited() from None
+        if not ok:
+            raise value
+        return value
+
+    def submit(params: ParameterSet):
+        try:
+            conn.send(params)
+        except BrokenPipeError:
+            raise exited() from None
+        return result
+
+    try:
+        yield submit
+    except BaseException:
+        proc.terminate()  # KeyboardInterrupt included; the worker ignores SIGINT
+        raise
+    finally:
+        conn.close()  # an idle worker sees EOF and returns
+        proc.join(timeout=10.0)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join()
 
 
 def train(
     config: TrainConfig,
     model_config: ModelConfig,
     dataset: SynthDataset,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
 ) -> RunRecord:
-    """Run the full loop; returns the RunRecord and (optionally) writes artifacts.
+    """Run the full loop, write its artifacts into out_dir and return the RunRecord.
 
-    With an out_dir: metrics.csv is flushed row by row (partial results
-    survive a numeric abort), best.ckpt tracks the highest val rmean,
-    epoch_<n>.ckpt is written per checkpoint_every and for the final
-    epoch, and each checkpoint gets a .rng.json sidecar holding the
-    three rng stream states. Per-epoch seconds cover the step loop
-    only, so perturbation overhead is measurable next to evaluation.
+    metrics.csv is flushed row by row (partial results survive a numeric
+    abort), best.ckpt tracks the highest val rmean, epoch_<n>.ckpt is
+    written per checkpoint_every and for the final epoch, and each
+    checkpoint gets a .rng.json sidecar holding the three rng stream
+    states. Per-epoch seconds cover the step loop only, so perturbation
+    overhead is measurable next to evaluation.
 
-    Evaluation runs in a forked worker when _eval_worker_available(),
-    in-process otherwise (see the module docstring); only this process
-    writes files. Failures keep the order of a sequential loop: an
-    evaluation error is raised after the rows of the epochs before it,
-    and a failing step first commits the epoch before it. The worker is
-    stopped before train() returns or raises.
+    Evaluation goes through the _evaluator context, in a forked worker
+    when _eval_worker_available() and in-process otherwise (see the
+    module docstring); the worker forks before metrics.csv opens, and
+    only this process writes files. Failures keep the order of a
+    sequential loop: an evaluation error is raised after the rows of the
+    epochs before it, and a failing step first commits the epoch before
+    it. The worker is stopped before train() returns or raises.
     """
     if len(dataset.train) < 2:
         raise ConfigError("training split needs at least two triplets")
@@ -593,16 +545,13 @@ def train(
         train_eval_idx = np.sort(rng.permutation(len(train_eval_idx))[:TRAIN_EVAL_CAP])
     train_eval_table = dataset.train.take(train_eval_idx)
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
     # The last epoch trained and not yet committed: (row, epoch-end params
     # copy, epoch-end rng state, the call that returns its reports or None).
     pending: tuple[EpochRow, ParameterSet, dict, Callable | None] | None = None
 
     def save_ckpt(name: str, params: ParameterSet, rng_state: dict) -> None:
-        if out_path is None:
-            return
         path = out_path / name
         save_checkpoint(path, params)
         Path(f"{path}.rng.json").write_text(json.dumps(rng_state), encoding="utf-8")
@@ -623,27 +572,28 @@ def train(
                 save_ckpt("best.ckpt", params, rng_state)
             record.final_val_rmean = row.val_report.rmean
         record.rows.append(row)
-        if metrics_fh is not None:
-            for line in metrics_rows(row):
-                metrics_fh.write(line + "\n")
-            metrics_fh.flush()
+        for line in metrics_rows(row):
+            metrics_fh.write(line + "\n")
+        metrics_fh.flush()
         if row.epoch == config.total_epochs or (
             config.checkpoint_every and row.epoch % config.checkpoint_every == 0
         ):
             save_ckpt(f"epoch_{row.epoch}.ckpt", params, rng_state)
 
     evaluate = functools.partial(_evaluate, model, dataset, train_eval_table, ks)
-    worker = _EvalWorker(evaluate) if _eval_worker_available() else None
-    # The worker forks before this process opens any file of the run.
-    with worker or nullcontext(), _metrics_file(out_path) as metrics_fh:
+    # Entered in order: the worker forks before this process opens any file of the run.
+    with _evaluator(evaluate) as submit, (out_path / "metrics.csv").open(
+        "w", encoding="utf-8"
+    ) as metrics_fh:
+        metrics_fh.write(METRICS_HEADER + "\n")
+        metrics_fh.flush()
         for epoch in range(config.total_epochs):
             state.epoch = epoch
             step_fn = baseline_step
             if config.gamma > 0.0 and epoch >= config.warmup_epochs:
                 step_fn = wrf_step
-            adv_before, rand_before = state.adv_steps, state.rand_steps
             order = state.rng_shuffle.permutation(len(dataset.train))
-            losses = []
+            losses, kinds = [], []
             tick = time.perf_counter()
             try:
                 for idx in _epoch_batches(dataset.train, order, config.batch_size):
@@ -654,6 +604,7 @@ def train(
                     )
                     info = step_fn(state, batch, config, objective)
                     losses.append(info.loss)
+                    kinds.append(info.kind)
             except Exception:
                 commit()  # the epoch before this one ends first, as in a sequential loop
                 raise
@@ -665,14 +616,14 @@ def train(
                 train_loss=float(np.mean(losses)),
                 lr=current_lr(config, epoch),
                 seconds=seconds,
-                adv_steps=state.adv_steps - adv_before,
-                rand_steps=state.rand_steps - rand_before,
+                adv_steps=kinds.count("adversarial"),
+                rand_steps=kinds.count("random"),
             )
             commit()  # one evaluation in flight at a time
             params = state.params.copy()  # the next epoch updates state.params in place
             reports = None
             if epoch_no % config.eval_every == 0 or epoch_no == config.total_epochs:
-                reports = worker.submit(params) if worker else functools.partial(evaluate, params)
+                reports = submit(params)
             pending = (row, params, state.rng_state(), reports)
         commit()
     return record

@@ -316,31 +316,36 @@ def _best_gamma(means):
 
 
 @pytest.fixture(scope="session")
-def rho_study(datasets):
+def rho_study(datasets, tmp_path_factory):
     """Baseline plus the rho grid at a fixed 2% budget, five seeds each."""
+    root = tmp_path_factory.mktemp("rho_study")
     base = []
     for seed in SEEDS:
         cfg = ExperimentConfig(gamma=0.0, seed=seed, **RATIO_KNOBS)
-        base.append(train(cfg.train_config(), cfg.model_config(), datasets[seed]))
+        out = root / f"base_s{seed}"
+        base.append(train(cfg.train_config(), cfg.model_config(), datasets[seed], out_dir=out))
     grid = {}
     for rho in RHO_GRID:
         grid[rho] = []
         for seed in SEEDS:
             cfg = ExperimentConfig(gamma=RATIO_GAMMA, rho=rho, seed=seed, **RATIO_KNOBS)
-            grid[rho].append(train(cfg.train_config(), cfg.model_config(), datasets[seed]))
+            out = root / f"rho{rho:g}_s{seed}"
+            grid[rho].append(train(cfg.train_config(), cfg.model_config(), datasets[seed], out_dir=out))
     return base, grid
 
 
 @pytest.fixture(scope="session")
-def fraction_study(datasets):
+def fraction_study(datasets, tmp_path_factory):
     """Unperturbed runs at the default knobs over nested train subsets."""
+    root = tmp_path_factory.mktemp("fraction_study")
     rows = {}
     for fraction in FRACTIONS:
         rows[fraction] = []
         for seed in SEEDS:
             cfg = ExperimentConfig(gamma=0.0, seed=seed)
             subset = subsample_dataset(datasets[seed], fraction, seed=seed)
-            rows[fraction].append(train(cfg.train_config(), cfg.model_config(), subset))
+            out = root / f"f{fraction:g}_s{seed}"
+            rows[fraction].append(train(cfg.train_config(), cfg.model_config(), subset, out_dir=out))
     return rows
 
 

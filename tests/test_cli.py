@@ -168,6 +168,12 @@ def test_unknown_finetune_mode_is_rejected_before_any_run_dir(cfg_file, tmp_path
     code = cli.main(["train", "--config", str(cfg_file), "--set", "finetune_mode=bogus"])
     assert code == 2
     assert "finetune_mode" in capsys.readouterr().err
+    for key, value in (("weight_decay", "nan"), ("weight_decay", "inf"), ("eps", "inf")):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            cli.build_config({key: value})
+        code = cli.main(["train", "--config", str(cfg_file), "--set", f"{key}={value}"])
+        assert code == 2
+        assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

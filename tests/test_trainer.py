@@ -83,7 +83,7 @@ def test_sgd_hand_example():
     assert info.kind == "adversarial"
     assert info.loss == pytest.approx(0.5)
     assert info.loss_perturbed == pytest.approx(0.5 * 1.5**2)
-    assert state.adv_steps == 1 and state.rand_steps == 0
+    assert state.step == 1
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
@@ -113,11 +113,13 @@ def test_literal_sgd_form_matches_snapshot_form():
     )
     state_a = new_train_state(cfg, quad_params(9))
     state_b = new_train_state(cfg, quad_params(9))
+    kinds = set()
     for _ in range(50):
         info_a = wrf_step(state_a, DUMMY_BATCH, cfg, QuadraticObjective())
         info_b = wrf_step_literal_sgd(state_b, DUMMY_BATCH, cfg, QuadraticObjective())
         assert info_a.kind == info_b.kind  # identical rng consumption
-    assert state_a.adv_steps == state_b.adv_steps
+        kinds.add(info_a.kind)
+    assert kinds == {"adversarial", "random"}
     for name in state_a.params.names:
         np.testing.assert_allclose(
             state_a.params[name], state_b.params[name], rtol=0.0, atol=1e-9
@@ -291,7 +293,11 @@ def test_config_validation():
         dict(ok, beta1=1.0),
         dict(ok, beta2=-0.1),
         dict(ok, eps=0.0),
+        dict(ok, eps=float("nan")),
+        dict(ok, eps=float("inf")),
         dict(ok, weight_decay=-0.01),
+        dict(ok, weight_decay=float("nan")),
+        dict(ok, weight_decay=float("inf")),
         dict(ok, tau=0.0),
         dict(ok, eval_every=0),
         dict(ok, checkpoint_every=-1),
@@ -386,6 +392,29 @@ def test_train_integration(tmp_path):
     out_b = tmp_path / "run_b"
     train(cfg, MODEL_CFG, dataset, out_dir=out_b)
     assert metrics_lines(out) == metrics_lines(out_b)
+
+
+def test_metrics_step_kinds_replay_the_kind_stream(tmp_path):
+    # One Bernoulli(rho) draw from the [_KIND_TAG, seed] stream per WRF
+    # step, none in warm-up epochs; metrics.csv counts each epoch's draws.
+    cfg = small_run_config(rho=0.5, total_epochs=6, warmup_epochs=1, seed=3)
+    train(cfg, MODEL_CFG, generate(DATA_CFG), out_dir=tmp_path / "r")
+    rng = np.random.default_rng([trainer._KIND_TAG, cfg.seed])
+    steps = sum(
+        1 for start in range(0, DATA_CFG.n_train, cfg.batch_size)
+        if min(cfg.batch_size, DATA_CFG.n_train - start) >= 2
+    )
+    want = [(0, 0)] * cfg.warmup_epochs
+    for _ in range(cfg.warmup_epochs, cfg.total_epochs):
+        adversarial = sum(rng.random() < cfg.rho for _ in range(steps))
+        want.append((adversarial, steps - adversarial))
+    got = [
+        (int(cells[12]), int(cells[13]))
+        for cells in (line.split(",") for line in metrics_lines(tmp_path / "r")[1:])
+        if cells[1] == "train"
+    ]
+    assert got == want
+    assert 0 < sum(a for a, _ in got) < steps * (cfg.total_epochs - cfg.warmup_epochs)
 
 
 def test_train_gamma_zero_never_perturbs(tmp_path):
@@ -622,7 +651,7 @@ def test_train_in_a_daemonic_process_evaluates_in_process(tmp_path, monkeypatch)
     assert metrics_lines(tmp_path / "daemon") == metrics_lines(tmp_path / "here")
 
 
-def test_train_rejects_tiny_split():
+def test_train_rejects_tiny_split(tmp_path):
     dataset = generate(DATA_CFG)
     sub = trainer  # keep namespace use obvious
     from wrf.synthcir import subsample_dataset
@@ -630,7 +659,7 @@ def test_train_rejects_tiny_split():
     tiny = subsample_dataset(dataset, 1 / 40, seed=0)
     assert len(tiny.train) == 1
     with pytest.raises(ConfigError):
-        sub.train(small_run_config(), MODEL_CFG, tiny)
+        sub.train(small_run_config(), MODEL_CFG, tiny, out_dir=tmp_path / "r")
 
 
 def test_train_lora_mode_keeps_base_frozen(tmp_path):

@@ -26,6 +26,7 @@ from .model import ModelConfig, RetrievalModel
 from .selfcheck import run_selfcheck
 from .synthcir import DatasetConfig, generate, subsample_dataset
 from .trainer import RetrievalObjective, RunRecord, TrainConfig, TripletBatch, train
+from .trainer import check_train_split
 
 SWEEP_PARAMS = ("gamma", "rho", "fraction", "lora_rank")
 
@@ -187,11 +188,12 @@ def build_dataset(config: ExperimentConfig):
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Path]:
+    dataset = build_dataset(config)
+    check_train_split(dataset)  # before the run directory exists
     run_dir = Path(config.out_dir) / config.run_name
     run_dir.mkdir(parents=True, exist_ok=True)
     echo = config_echo_text(config)
     (run_dir / "config.echo").write_text(echo, encoding="utf-8")
-    dataset = build_dataset(config)
     record = train(config.train_config(), config.model_config(), dataset, out_dir=run_dir)
     return record, run_dir
 

@@ -19,15 +19,26 @@ Softmax cross-entropy takes each row reduction once: forward keeps
 exp(logits - row max) and its row sums, and the probabilities are
 formed only in backward, so forward-only passes never divide.
 
+Forward donates buffers: when a value's only consumer runs, it writes
+its output into that value's buffer (add into either input; bias_add,
+tanh, scalar_mul and softmax_xent into the first) with the same ufunc
+and out=, so no byte changes and every node is still checked finite.
+Node i takes input j only when j is an intermediate (not an input or
+param leaf), i is j's only consumer (add(x, x) is two uses), j is not
+the requested output, and j's producer does not pin it (tanh and
+l2norm_rows keep it in their ctx; softmax_xent's is a scalar). Backward
+never writes, so it is untouched.
+
 The op set is deliberately tiny (ten ops). Each op is a (forward,
-backward) pair in the _OPS registry, looked up on every pass rather
-than bound into the graph; the selfcheck command relies on that registry
-to inject a broken backward rule and prove the gradient suite catches
-it.
+backward, donates, pins_output) entry in the _OPS registry, looked up on
+every pass rather than bound into the graph; the selfcheck command relies
+on that registry to inject a broken backward rule and prove the gradient
+suite catches it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,10 +60,17 @@ def pass_counts() -> dict[str, int]:
 
 
 class _Op(NamedTuple):
-    # forward: (node_id, *input_arrays) -> (output, ctx)
+    # forward: (node_id, *input_arrays, out=None) -> (output, ctx); given
+    #   out (the buffer of an input named in donates), it writes its output
+    #   there with the same ufunc
     # backward: (node_id, grad_out, ctx) -> tuple of input gradients
+    # donates: positions of the inputs forward may overwrite
+    # pins_output: the output must stay as produced, because the ctx keeps
+    #   it or it is a numpy scalar with no buffer
     forward: Callable
     backward: Callable
+    donates: tuple[int, ...]
+    pins_output: bool
 
 
 def _require_2d(node_id: int, op: str, arr: np.ndarray, role: str) -> None:
@@ -73,29 +91,29 @@ def _bw_matmul(i, g, ctx):
     return g @ b.T, a.T @ g
 
 
-def _fw_add(i, a, b):
+def _fw_add(i, a, b, out=None):
     if a.shape != b.shape:
         raise ShapeError(f"node {i} (add): shapes {a.shape} vs {b.shape}")
-    return a + b, None
+    return np.add(a, b, out=out), None
 
 
 def _bw_add(i, g, ctx):
     return g, g
 
 
-def _fw_bias_add(i, x, b):
+def _fw_bias_add(i, x, b, out=None):
     _require_2d(i, "bias_add", x, "input")
     if b.ndim != 1 or b.shape[0] != x.shape[1]:
         raise ShapeError(f"node {i} (bias_add): bias {b.shape} vs input {x.shape}")
-    return x + b, None
+    return np.add(x, b, out=out), None
 
 
 def _bw_bias_add(i, g, ctx):
     return g, g.sum(axis=0)
 
 
-def _fw_tanh(i, x):
-    y = np.tanh(x)
+def _fw_tanh(i, x, out=None):
+    y = np.tanh(x, out=out)
     return y, y
 
 
@@ -152,25 +170,26 @@ def _bw_pairwise_dot(i, g, ctx):
     return g @ v, g.T @ u
 
 
-def _fw_scalar_mul(i, x, c):
-    return c * x, c
+def _fw_scalar_mul(i, x, c, out=None):
+    return np.multiply(c, x, out=out), c
 
 
 def _bw_scalar_mul(i, g, c):
     return (c * g,)
 
 
-def _fw_softmax_xent(i, logits):
+def _fw_softmax_xent(i, logits, out=None):
     _require_2d(i, "softmax_xent", logits, "logits")
     n, m = logits.shape
     if n != m:
         raise ShapeError(f"node {i} (softmax_xent): logits must be square, got {logits.shape}")
     row_max = logits.max(axis=1, keepdims=True)
-    expd = logits - row_max
+    diag = logits.diagonal().copy()  # out may be the logits' own buffer
+    expd = np.subtract(logits, row_max, out=out)
     np.exp(expd, out=expd)
     sums = expd.sum(axis=1, keepdims=True)
     lse = np.log(sums[:, 0]) + row_max[:, 0]
-    loss = np.float64((lse - np.diag(logits)).mean())
+    loss = np.float64((lse - diag).mean())
     return loss, (expd, sums)
 
 
@@ -187,16 +206,16 @@ def _bw_softmax_xent(i, g, ctx):
 
 
 _OPS: dict[str, _Op] = {
-    "matmul": _Op(_fw_matmul, _bw_matmul),
-    "add": _Op(_fw_add, _bw_add),
-    "bias_add": _Op(_fw_bias_add, _bw_bias_add),
-    "tanh": _Op(_fw_tanh, _bw_tanh),
-    "relu": _Op(_fw_relu, _bw_relu),
-    "row_concat": _Op(_fw_row_concat, _bw_row_concat),
-    "l2norm_rows": _Op(_fw_l2norm_rows, _bw_l2norm_rows),
-    "pairwise_dot": _Op(_fw_pairwise_dot, _bw_pairwise_dot),
-    "scalar_mul": _Op(_fw_scalar_mul, _bw_scalar_mul),
-    "softmax_xent": _Op(_fw_softmax_xent, _bw_softmax_xent),
+    "matmul": _Op(_fw_matmul, _bw_matmul, (), False),
+    "add": _Op(_fw_add, _bw_add, (0, 1), False),
+    "bias_add": _Op(_fw_bias_add, _bw_bias_add, (0,), False),
+    "tanh": _Op(_fw_tanh, _bw_tanh, (0,), True),
+    "relu": _Op(_fw_relu, _bw_relu, (), False),
+    "row_concat": _Op(_fw_row_concat, _bw_row_concat, (), False),
+    "l2norm_rows": _Op(_fw_l2norm_rows, _bw_l2norm_rows, (), True),
+    "pairwise_dot": _Op(_fw_pairwise_dot, _bw_pairwise_dot, (), False),
+    "scalar_mul": _Op(_fw_scalar_mul, _bw_scalar_mul, (0,), False),
+    "softmax_xent": _Op(_fw_softmax_xent, _bw_softmax_xent, (0,), True),
 }
 
 
@@ -214,6 +233,7 @@ class Graph:
         self._input_ids: dict[str, int] = {}
         self._param_ids: dict[str, int] = {}
         self._backward: dict[tuple[int, tuple[str, ...]], tuple] = {}
+        self._donations: dict[tuple[int, int], tuple] = {}
 
     def _push(self, node: Node) -> int:
         self.nodes.append(node)
@@ -298,6 +318,27 @@ class Graph:
             self._backward[key] = steps
         return steps
 
+    def donations(self, output: int) -> tuple:
+        """Per node, the input id whose buffer its forward overwrites, or None
+        (the rules are in the module docstring). Cached per (output, node
+        count), because an appended node may add a consumer."""
+        key = (output, len(self.nodes))
+        plan = self._donations.get(key)
+        if plan is None:
+            uses = Counter(j for node in self.nodes for j in node.inputs)
+
+            def free(j):
+                op = self.nodes[j].op
+                return op in _OPS and uses[j] == 1 and j != output and not _OPS[op].pins_output
+
+            plan = tuple(
+                next((ins[k] for k in _OPS[op].donates if free(ins[k])), None)
+                if op in _OPS else None
+                for op, ins, _ in self.nodes
+            )
+            self._donations[key] = plan
+        return plan
+
 
 class Executor:
     """Runs a graph forward and, from the stored tape, backward.
@@ -329,6 +370,7 @@ class Executor:
         values: list = [None] * len(nodes)
         ctxs: list = [None] * len(nodes)
         ops = _OPS
+        donations = self.graph.donations(output)
         # Overflow is not a warning here: non-finite outputs raise below.
         with np.errstate(over="ignore", invalid="ignore"):
             for i, (op, ins, arg) in enumerate(nodes):
@@ -346,7 +388,12 @@ class Executor:
                     args = [values[j] for j in ins]
                     if arg is not None:  # the scalar_mul coefficient
                         args.append(arg)
-                    out, ctxs[i] = ops[op].forward(i, *args)
+                    j = donations[i]
+                    if j is None:
+                        out, ctxs[i] = ops[op].forward(i, *args)
+                    else:
+                        out, ctxs[i] = ops[op].forward(i, *args, out=values[j])
+                        values[j] = None
                     if not np.isfinite(out).all():
                         raise NumericError(f"node {i} ({op}) produced non-finite values")
                 values[i] = out
@@ -363,6 +410,8 @@ class Executor:
         if loss_node is None:
             loss_node = len(graph.nodes) - 1
         loss_val = self._values[loss_node]
+        if loss_val is None:
+            raise StateError(f"node {loss_node}'s buffer was donated; pass it as forward's output")
         if np.ndim(loss_val) != 0 and np.size(loss_val) != 1:
             raise ShapeError(
                 f"loss node {loss_node} is not scalar (shape {np.shape(loss_val)})"

@@ -58,7 +58,7 @@ from .perturb import (
     choose_kind,
     random_perturbation,
 )
-from .synthcir import SynthDataset, TripletTable
+from .synthcir import SynthDataset
 
 # Seed stream tags (see model.py note on cross-module aliasing).
 _SHUFFLE_TAG = 0x21
@@ -387,7 +387,7 @@ def metrics_rows(row: EpochRow) -> list[str]:
     return [",".join(map(_cell, values)) for values in rows]
 
 
-def _epoch_batches(table: TripletTable, order: np.ndarray, batch_size: int):
+def _epoch_batches(order: np.ndarray, batch_size: int):
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
         if len(idx) >= 2:  # singleton remainders carry no negatives; dropped
@@ -509,6 +509,12 @@ def _evaluator(evaluate):
             proc.join()
 
 
+def check_train_split(dataset: SynthDataset) -> None:
+    """A batch needs a negative, so training needs at least two triplets."""
+    if len(dataset.train) < 2:
+        raise ConfigError("training split needs at least two triplets")
+
+
 def train(
     config: TrainConfig,
     model_config: ModelConfig,
@@ -532,8 +538,7 @@ def train(
     epochs before it, and a failing step first commits the epoch before
     it. The worker is stopped before train() returns or raises.
     """
-    if len(dataset.train) < 2:
-        raise ConfigError("training split needs at least two triplets")
+    check_train_split(dataset)
     model = RetrievalModel(model_config, mode=config.finetune_mode, lora_rank=config.lora_rank)
     objective = RetrievalObjective(model, tau=config.tau)
     state = new_train_state(config, model.init_params())
@@ -596,7 +601,7 @@ def train(
             losses, kinds = [], []
             tick = time.perf_counter()
             try:
-                for idx in _epoch_batches(dataset.train, order, config.batch_size):
+                for idx in _epoch_batches(order, config.batch_size):
                     batch = TripletBatch(
                         refs=dataset.train.refs[idx],
                         mods=dataset.mod_embeddings[dataset.train.mod_codes[idx]],

@@ -177,6 +177,13 @@ def test_unknown_finetune_mode_is_rejected_before_any_run_dir(cfg_file, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def test_too_small_training_split_is_rejected_before_any_run_dir(cfg_file, tmp_path, capsys):
+    code = cli.main(["train", "--config", str(cfg_file), "--set", "fraction=0.001"])
+    assert code == 2
+    assert "training split needs at least two triplets" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_lora_rank_zero_means_full_mode(cfg_file, tmp_path, capsys):
     code = cli.main([
         "sweep", "--config", str(cfg_file), "--param", "lora_rank",

@@ -458,6 +458,7 @@ def test_overflow_names_the_same_node_as_node_by_node():
     g = Graph()
     h = g.relu(g.scalar_mul(g.scalar_mul(g.input("x"), -1e200), 1e200))
     g.softmax_xent(g.pairwise_dot(h, g.param("w")))
+    assert g.donations(len(g.nodes) - 1)[2] == 1  # node 2 overflows in node 1's buffer
     args = ({"x": np.ones((2, 2))}, ParameterSet({"w": np.ones((2, 2))}))
     messages = []
     for ex in (Executor(g), NodeByNodeExecutor(g)):
@@ -507,3 +508,146 @@ def test_backward_twice_on_one_tape_is_bit_identical(mode):
     first, second = ex.backward(out), ex.backward(out)
     assert list(first) == list(second)
     assert all(first[n].tobytes() == second[n].tobytes() for n in first)
+
+
+# ------------------------------------------------------- buffer donation
+
+
+def _full_size_case(activation, mode, rows):
+    """The default model dimensions at a training (64) or landscape (512) batch."""
+    cfg = ModelConfig(activation=activation, init_scale=3.0, seed=rows)
+    model = RetrievalModel(cfg, mode=mode, lora_rank=4 if mode == "lora" else None)
+    ps = model.init_params()
+    rng = np.random.default_rng(rows)
+    for name in ps.trainable_names:  # move off the init (lora_b starts at zero)
+        ps[name][...] += 0.3 * rng.standard_normal(ps[name].shape)
+    batch = {
+        "refs": rng.normal(size=(rows, cfg.d_ref)),
+        "mods": rng.normal(size=(rows, cfg.d_mod)),
+        "targets": rng.normal(size=(rows, cfg.d_ref)),
+    }
+    return model, ps, batch
+
+
+def _same_pass(g, inputs, ps, output=None):
+    """Forward on both executors; asserts equal bytes of the result and of
+    every value the executor kept, returns both."""
+    ex, ref = Executor(g), NodeByNodeExecutor(g)
+    got, want = ex.forward(inputs, ps, output), ref.forward(inputs, ps, output)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for j, value in enumerate(ex._values):
+        if value is not None:
+            assert np.asarray(value).tobytes() == np.asarray(ref._values[j]).tobytes(), j
+    return ex, ref
+
+
+def _same_grads(ex, ref):
+    grads, want = ex.backward(), ref.backward()
+    assert list(grads) == list(want)
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [64, 512])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("mode", ["full", "lora"])
+def test_donating_forward_matches_node_by_node_bit_for_bit(activation, mode, rows):
+    model, ps, batch = _full_size_case(activation, mode, rows)
+    g, out = model._loss_graph(10.0)
+    plan = g.donations(out)
+    donated = {j for j in plan if j is not None}
+    # bias_add reuses the matmul products, scalar_mul the scores and
+    # softmax_xent the logits; tanh reuses bias_add's outputs, relu does not.
+    producers = {g.nodes[j].op for j in donated}
+    assert {"matmul", "pairwise_dot", "scalar_mul"} <= producers
+    assert ("bias_add" in producers) is (activation == "tanh")
+    if mode == "lora":  # add writes over the adapter product, its second input
+        assert any(g.nodes[i].op == "add" and j == g.nodes[i].inputs[1]
+                   for i, j in enumerate(plan) if j is not None)
+    params_before = {name: ps[name].tobytes() for name in ps}
+    inputs_before = {name: arr.tobytes() for name, arr in batch.items()}
+    for _ in range(2):  # the second pass reuses the cached plan
+        ex, ref = _same_pass(g, batch, ps, out)
+        assert all(ex._values[j] is None for j in donated)
+        _same_grads(ex, ref)
+    assert {name: ps[name].tobytes() for name in ps} == params_before
+    assert {name: arr.tobytes() for name, arr in batch.items()} == inputs_before
+    queries = model.embed_queries(ps, batch["refs"], batch["mods"])
+    want_q = NodeByNodeExecutor(model._query_graph).forward(batch, ps, model._query_out)
+    assert queries.tobytes() == want_q.tobytes()
+
+
+def _donation_graph():
+    """Every rule that keeps a buffer from being donated, plus the donations.
+    Returns the graph, its node ids by name, the expected plan, inputs and params."""
+    g = Graph()
+    ids = {}
+    ids["mm"] = g.matmul(g.input("x"), g.param("w"))
+    ids["h"] = g.bias_add(ids["mm"], g.param("b"))
+    ids["t"] = g.tanh(ids["h"])  # h has two consumers
+    ids["s"] = g.scalar_mul(ids["t"], 0.5)  # tanh keeps its output
+    ids["n"] = g.scalar_mul(g.l2norm_rows(ids["h"]), 2.0)  # so does l2norm_rows
+    ids["d"] = g.add(ids["s"], ids["s"])  # one node, two uses of s
+    ids["e"] = g.add(ids["d"], ids["n"])
+    ids["adapter"] = g.matmul(g.param("a"), g.param("c"))
+    ids["w_eff"] = g.add(g.param("v"), ids["adapter"])  # writes over its second input
+    ids["mm2"] = g.matmul(ids["e"], ids["w_eff"])  # e has two consumers
+    ids["k"] = g.tanh(g.tanh(ids["mm2"]))
+    ids["scores"] = g.pairwise_dot(ids["e"], ids["k"])
+    ids["logits"] = g.scalar_mul(ids["scores"], 3.0)
+    ids["loss"] = g.softmax_xent(ids["logits"])
+    g.scalar_mul(ids["loss"], 0.25)  # softmax_xent's output is a scalar
+    plan = {ids["h"]: ids["mm"], ids["e"]: ids["d"], ids["w_eff"]: ids["adapter"],
+            ids["mm2"] + 1: ids["mm2"], ids["logits"]: ids["scores"],
+            ids["loss"]: ids["logits"]}
+    layers = {"w": rand((4, 3), 1), "b": rand((3,), 2), "v": rand((3, 3), 3),
+              "a": rand((3, 2), 4), "c": rand((2, 3), 5)}
+    return g, ids, plan, {"x": rand((5, 4), 6)}, ParameterSet(layers)
+
+
+def test_donation_plan_follows_the_four_rules():
+    g, ids, expected, inputs, ps = _donation_graph()
+    last = len(g.nodes) - 1
+    plan = g.donations(last)
+    assert {i: j for i, j in enumerate(plan) if j is not None} == expected
+    _same_grads(*_same_pass(g, inputs, ps))
+    # The requested output keeps its buffer, and the plan is cached per output.
+    assert g.donations(ids["scores"])[ids["logits"]] is None
+    assert g.donations(last) is plan
+    for name in ("scores", "mm", "d", "adapter"):
+        _same_pass(g, inputs, ps, output=ids[name])
+
+
+def test_forward_to_an_intermediate_returns_its_bytes():
+    model, ps, batch = _full_size_case("tanh", "full", 64)
+    g, out = model._loss_graph(10.0)
+    plan = g.donations(out)
+    loss = NodeByNodeExecutor(g).forward(batch, ps, out)
+    for k in sorted({j for j in plan if j is not None}):  # each buffer a full pass donates
+        assert g.donations(k)[plan.index(k)] is None
+        ex, _ = _same_pass(g, batch, ps, output=k)
+        assert ex._values[out] == loss
+
+
+def test_backward_from_a_donated_node_is_a_state_error():
+    g, ids, _, inputs, ps = _donation_graph()
+    ex = Executor(g)
+    ex.forward(inputs, ps)
+    with pytest.raises(StateError, match=f"node {ids['scores']}"):
+        ex.backward(ids["scores"])
+
+
+def test_a_second_consumer_appended_after_a_pass_turns_donation_off():
+    g, ids, _, inputs, ps = _donation_graph()
+    loss = ids["loss"]
+    _same_grads(*_same_pass(g, inputs, ps, output=loss))
+    assert g.donations(loss)[ids["logits"]] == ids["scores"]
+    # Two more readers of the scores: none of them may write over them now,
+    # also in a pass to the same requested output.
+    flipped = g.scalar_mul(ids["scores"], -1.0)
+    g.softmax_xent(g.add(ids["scores"], flipped))
+    for output in (loss, None):
+        plan = g.donations(len(g.nodes) - 1 if output is None else output)
+        assert plan[ids["logits"]] is None and plan[flipped] is None
+        _same_pass(g, inputs, ps, output=output)
+    _same_grads(*_same_pass(g, inputs, ps))

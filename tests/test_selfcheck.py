@@ -73,7 +73,7 @@ def test_flipped_softmax_xent_backward_fails_the_gradient_oracle(monkeypatch):
         (grad,) = original.backward(i, g, ctx)
         return (-grad,)
 
-    monkeypatch.setitem(diffcore._OPS, "softmax_xent", diffcore._Op(original.forward, flipped))
+    monkeypatch.setitem(diffcore._OPS, "softmax_xent", original._replace(backward=flipped))
     assert selfcheck.check_gradient_oracle(n_seeds=2).ok is False
 
 
@@ -89,3 +89,12 @@ def test_the_gradient_oracle_catches_a_flipped_backward_of_every_reachable_op(op
     with selfcheck.inject_fault(op):
         result = selfcheck.check_gradient_oracle(n_seeds=2)
     assert result.ok is (op in UNREACHABLE_OPS), result.detail
+
+
+@pytest.mark.parametrize("op", sorted(diffcore._OPS))
+def test_fault_injection_changes_only_the_backward(op):
+    original = diffcore._OPS[op]
+    with selfcheck.inject_fault(op):
+        patched = diffcore._OPS[op]
+    assert patched.backward is not original.backward
+    assert patched._replace(backward=original.backward) == original

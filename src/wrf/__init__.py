@@ -12,7 +12,9 @@ The package is organized bottom-up:
   epoch is committed once the next one has trained
 - synthcir: seeded synthetic retrieval datasets
 - evalkit: recall metrics, loss-landscape probes along random perturbations
-- cli: train / sweep / landscape / selfcheck commands
+- worker: the forked worker that evaluates epochs and probes directions
+- cli: train / sweep / landscape / selfcheck commands; __main__ runs it
+  with one BLAS thread unless the environment sets one
 """
 
 __version__ = "0.1.0"

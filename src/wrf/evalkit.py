@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import worker
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .params import ParameterSet
 from .perturb import random_perturbation
@@ -179,30 +180,45 @@ def landscape_probe(
     non-finite loss is recorded as nan in the curve rather than raised,
     but non-finite params raise NumericError: every curve would be nan.
     The input params are never modified.
+
+    With two or more directions and worker.available(), the directions
+    from ceil(n/2) on run in a forked worker while this process runs the
+    rest, so loss_fn may run in a forked child: its side effects, and
+    the diffcore.pass_counts() of its passes, stay there. Each direction
+    has its own stream, so the curves are the same on either path.
     """
     if n_directions < 1:
         raise ConfigError("n_directions must be >= 1")
     alphas = _check_alphas(alphas)
     params.require_finite()
-    curves = []
-    for d_id in range(n_directions):
-        pert = random_perturbation(params, 1.0, np.random.default_rng([_DIR_TAG, seed, d_id]))
-        losses = np.empty(len(alphas))
-        for j, alpha in enumerate(alphas):
-            if alpha == 0.0:
-                probe = params  # the alpha=0 row is the exact base loss
-            else:
-                probe = params.copy()
-                for name, d_l in pert.deltas.items():
-                    arr = probe[name]
-                    arr += alpha * d_l
-            try:
-                val = float(loss_fn(probe))
-            except NumericError:
-                val = float("nan")
-            losses[j] = val if np.isfinite(val) else float("nan")
-        curves.append(LandscapeCurve(d_id, alphas.copy(), losses))
-    return curves
+
+    def curves(d_ids: range) -> list[LandscapeCurve]:
+        out = []
+        for d_id in d_ids:
+            pert = random_perturbation(params, 1.0, np.random.default_rng([_DIR_TAG, seed, d_id]))
+            losses = np.empty(len(alphas))
+            for j, alpha in enumerate(alphas):
+                if alpha == 0.0:
+                    probe = params  # the alpha=0 row is the exact base loss
+                else:
+                    probe = params.copy()
+                    for name, d_l in pert.deltas.items():
+                        arr = probe[name]
+                        arr += alpha * d_l
+                try:
+                    val = float(loss_fn(probe))
+                except NumericError:
+                    val = float("nan")
+                losses[j] = val if np.isfinite(val) else float("nan")
+            out.append(LandscapeCurve(d_id, alphas.copy(), losses))
+        return out
+
+    half = (n_directions + 1) // 2
+    if half == n_directions:
+        return curves(range(n_directions))
+    with worker.forked(curves, "landscape worker") as submit:
+        rest = submit(range(half, n_directions))
+        return curves(range(half)) + rest()
 
 
 def flatness_score(curves: Sequence[LandscapeCurve], alpha: float = 0.05) -> float:

@@ -12,14 +12,11 @@ subtract-the-delta SGD variant is kept purely as a cross-check of the
 copy-on-apply implementation.
 
 train() writes every run into an out_dir. Per-epoch Recall@K
-evaluation has one interface, the _evaluator context: submit(params)
-returns the call that gives the reports of params. The evaluation
-overlaps the next epoch's training in a forked eval worker where the
-fork start method exists, the process runs one thread and BLAS leaves a
-CPU free (OPENBLAS_NUM_THREADS=1 on two CPUs, say); otherwise the call
-evaluates in-process when it is made, since on one CPU, or next to a
-BLAS pool that uses every CPU, the worker slows training more than it
-saves. train() keeps at most one epoch uncommitted: at the end of epoch
+evaluation goes through worker.forked: submit(params) returns the call
+that gives the reports of params. The evaluation overlaps the next
+epoch's training in a forked eval worker under worker.available()'s
+start rule; otherwise the call evaluates in-process when it is made.
+train() keeps at most one epoch uncommitted: at the end of epoch
 e it commits epoch e-1, copies the parameters once and, if epoch e is
 evaluated, submits the copy. Committing an evaluated epoch first makes
 its call, at the end of the next epoch. It then writes what depends on
@@ -35,19 +32,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-import multiprocessing
-import os
-import signal
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from . import evalkit
+from . import evalkit, worker
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, NumericError
 from .model import MODES, ModelConfig, RetrievalModel
@@ -406,109 +398,6 @@ def _evaluate(model, dataset, train_eval_table, ks, params):
     )
 
 
-def _worker_loop(conn, parent_end, evaluate) -> None:
-    """Eval worker body: parameters in, (ok, reports or exception) out."""
-    # Without the parent's end of the pipe, a parent that dies leaves
-    # this process an EOF instead of a recv that never returns.
-    parent_end.close()
-    # Ctrl-C reaches the whole process group; the parent stops this process.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            params = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (True, evaluate(params))
-        except Exception as exc:
-            reply = (False, exc)
-        conn.send(reply)
-
-
-# Unset, OpenBLAS and MKL start one BLAS thread per usable CPU.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _blas_threads(cpus: int) -> int:
-    """BLAS threads per process, as the environment sets them."""
-    for var in _BLAS_THREAD_VARS:
-        try:
-            n = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if n >= 1:
-            return min(n, cpus)
-    return cpus
-
-
-def _eval_worker_available() -> bool:
-    """fork to share the dataset, safe only while this process runs one
-    thread; a CPU that training's BLAS threads leave free; and a process
-    that may have children (a daemonic one may not)."""
-    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
-        return False
-    cpus = len(os.sched_getaffinity(0))
-    return (
-        cpus > _blas_threads(cpus)
-        and threading.active_count() == 1
-        and not multiprocessing.current_process().daemon
-    )
-
-
-@contextmanager
-def _evaluator(evaluate):
-    """Yield submit(params), which returns the call that gives evaluate(params).
-
-    In-process the call evaluates when it is made; with an eval worker
-    (_eval_worker_available()) submit() hands params to a forked worker
-    and the call waits for its reply. Leaving the block stops the worker.
-    """
-    if not _eval_worker_available():
-        yield lambda params: functools.partial(evaluate, params)
-        return
-    ctx = multiprocessing.get_context("fork")
-    conn, child_end = ctx.Pipe()
-    proc = ctx.Process(
-        target=_worker_loop, args=(child_end, conn, evaluate), name="wrf-eval", daemon=True
-    )
-    proc.start()
-    child_end.close()
-
-    def exited() -> RuntimeError:
-        proc.join()
-        return RuntimeError(f"eval worker exited with code {proc.exitcode}")
-
-    def result():
-        # The worker holds the only other end of the pipe, so its exit
-        # ends a blocked recv() with EOFError.
-        try:
-            ok, value = conn.recv()
-        except EOFError:
-            raise exited() from None
-        if not ok:
-            raise value
-        return value
-
-    def submit(params: ParameterSet):
-        try:
-            conn.send(params)
-        except BrokenPipeError:
-            raise exited() from None
-        return result
-
-    try:
-        yield submit
-    except BaseException:
-        proc.terminate()  # KeyboardInterrupt included; the worker ignores SIGINT
-        raise
-    finally:
-        conn.close()  # an idle worker sees EOF and returns
-        proc.join(timeout=10.0)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join()
-
-
 def check_train_split(dataset: SynthDataset) -> None:
     """A batch needs a negative, so training needs at least two triplets."""
     if len(dataset.train) < 2:
@@ -530,9 +419,9 @@ def train(
     states. Per-epoch seconds cover the step loop only, so perturbation
     overhead is measurable next to evaluation.
 
-    Evaluation goes through the _evaluator context, in a forked worker
-    when _eval_worker_available() and in-process otherwise (see the
-    module docstring); the worker forks before metrics.csv opens, and
+    Evaluation goes through worker.forked, in a forked worker when
+    worker.available() and in-process otherwise (see the module
+    docstring); the worker forks before metrics.csv opens, and
     only this process writes files. Failures keep the order of a
     sequential loop: an evaluation error is raised after the rows of the
     epochs before it, and a failing step first commits the epoch before
@@ -587,7 +476,7 @@ def train(
 
     evaluate = functools.partial(_evaluate, model, dataset, train_eval_table, ks)
     # Entered in order: the worker forks before this process opens any file of the run.
-    with _evaluator(evaluate) as submit, (out_path / "metrics.csv").open(
+    with worker.forked(evaluate, "eval worker") as submit, (out_path / "metrics.csv").open(
         "w", encoding="utf-8"
     ) as metrics_fh:
         metrics_fh.write(METRICS_HEADER + "\n")

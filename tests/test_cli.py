@@ -354,6 +354,71 @@ def test_module_entry_point():
         assert name in proc.stdout
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs wrf.__main__.main with a stand-in wrf.cli that prints what the
+# real one would start with: the three BLAS variables, whether a forked
+# worker may start, and whether numpy was loaded before it.
+ENTRY_PROBE = """
+import os, sys, types
+from wrf import __main__ as entry, worker
+
+def report(argv):
+    print(*(os.environ.get(var) for var in %r))
+    print(worker.available(), "numpy" in sys.modules)
+    return 0
+
+stub = types.ModuleType("wrf.cli")
+stub.main = report
+sys.modules["wrf.cli"] = stub
+sys.exit(entry.main([]))
+""" % (BLAS_VARS,)
+
+
+def run_entry_probe(**blas_env) -> list[str]:
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs")
+    cpus = set(sorted(os.sched_getaffinity(0))[:2])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(blas_env, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE], capture_output=True, text=True, env=env,
+        timeout=60, preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_wrf_command_defaults_to_one_blas_thread():
+    # On two CPUs one BLAS thread leaves a CPU for the worker.
+    assert run_entry_probe() == ["1 1 1", "True False"]
+
+
+def test_wrf_command_keeps_a_blas_setting_it_is_given():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS first; setting it would override OMP's 4.
+    assert run_entry_probe(OMP_NUM_THREADS="4") == ["None 4 None", "False False"]
+
+
+def test_importing_the_wrf_command_loads_no_numpy():
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wrf.__main__; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_python_dash_m_wrf_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wrf", "--help"], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "landscape" in proc.stdout
+
+
 @pytest.mark.parametrize(
     "script", ["data_fractions", "direction_ablation", "gamma_sweep", "landscape_compare"]
 )

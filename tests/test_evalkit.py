@@ -1,10 +1,15 @@
 """Metric correctness against brute-force oracles, plus landscape probes."""
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wrf import worker
 from wrf.errors import ConfigError, DataError, NumericError, ShapeError
 from wrf.evalkit import (
     MetricReport,
@@ -296,7 +301,20 @@ def test_default_alpha_grid_shape():
     assert grid[0] == pytest.approx(-0.1) and grid[-1] == pytest.approx(0.1)
 
 
-def test_landscape_probe_base_row_and_determinism():
+LANDSCAPE_PATHS = ("worker", "in-process")
+
+
+def use_landscape_path(monkeypatch, path: str) -> None:
+    """Make landscape_probe run half of its directions in a forked worker,
+    or all of them in-process, whatever the CPU count and BLAS threads."""
+    if path == "worker" and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the landscape worker needs the fork start method")
+    monkeypatch.setattr(worker, "available", lambda: path == "worker")
+
+
+@pytest.mark.parametrize("path", LANDSCAPE_PATHS)
+def test_landscape_probe_base_row_and_determinism(monkeypatch, path):
+    use_landscape_path(monkeypatch, path)
     rng = np.random.default_rng(9)
     ps = ParameterSet({"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)})
     before = {n: ps[n].copy() for n in ps.names}
@@ -314,7 +332,9 @@ def test_landscape_probe_base_row_and_determinism():
         assert np.array_equal(ps[n], before[n])
 
 
-def test_landscape_direction_norms_match_layer_norms():
+def test_landscape_direction_norms_match_layer_norms(monkeypatch):
+    # In-process: the probes are read through loss_fn's side effects.
+    use_landscape_path(monkeypatch, "in-process")
     rng = np.random.default_rng(10)
     ps = ParameterSet({"w": rng.normal(size=(4, 4)), "b": np.zeros(4)})
     probes = []
@@ -325,7 +345,9 @@ def test_landscape_direction_norms_match_layer_norms():
 
 
 @pytest.mark.parametrize("mode", ["full", "lora"])
-def test_landscape_directions_match_the_per_layer_loop_bit_for_bit(mode):
+def test_landscape_directions_match_the_per_layer_loop_bit_for_bit(monkeypatch, mode):
+    # In-process: the probes are read through loss_fn's side effects.
+    use_landscape_path(monkeypatch, "in-process")
     model = RetrievalModel(
         ModelConfig(d_ref=6, d_mod=3, hidden=(8,), d_out=4, seed=3),
         mode=mode, lora_rank=2 if mode == "lora" else None,
@@ -344,7 +366,9 @@ def test_landscape_directions_match_the_per_layer_loop_bit_for_bit(mode):
                 assert probe[name].tobytes() == added.tobytes(), (seed, d_id, name)
 
 
-def test_landscape_records_nonfinite_instead_of_raising():
+@pytest.mark.parametrize("path", LANDSCAPE_PATHS)
+def test_landscape_records_nonfinite_instead_of_raising(monkeypatch, path):
+    use_landscape_path(monkeypatch, path)
     ps = ParameterSet({"w": np.array([1.0])})
 
     def exploding(p):
@@ -352,10 +376,13 @@ def test_landscape_records_nonfinite_instead_of_raising():
             raise NumericError("boom")
         return float(p["w"][0])
 
-    curves = landscape_probe(exploding, ps, 1, default_alpha_grid(0.1, 2), seed=0)
-    losses = curves[0].losses
-    assert np.isnan(losses[0]) and np.isnan(losses[-1])
-    assert np.isfinite(losses[2])
+    # Two directions, so that on the worker path the second one raises there.
+    curves = landscape_probe(exploding, ps, 2, default_alpha_grid(0.1, 2), seed=0)
+    assert [c.direction_id for c in curves] == [0, 1]
+    for curve in curves:
+        losses = curve.losses
+        assert np.isnan(losses[0]) and np.isnan(losses[-1])
+        assert np.isfinite(losses[2])
 
 
 def test_landscape_rejects_a_nonfinite_base_set_before_any_loss():
@@ -400,7 +427,9 @@ def test_flatness_score_cross_checks_against_sharpness():
         flatness_score(curves, alpha=0.037)
 
 
-def test_landscape_csv_layout(tmp_path):
+@pytest.mark.parametrize("path", LANDSCAPE_PATHS)
+def test_landscape_csv_layout(tmp_path, monkeypatch, path):
+    use_landscape_path(monkeypatch, path)
     ps = ParameterSet({"w": np.ones(2)})
     alphas = default_alpha_grid(0.1, 10)
     curves = landscape_probe(quad_loss, ps, 2, alphas, seed=0)
@@ -411,3 +440,89 @@ def test_landscape_csv_layout(tmp_path):
     assert len(lines) == 1 + 2 * 21
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == -0.1
+
+
+def _model_loss(mode: str):
+    """A small RetrievalModel's batch loss and its parameters, moved off init."""
+    model = RetrievalModel(
+        ModelConfig(d_ref=6, d_mod=3, hidden=(8,), d_out=4, seed=3),
+        mode=mode, lora_rank=2 if mode == "lora" else None,
+    )
+    ps = model.init_params()
+    rng = np.random.default_rng(21)
+    for name in ps.trainable_names:  # lora_b off zero, so its layers get directions too
+        arr = ps[name]
+        arr += 0.1 * rng.standard_normal(arr.shape)
+    refs, mods, targets = (rng.standard_normal((16, d)) for d in (6, 3, 6))
+    return (lambda p: model.batch_loss(p, refs, mods, targets, 10.0)), ps
+
+
+@pytest.mark.parametrize("mode", ["full", "lora"])
+def test_landscape_curves_are_the_same_on_both_paths(monkeypatch, mode):
+    loss, ps = _model_loss(mode)
+    alphas = default_alpha_grid(0.1, 3)
+    calls = {}
+    got = {}
+    for path in LANDSCAPE_PATHS:
+        calls[path] = 0
+
+        def counting(p, path=path):
+            calls[path] += 1  # in the worker this counts in the child's copy
+            return loss(p)
+
+        with monkeypatch.context() as patch:
+            use_landscape_path(patch, path)
+            got[path] = landscape_probe(counting, ps, 3, alphas, seed=5)
+    # The parent ran directions 0 and 1; the worker ran direction 2.
+    assert calls == {"worker": 2 * len(alphas), "in-process": 3 * len(alphas)}
+    for path, curves in got.items():
+        assert [c.direction_id for c in curves] == [0, 1, 2], path
+    for a, b in zip(got["worker"], got["in-process"]):
+        assert a.alphas.tobytes() == b.alphas.tobytes()
+        assert a.losses.tobytes() == b.losses.tobytes(), a.direction_id
+        assert np.isfinite(a.losses).all()
+
+
+def test_an_error_in_the_worker_half_reaches_the_caller(monkeypatch):
+    use_landscape_path(monkeypatch, "worker")
+    parent = os.getpid()
+
+    def loss(p):
+        if os.getpid() != parent:
+            raise ValueError("boom in the worker")
+        return quad_loss(p)
+
+    ps = ParameterSet({"w": np.ones(3)})
+    with pytest.raises(ValueError, match="^boom in the worker$") as info:
+        landscape_probe(loss, ps, 3, default_alpha_grid(0.1, 2), seed=0)
+    assert type(info.value) is ValueError
+
+
+def test_a_dead_landscape_worker_fails_the_probe_promptly(monkeypatch):
+    use_landscape_path(monkeypatch, "worker")
+    parent = os.getpid()
+
+    def loss(p):
+        if os.getpid() != parent:
+            os._exit(1)
+        return quad_loss(p)
+
+    ps = ParameterSet({"w": np.ones(3)})
+    tick = time.perf_counter()
+    with pytest.raises(RuntimeError, match="^landscape worker exited with code 1$"):
+        landscape_probe(loss, ps, 4, default_alpha_grid(0.1, 2), seed=0)
+    assert time.perf_counter() - tick < 10.0
+
+
+def test_one_direction_forks_nothing(monkeypatch):
+    use_landscape_path(monkeypatch, "worker")
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    calls = []
+    ps = ParameterSet({"w": np.ones(3)})
+    alphas = default_alpha_grid(0.1, 2)
+    curves = landscape_probe(lambda p: calls.append(1) or quad_loss(p), ps, 1, alphas, seed=0)
+    assert len(curves) == 1 and len(calls) == len(alphas)

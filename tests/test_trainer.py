@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrf import cli, diffcore, evalkit, trainer
+from wrf import cli, diffcore, evalkit, trainer, worker
 from wrf.errors import ConfigError, NumericError
 from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet
@@ -434,7 +434,7 @@ def use_eval_path(monkeypatch, path: str) -> None:
     the CPU count and BLAS threads."""
     if path == "worker" and "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the eval worker needs the fork start method")
-    monkeypatch.setattr(trainer, "_eval_worker_available", lambda: path == "worker")
+    monkeypatch.setattr(worker, "available", lambda: path == "worker")
 
 
 def test_train_partial_metrics_survive_abort(tmp_path, monkeypatch):
@@ -611,19 +611,19 @@ def test_worker_and_in_process_evaluation_write_the_same_files(tmp_path, monkeyp
 def test_eval_worker_needs_a_cpu_that_blas_leaves_free(monkeypatch, cpus, env, want):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("needs the fork start method")
-    for var in trainer._BLAS_THREAD_VARS:
+    for var in worker._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    assert trainer._eval_worker_available() is want
+    assert worker.available() is want
     if want:
         # fork copies only the calling thread; another live thread forbids it.
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert not trainer._eval_worker_available()
+            assert not worker.available()
         finally:
             release.set()
             other.join(timeout=10)
@@ -634,10 +634,10 @@ def test_train_in_a_daemonic_process_evaluates_in_process(tmp_path, monkeypatch)
     # A daemonic process may not start children, so train() must not fork there.
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("needs the fork start method")
-    for var in trainer._BLAS_THREAD_VARS:
+    for var in worker._BLAS_THREAD_VARS:
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert trainer._eval_worker_available()  # here; the forked child inherits both
+    assert worker.available()  # here; the forked child inherits both
     dataset = generate(DATA_CFG)
     cfg = small_run_config()
     train(cfg, MODEL_CFG, dataset, out_dir=tmp_path / "here")

@@ -1,0 +1,219 @@
+#!/usr/bin/env python3
+"""Check that this checkout writes what a parent revision writes, byte for byte.
+
+Runs one fixed set of wrf jobs (four training configs, two landscape
+probes, one fraction sweep) on this checkout's working tree and on a
+parent revision, which is checked out with `git worktree add` into a
+temporary directory and removed afterwards. Both sides run from the same
+relative out_dir, on three paths:
+
+  worker     python -m wrf.cli, OPENBLAS_NUM_THREADS=1 (eval worker forks)
+  inprocess  python -m wrf.cli pinned to one CPU (evaluation in-process)
+  wrf        python -m wrf with no BLAS variable set
+
+Every file either side writes is compared: metrics.csv without its
+seconds column, sweep_summary.csv without seconds_per_epoch, everything
+else byte for byte, plus each job's exit code and stdout. A file on one
+side only counts as a difference. --checklist also compares the 13
+check lines of `pytest -s tests/test_acceptance.py` with the wall-clock
+figures masked. Prints one line per difference and a total, and exits 1
+on any difference.
+
+    python scripts/identity.py --parent HEAD~1 --checklist
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Config file stem -> settings over the defaults; out_dir is relative.
+CONFIGS = {
+    "default": {},
+    "ablation": {"activation": "relu", "eta0": "0.012", "init_scale": "6.0",
+                 "gamma": "0.02", "rho": "0.5"},
+    "lora": {"finetune_mode": "lora", "lora_rank": "4", "gamma": "0.01", "rho": "0.5"},
+    "relu_lora": {"activation": "relu", "finetune_mode": "lora", "lora_rank": "2",
+                  "checkpoint_every": "7", "eval_every": "3"},
+    "sweep": {"out_dir": "sweep"},
+}
+
+# wrf arguments, in run order; each probe reads a best.ckpt trained before it.
+JOBS = (
+    *(["train", "--config", f"{name}.cfg"] for name in ("default", "ablation", "lora", "relu_lora")),
+    *(["landscape", "--checkpoint", f"runs/{name}/best.ckpt"] for name in ("ablation", "relu_lora")),
+    ["sweep", "--config", "sweep.cfg", "--param", "fraction", "--values", "0.25,0.5",
+     "--seeds", "0,1"],
+)
+
+# CSV file name -> the wall-clock column left out of its comparison.
+TIMED_COLUMNS = {"metrics.csv": "seconds", "sweep_summary.csv": "seconds_per_epoch"}
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Path name -> (module run with python -m, OPENBLAS_NUM_THREADS, pinned to one CPU).
+PATHS = {
+    "worker": ("wrf.cli", "1", False),
+    "inprocess": ("wrf.cli", None, True),
+    "wrf": ("wrf", None, False),
+}
+
+# Acceptance check number -> (pattern, replacement) masks of its wall-clock figures.
+CHECKLIST_MASKS = {
+    1: ((r", [\d.]+s\)$", ", <s>)"),),
+    7: ((r"sweep took \d+s", "sweep took <s>"),),
+    10: ((r"ratio [\d.]+", "ratio <x>"), (r"\([\d.]+ -> [\d.]+ ms\)", "(<ms> -> <ms> ms)")),
+}
+CHECK_LINE = re.compile(r"\[(?:PASS|FAIL)\] check +(\d+)/13: .*")
+
+
+def write_configs(workdir: Path, epochs: int | None = None) -> None:
+    """One <stem>.cfg per CONFIGS entry in workdir; epochs overrides total_epochs."""
+    for stem, settings in CONFIGS.items():
+        entries = {"run_name": stem, "out_dir": "runs", **settings}
+        if epochs is not None:
+            entries["total_epochs"] = str(epochs)
+        text = "".join(f"{key}={value}\n" for key, value in entries.items())
+        (workdir / f"{stem}.cfg").write_text(text, encoding="utf-8")
+
+
+def outcome(code: int, stdout: str) -> bytes:
+    return f"exit {code}\n{stdout}".encode("utf-8")
+
+
+def _comparable(path: Path) -> bytes:
+    data = path.read_bytes()
+    column = TIMED_COLUMNS.get(path.name)
+    if column is None:
+        return data
+    rows = [line.split(",") for line in data.decode("utf-8").split("\n")]
+    drop = rows[0].index(column)
+    return "\n".join(",".join(r[:drop] + r[drop + 1 :]) for r in rows).encode("utf-8")
+
+
+def snapshot(workdir: Path, outcomes: dict[str, bytes]) -> dict[str, bytes]:
+    """Every file under workdir as compared, plus each job's outcome."""
+    files = {
+        path.relative_to(workdir).as_posix(): _comparable(path)
+        for path in sorted(workdir.rglob("*"))
+        if path.is_file()
+    }
+    return {**files, **{f"<wrf {job}>": out for job, out in outcomes.items()}}
+
+
+def differences(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
+    out = []
+    for name in sorted(parent.keys() | change.keys()):
+        if name not in change:
+            out.append(f"only in parent: {name}")
+        elif name not in parent:
+            out.append(f"only in change: {name}")
+        elif parent[name] != change[name]:
+            out.append(f"differs: {name}")
+    return out
+
+
+def _env(src: Path, blas: str | None) -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(src)
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    return env
+
+
+def _pin_to_one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_side(tree: Path, workdir: Path, path: str) -> dict[str, bytes]:
+    """Run JOBS with the package of tree in a fresh workdir; return its snapshot."""
+    module, blas, pinned = PATHS[path]
+    workdir.mkdir(parents=True)
+    write_configs(workdir)
+    outcomes = {}
+    for argv in JOBS:
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv], cwd=workdir, env=_env(tree / "src", blas),
+            capture_output=True, text=True, preexec_fn=_pin_to_one_cpu if pinned else None,
+        )
+        outcomes[" ".join(argv)] = outcome(proc.returncode, proc.stdout)
+    return snapshot(workdir, outcomes)
+
+
+def checklist(tree: Path) -> list[str]:
+    """The acceptance check lines of tree's suite, wall-clock figures masked."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-s", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"],
+        cwd=tree, env=_env(tree / "src", None), capture_output=True, text=True,
+    )
+    lines = []
+    for match in CHECK_LINE.finditer(proc.stdout):
+        line = match.group(0)
+        for pattern, repl in CHECKLIST_MASKS.get(int(match.group(1)), ()):
+            line = re.sub(pattern, repl, line)
+        lines.append(line)
+    return lines
+
+
+def compare(parent_tree: Path, scratch: Path, with_checklist: bool) -> int:
+    total = 0
+    for path in PATHS:
+        sides = [run_side(tree, scratch / path / side, path)
+                 for side, tree in (("parent", parent_tree), ("change", REPO))]
+        diffs = differences(*sides)
+        for line in diffs:
+            print(f"{path}: {line}")
+        print(f"{path}: {len(sides[0].keys() | sides[1].keys())} files and outputs, "
+              f"{len(diffs)} differences")
+        total += len(diffs)
+    if with_checklist:
+        parent, change = checklist(parent_tree), checklist(REPO)
+        diffs = [f"checklist: parent {a!r} / change {b!r}"
+                 for a, b in zip(parent, change) if a != b]
+        if len(parent) != 13 or len(change) != 13:
+            diffs.append(f"checklist: {len(parent)} lines in parent, {len(change)} in change")
+        for line in diffs:
+            print(line)
+        print(f"checklist: {len(change)} lines, {len(diffs)} differences")
+        total += len(diffs)
+    print(f"total: {total} differences")
+    return total
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision to compare with")
+    ap.add_argument("--checklist", action="store_true",
+                    help="also compare the acceptance checklist (about two minutes a side)")
+    args = ap.parse_args(argv)
+    rev = subprocess.run(
+        ["git", "-C", str(REPO), "rev-parse", "--verify", f"{args.parent}^{{commit}}"],
+        capture_output=True, text=True,
+    )
+    if rev.returncode != 0:
+        print(f"error: not a revision: {args.parent}", file=sys.stderr)
+        return 2
+    if len(os.sched_getaffinity(0)) < 2:
+        print("note: one CPU, so the worker path evaluates in-process too", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="wrf-identity-") as scratch:
+        tree = Path(scratch) / "parent"
+        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
+                        str(tree), rev.stdout.strip()], check=True)
+        try:
+            total = compare(tree, Path(scratch), args.checklist)
+        finally:
+            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(tree)],
+                           check=False)
+    return 1 if total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

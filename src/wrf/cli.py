@@ -80,10 +80,12 @@ class ExperimentConfig:
             raise ConfigError(f"run_name must be a plain directory name, got {self.run_name!r}")
         if not (0.0 < self.fraction <= 1.0):
             raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
-        # Building every component config validates all their invariants.
+        # Building every component config and the model validates all
+        # their invariants, the LoRA rank against the layer shapes included.
         self.dataset_config()
         self.model_config()
         self.train_config()
+        RetrievalModel(self.model_config(), mode=self.finetune_mode, lora_rank=self.lora_rank)
 
     def _project(self, component):
         return component(**{f.name: getattr(self, f.name) for f in dataclasses.fields(component)})
@@ -162,10 +164,6 @@ def config_echo_text(config: ExperimentConfig) -> str:
     return body + f"config_hash={digest}\n"
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    return config_echo_text(config).rsplit("=", 1)[1].strip()
-
-
 def load_config_echo(path: str | Path) -> ExperimentConfig:
     return build_config(read_config_file(path))
 
@@ -181,10 +179,7 @@ def apply_overrides(mapping: dict, overrides) -> dict:
 
 
 def build_dataset(config: ExperimentConfig):
-    dataset = generate(config.dataset_config())
-    if config.fraction < 1.0:
-        dataset = subsample_dataset(dataset, config.fraction, seed=config.seed)
-    return dataset
+    return subsample_dataset(generate(config.dataset_config()), config.fraction, seed=config.seed)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Path]:

@@ -2,16 +2,17 @@
 
 Ranking is by descending dot product with ties broken by ascending
 gallery index, everywhere, including inside candidate subsets (the
-global order restricted to the subset). recall_report counts the rank
-of each query's target instead of materializing full rankings, and
-takes the global and the subset ranks from one Q x G score matrix; the
-index-ordered tie count runs only on rows where another entry ties the
-target's score. The tests check the ranks against a full-sort
-reference ranking.
+global order restricted to the subset). Every query comes with its
+candidate subset. recall_report counts the rank of each query's target
+instead of materializing full rankings, and takes the global and the
+subset ranks from one Q x G score matrix; the index-ordered tie count
+runs only on rows where another entry ties the target's score. The
+tests check the ranks against a full-sort reference ranking.
 
 A landscape direction is a random perturbation at budget 1: standard
 normal entries per trainable layer, rescaled to that layer's weight
-norm, drawn from a stream seeded per direction.
+norm, drawn from a stream seeded per direction. A probe point at alpha
+is apply_perturbation of the direction scaled by alpha.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import worker
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .params import ParameterSet
-from .perturb import random_perturbation
+from .perturb import Perturbation, apply_perturbation, random_perturbation
 
 _DIR_TAG = 0x51
 
@@ -36,7 +37,7 @@ class MetricReport:
     split: str
     recall_at: dict[int, float]
     rmean: float
-    recall_subset_at: dict[int, float] | None = None
+    recall_subset_at: dict[int, float]
 
 
 def _check_embeddings(queries: np.ndarray, gallery: np.ndarray) -> None:
@@ -76,23 +77,21 @@ def target_ranks(
     query_embs: np.ndarray,
     gallery_embs: np.ndarray,
     targets: np.ndarray,
-    subsets: np.ndarray | None = None,
-):
-    """1-based global rank of each query's target; ties by ascending index.
+    subsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """1-based (global ranks, subset ranks) of each query's target.
 
-    With candidate subsets, returns (global ranks, subset ranks), both
-    counted from one Q x G score matrix; a subset rank is the target's
-    rank within its subset, global order preserved.
+    Both are counted from one Q x G score matrix, ties by ascending
+    gallery index; a subset rank is the target's rank within its subset,
+    global order preserved.
     """
     _check_embeddings(query_embs, gallery_embs)
     targets = np.asarray(targets, dtype=np.int64)
-    if subsets is not None and not (subsets == targets[:, None]).any(axis=1).all():
+    if not (subsets == targets[:, None]).any(axis=1).all():
         raise DataError("a candidate subset is missing its query's target")
     scores = query_embs @ gallery_embs.T
     own = np.take_along_axis(scores, targets[:, None], axis=1)
     ranks = _ranks(scores, own, np.arange(scores.shape[1]), targets)
-    if subsets is None:
-        return ranks
     sub = np.take_along_axis(scores, subsets.astype(np.int64), axis=1)
     return ranks, _ranks(sub, own, subsets, targets)
 
@@ -111,7 +110,7 @@ def recall_report(
     query_embs: np.ndarray,
     gallery_embs: np.ndarray,
     targets: np.ndarray,
-    subsets: np.ndarray | None,
+    subsets: np.ndarray,
     ks: Sequence[int],
     split: str,
     subset_ks: Sequence[int] = (1,),
@@ -122,13 +121,8 @@ def recall_report(
     for k in ks:
         if not (1 <= int(k) <= gallery_embs.shape[0]):
             raise ConfigError(f"K={int(k)} outside [1, gallery size]")
-    if subsets is None:
-        ranks, recall_subset_at = target_ranks(query_embs, gallery_embs, targets), None
-    else:
-        ranks, sub_ranks = target_ranks(query_embs, gallery_embs, targets, subsets)
-        recall_subset_at = {
-            int(k): float(100.0 * (sub_ranks <= k).mean()) for k in subset_ks
-        }
+    ranks, sub_ranks = target_ranks(query_embs, gallery_embs, targets, subsets)
+    recall_subset_at = {int(k): float(100.0 * (sub_ranks <= k).mean()) for k in subset_ks}
     recall_at = {int(k): float(100.0 * (ranks <= k).mean()) for k in ks}
     rmean = float(np.mean(list(recall_at.values())))
     return MetricReport(split, recall_at, rmean, recall_subset_at)
@@ -198,13 +192,10 @@ def landscape_probe(
             pert = random_perturbation(params, 1.0, np.random.default_rng([_DIR_TAG, seed, d_id]))
             losses = np.empty(len(alphas))
             for j, alpha in enumerate(alphas):
-                if alpha == 0.0:
-                    probe = params  # the alpha=0 row is the exact base loss
-                else:
-                    probe = params.copy()
-                    for name, d_l in pert.deltas.items():
-                        arr = probe[name]
-                        arr += alpha * d_l
+                probe = params  # the alpha=0 row is the exact base loss
+                if alpha != 0.0:
+                    scaled = {n: alpha * d for n, d in pert.deltas.items()}
+                    probe = apply_perturbation(params, Perturbation(scaled, pert.kind))
                 try:
                     val = float(loss_fn(probe))
                 except NumericError:

@@ -109,8 +109,14 @@ class RetrievalModel:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"fine-tune mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "lora" and (self.lora_rank is None or self.lora_rank < 1):
-            raise ConfigError("lora mode needs a positive lora_rank")
+        if self.mode == "lora":
+            if self.lora_rank is None or self.lora_rank < 1:
+                raise ConfigError("lora mode needs a positive lora_rank")
+            dims = fusion_dims(self.config)
+            for i, shape in enumerate(zip(dims[:-1], dims[1:])):
+                if self.lora_rank > min(shape):
+                    raise ConfigError(f"rank {self.lora_rank} exceeds min dim of "
+                                      f"'fusion.{i}.w' with shape {shape}")
         self._query_graph, self._target_graph = Graph(), Graph()
         self._query_out = _append_query_branch(self._query_graph, self.config, self.mode)
         self._target_out = _append_target_branch(self._target_graph)
@@ -130,10 +136,6 @@ class RetrievalModel:
             layers[name] = arr
             if name.startswith("fusion.") and name.endswith(".w"):
                 n_in, n_out = arr.shape
-                if rank > min(n_in, n_out):
-                    raise ConfigError(
-                        f"rank {rank} exceeds min dim of {name!r} with shape {arr.shape}"
-                    )
                 stem = name[: -len(".w")]
                 bound = self.config.init_scale / np.sqrt(n_in)
                 layers[f"{stem}.lora_a"] = rng.uniform(-bound, bound, size=(n_in, rank))

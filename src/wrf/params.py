@@ -95,9 +95,6 @@ class ParameterSet:
         dup._trainable = self._trainable
         return dup
 
-    def zeros_like_trainable(self) -> GradientSet:
-        return {n: np.zeros_like(self._layers[n]) for n in self._trainable}
-
 
 def check_gradient_keys(params: ParameterSet, grads: GradientSet) -> None:
     """Gradient dicts must cover exactly the trainable layers, shape for shape."""

@@ -21,16 +21,15 @@ e it commits epoch e-1, copies the parameters once and, if epoch e is
 evaluated, submits the copy. Committing an evaluated epoch first makes
 its call, at the end of the next epoch. It then writes what depends on
 the reports (gap, best-so-far, best.ckpt, metrics.csv rows,
-checkpoints) with that epoch's parameters and rng state, so artifacts
-are the same on both paths and as in a sequential loop; metrics.csv
-trails training by one epoch. Worker passes do not reach this
-process's diffcore.pass_counts().
+checkpoints) with that epoch's parameters, so artifacts are the same
+on both paths and as in a sequential loop; metrics.csv trails training
+by one epoch. Worker passes do not reach this process's
+diffcore.pass_counts().
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -173,22 +172,9 @@ class TrainState:
     rng_kind: np.random.Generator
     rng_noise: np.random.Generator
     epoch: int = 0
-    step: int = 0
     adam_t: int = 0
     m: GradientSet | None = None
     v: GradientSet | None = None
-
-    def rng_state(self) -> dict:
-        return {
-            "shuffle": self.rng_shuffle.bit_generator.state,
-            "kind": self.rng_kind.bit_generator.state,
-            "noise": self.rng_noise.bit_generator.state,
-        }
-
-    def set_rng_state(self, state: dict) -> None:
-        self.rng_shuffle.bit_generator.state = state["shuffle"]
-        self.rng_kind.bit_generator.state = state["kind"]
-        self.rng_noise.bit_generator.state = state["noise"]
 
 
 def new_train_state(config: TrainConfig, params: ParameterSet) -> TrainState:
@@ -228,8 +214,8 @@ def _optimizer_update(state: TrainState, grads: GradientSet, lr: float, config: 
             arr -= lr * grads[name]
         return
     if state.m is None:
-        state.m = params.zeros_like_trainable()
-        state.v = params.zeros_like_trainable()
+        state.m = {n: np.zeros_like(params[n]) for n in params.trainable_names}
+        state.v = {n: np.zeros_like(params[n]) for n in params.trainable_names}
     state.adam_t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**state.adam_t
@@ -263,7 +249,6 @@ def baseline_step(
     lr = current_lr(config, state.epoch)
     loss, grads = _pass(objective, state.params, batch, "loss pass", state, 0.0)
     _optimizer_update(state, grads, lr, config)
-    state.step += 1
     return StepInfo(loss=loss, lr=lr)
 
 
@@ -289,7 +274,6 @@ def wrf_step(
     # state.params was never mutated: dropping the perturbed copy restores
     # theta bit for bit. The optimizer then sees theta.
     _optimizer_update(state, grads_p, info.lr, config)
-    state.step += 1
     return info
 
 
@@ -310,7 +294,6 @@ def wrf_step_literal_sgd(
         arr -= info.lr * grads_p[name]
         arr -= pert.deltas[name]
     state.params = perturbed
-    state.step += 1
     return info
 
 
@@ -360,8 +343,8 @@ def _recall_cells(report: "evalkit.MetricReport | None") -> list:
     """r_at_1 .. r_at_50, rmean and rsubset_at_1 of a report; all absent without one."""
     if report is None:
         return [None] * 6
-    subset = report.recall_subset_at or {}
-    return [*(report.recall_at.get(k) for k in EVAL_KS), report.rmean, subset.get(1)]
+    return [*(report.recall_at.get(k) for k in EVAL_KS), report.rmean,
+            report.recall_subset_at.get(1)]
 
 
 def metrics_rows(row: EpochRow) -> list[str]:
@@ -412,12 +395,13 @@ def train(
 ) -> RunRecord:
     """Run the full loop, write its artifacts into out_dir and return the RunRecord.
 
+    out_dir holds one run: the checkpoints and landscape.csv of an
+    earlier run there are removed first, and metrics.csv is rewritten.
     metrics.csv is flushed row by row (partial results survive a numeric
-    abort), best.ckpt tracks the highest val rmean, epoch_<n>.ckpt is
-    written per checkpoint_every and for the final epoch, and each
-    checkpoint gets a .rng.json sidecar holding the three rng stream
-    states. Per-epoch seconds cover the step loop only, so perturbation
-    overhead is measurable next to evaluation.
+    abort), best.ckpt tracks the highest val rmean, and epoch_<n>.ckpt is
+    written per checkpoint_every and for the final epoch. Per-epoch
+    seconds cover the step loop only, so perturbation overhead is
+    measurable next to evaluation.
 
     Evaluation goes through worker.forked, in a forked worker when
     worker.available() and in-process otherwise (see the module
@@ -441,21 +425,20 @@ def train(
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
+    # *.ckpt.rng.json: the rng sidecars that older versions wrote.
+    for pattern in ("best.ckpt", "epoch_*.ckpt", "*.ckpt.rng.json", "landscape.csv"):
+        for stale in out_path.glob(pattern):
+            stale.unlink()
     # The last epoch trained and not yet committed: (row, epoch-end params
-    # copy, epoch-end rng state, the call that returns its reports or None).
-    pending: tuple[EpochRow, ParameterSet, dict, Callable | None] | None = None
-
-    def save_ckpt(name: str, params: ParameterSet, rng_state: dict) -> None:
-        path = out_path / name
-        save_checkpoint(path, params)
-        Path(f"{path}.rng.json").write_text(json.dumps(rng_state), encoding="utf-8")
+    # copy, the call that returns its reports or None).
+    pending: tuple[EpochRow, ParameterSet, Callable | None] | None = None
 
     def commit() -> None:
         """Write the pending epoch, taking its reports first if it was evaluated."""
         nonlocal pending
         if pending is None:
             return
-        row, params, rng_state, reports = pending
+        row, params, reports = pending
         pending = None
         if reports is not None:
             row.train_report, row.val_report = reports()
@@ -463,7 +446,7 @@ def train(
             if record.best_val_rmean is None or row.val_report.rmean > record.best_val_rmean:
                 record.best_val_rmean = row.val_report.rmean
                 record.best_epoch = row.epoch
-                save_ckpt("best.ckpt", params, rng_state)
+                save_checkpoint(out_path / "best.ckpt", params)
             record.final_val_rmean = row.val_report.rmean
         record.rows.append(row)
         for line in metrics_rows(row):
@@ -472,7 +455,7 @@ def train(
         if row.epoch == config.total_epochs or (
             config.checkpoint_every and row.epoch % config.checkpoint_every == 0
         ):
-            save_ckpt(f"epoch_{row.epoch}.ckpt", params, rng_state)
+            save_checkpoint(out_path / f"epoch_{row.epoch}.ckpt", params)
 
     evaluate = functools.partial(_evaluate, model, dataset, train_eval_table, ks)
     # Entered in order: the worker forks before this process opens any file of the run.
@@ -518,6 +501,6 @@ def train(
             reports = None
             if epoch_no % config.eval_every == 0 or epoch_no == config.total_epochs:
                 reports = submit(params)
-            pending = (row, params, state.rng_state(), reports)
+            pending = (row, params, reports)
         commit()
     return record

@@ -1,5 +1,6 @@
 """Front-end behavior: exit codes, echo round-trips, artifact layout."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -71,8 +72,9 @@ def test_config_echo_round_trip(cfg_file, tmp_path):
     assert config.run_name == "a"
     # the echo of the parsed echo is byte-identical, hash line included
     assert cli.config_echo_text(config) == echo_path.read_text()
-    last = echo_path.read_text().strip().split("\n")[-1]
-    assert last == f"config_hash={cli.config_hash(config)}"
+    # the last line is the hash of the lines above it
+    body, _, digest = echo_path.read_text().rpartition("config_hash=")
+    assert digest == hashlib.sha256(body.encode("utf-8")).hexdigest()[:16] + "\n"
 
 
 def test_rerun_is_deterministic(cfg_file, tmp_path):
@@ -129,17 +131,33 @@ def test_sweep_summary_schema(cfg_file, tmp_path, capsys):
 
 
 def test_sweep_continues_past_failing_run(cfg_file, tmp_path, capsys):
-    # rank 13 exceeds the first fusion layer's min dimension (12): that
-    # run fails at model build time, the others must still complete.
+    # fraction 0.01 leaves one of the 40 training triplets: that run fails
+    # once its dataset is built, the others must still complete.
     code = cli.main([
-        "sweep", "--config", str(cfg_file), "--param", "lora_rank",
-        "--values", "2,13", "--seeds", "0",
+        "sweep", "--config", str(cfg_file), "--param", "fraction",
+        "--values", "0.01,0.5", "--seeds", "0",
     ])
     assert code == 4
     lines = (tmp_path / "out" / "sweep_summary.csv").read_text().strip().split("\n")
     assert len(lines) == 2  # header plus the surviving run
-    assert lines[1].startswith("lora_rank,2,0,")
+    assert lines[1].startswith("fraction,0.5,0,")
     assert "failed" in capsys.readouterr().err
+
+
+LORA_RANK_50 = "error: rank 50 exceeds min dim of 'fusion.0.w' with shape (40, 64)\n"
+
+
+def test_lora_rank_past_a_layer_dim_is_rejected_before_the_run_directory(tmp_path, capsys):
+    # The default fusion.0.w is (40, 64). The rank is checked when the
+    # config is built: no sweep run starts, no run directory appears.
+    cfg = tmp_path / "lora.cfg"
+    cfg.write_text(f"out_dir={tmp_path / 'out'}\nfinetune_mode=lora\nlora_rank=50\n")
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == LORA_RANK_50
+    assert cli.main(["sweep", "--config", str(cfg), "--param", "lora_rank",
+                     "--values", "2,50", "--seeds", "0"]) == 2
+    assert capsys.readouterr().err == LORA_RANK_50
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_bad_values_are_exit_2(cfg_file, capsys):
@@ -330,7 +348,7 @@ def test_default_config_echo_is_pinned():
     # format: an echo written earlier must reproduce its run.
     config = cli.build_config({})
     assert cli.config_echo_text(config) == DEFAULT_ECHO
-    assert cli.config_hash(config) == "921955767115b6e8"
+    assert cli.config_echo_text(config).splitlines()[-1] == "config_hash=921955767115b6e8"
 
 
 def test_negative_lora_rank_is_rejected_in_every_mode(cfg_file, tmp_path, capsys):

@@ -121,7 +121,7 @@ def test_target_ranks_agree_with_rank_gallery():
         targets = rng.integers(0, gallery.shape[0], size=queries.shape[0])
         rankings = rank_gallery(queries, gallery)
         want = 1 + np.argmax(rankings == targets[:, None], axis=1)
-        got = target_ranks(queries, gallery, targets)
+        got, _ = target_ranks(queries, gallery, targets, targets[:, None])
         assert np.array_equal(got, want)
 
 
@@ -157,7 +157,9 @@ def test_ranks_with_ties_before_and_after_the_target():
     ranks, sub_ranks = target_ranks(queries, gallery, targets, subsets)
     want, want_sub = target_ranks_by_sort(queries, gallery, targets, subsets)
     assert np.array_equal(ranks, want) and np.array_equal(sub_ranks, want_sub)
-    assert np.array_equal(target_ranks(queries, gallery, targets), want)
+    # A subset holding the target alone leaves the global ranks as they are.
+    alone, alone_sub = target_ranks(queries, gallery, targets, targets[:, None])
+    assert np.array_equal(alone, want) and (alone_sub == 1).all()
     assert np.array_equal(subset_target_ranks(queries, gallery, subsets, targets), want_sub)
     assert ranks.dtype == sub_ranks.dtype == np.int64
     # Target 5 shares its vector with rows 0, 2, 7 and 10: two tied rows
@@ -178,7 +180,7 @@ def test_ranks_past_the_uint16_count_range():
     targets = np.array([3, 69_000, 12])
     targets[2] = int(np.argsort(-(queries[2] @ gallery.T), kind="stable")[-1])
     want = target_ranks_by_sort(queries, gallery, targets)
-    got = target_ranks(queries, gallery, targets)
+    got, _ = target_ranks(queries, gallery, targets, targets[:, None])
     assert np.array_equal(got, want) and got.max() == 70_000
 
 
@@ -257,17 +259,17 @@ def test_cirr_avg_arithmetic():
     with pytest.raises(ConfigError):
         cirr_avg(MetricReport("val", {10: 50.0}, 50.0, {1: 50.0}))
     with pytest.raises(ConfigError):
-        cirr_avg(MetricReport("val", {5: 50.0}, 50.0, None))
+        cirr_avg(MetricReport("val", {5: 50.0}, 50.0, {}))
 
 
 def test_generalization_gap():
-    tr = MetricReport("train", {1: 90.0, 5: 90.0}, 90.0)
-    va = MetricReport("val", {1: 50.0, 5: 50.0}, 50.0)
+    tr = MetricReport("train", {1: 90.0, 5: 90.0}, 90.0, {1: 95.0})
+    va = MetricReport("val", {1: 50.0, 5: 50.0}, 50.0, {1: 60.0})
     assert generalization_gap(tr, va) == 40.0
     assert generalization_gap(tr, tr) == 0.0
     assert generalization_gap(va, tr) == -generalization_gap(tr, va)
     with pytest.raises(ConfigError):
-        generalization_gap(tr, MetricReport("val", {1: 50.0}, 50.0))
+        generalization_gap(tr, MetricReport("val", {1: 50.0}, 50.0, {1: 60.0}))
 
 
 def quad_loss(ps):

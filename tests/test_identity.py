@@ -1,0 +1,57 @@
+"""scripts/identity.py's fixed job set writes the same files on both eval paths."""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+from wrf import cli, worker
+
+REPO = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("identity", REPO / "scripts" / "identity.py")
+identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(identity)
+
+
+def run_jobs(workdir: Path, monkeypatch, forks: bool) -> dict[str, bytes]:
+    """The fixed set at 8 epochs through cli.main, with or without forked workers."""
+    workdir.mkdir()
+    identity.write_configs(workdir, epochs=8)
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(worker, "available", lambda: forks)
+    outcomes = {}
+    for argv in identity.JOBS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        outcomes[" ".join(argv)] = identity.outcome(code, out.getvalue())
+    return identity.snapshot(workdir, outcomes)
+
+
+def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
+    inprocess = run_jobs(tmp_path / "inprocess", monkeypatch, False)
+    forked = run_jobs(tmp_path / "worker", monkeypatch, True)
+    assert identity.differences(inprocess, forked) == []
+    assert all(out.startswith(b"exit 0\n") for name, out in inprocess.items() if name[0] == "<")
+    for name in ("runs/default/best.ckpt", "runs/relu_lora/epoch_7.ckpt",
+                 "runs/relu_lora/landscape.csv", "sweep/fraction_0.25_seed1/epoch_8.ckpt",
+                 "sweep/sweep_summary.csv"):
+        assert name in inprocess, name
+    assert not any(name.endswith(".rng.json") for name in inprocess)
+
+
+def test_comparison_masks_only_the_wall_clock_columns(tmp_path):
+    for side, seconds in (("a", "0.5"), ("b", "0.7")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "metrics.csv").write_text(
+            f"epoch,split,loss,seconds\n1,train,0.25,{seconds}\n")
+        (tmp_path / side / "other.csv").write_text(f"seconds\n{seconds}\n")
+    a, b = identity.snapshot(tmp_path / "a", {}), identity.snapshot(tmp_path / "b", {})
+    assert identity.differences(a, b) == ["differs: other.csv"]
+    (tmp_path / "b" / "extra.ckpt.rng.json").write_text("{}")
+    b = identity.snapshot(tmp_path / "b", {"train": identity.outcome(0, "x\n")})
+    assert identity.differences(a, b) == [
+        "only in change: <wrf train>", "only in change: extra.ckpt.rng.json",
+        "differs: other.csv",
+    ]

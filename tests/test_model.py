@@ -132,8 +132,15 @@ def test_lora_warm_start_equals_base_model():
 
 
 def test_lora_rank_validation():
-    with pytest.raises(ConfigError, match="exceeds min dim"):
-        RetrievalModel(SMALL, mode="lora", lora_rank=5).init_params()  # min dim is 4
+    # SMALL's fusion weights are (9, 5), (5, 4), (4, 4): rank 5 first
+    # exceeds the second one. The check runs at construction.
+    with pytest.raises(ConfigError) as info:
+        RetrievalModel(SMALL, mode="lora", lora_rank=5)
+    assert str(info.value) == "rank 5 exceeds min dim of 'fusion.1.w' with shape (5, 4)"
+    with pytest.raises(ConfigError) as info:
+        RetrievalModel(ModelConfig(), "lora", 50)
+    assert str(info.value) == "rank 50 exceeds min dim of 'fusion.0.w' with shape (40, 64)"
+    RetrievalModel(SMALL, mode="lora", lora_rank=4)
     with pytest.raises(ConfigError):
         RetrievalModel(SMALL, mode="lora", lora_rank=0)
     with pytest.raises(ConfigError):

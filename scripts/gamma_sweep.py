@@ -3,21 +3,23 @@
 
 Runs the reference task once per (gamma, seed) with the training knobs
 pinned to the gradient-limited regime, where the budget actually moves
-the gap, then prints per-gamma means: best-epoch val Rmean, train/val
-gap, and the gap cut relative to gamma=0. Run directories plus a
-sweep_summary.csv land under --out.
+the gap. `wrf sweep` then prints per-gamma seed means: best-epoch val
+Rmean, train/val gap, and the gap cut relative to gamma=0. Run
+directories plus a sweep_summary.csv land under --out.
 """
 
 import argparse
-import csv
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 from wrf.cli import main as wrf_main
 
 GAMMAS = "0,0.0005,0.001,0.002,0.005"
 
+# The gap study needs training to stay gradient-limited, or the per-step
+# parameter movement swamps a <=0.5% relative perturbation. relu at small
+# eta0 with a wide init puts the baseline there while the largest gamma
+# still bites.
 KNOBS = {
     "activation": "relu",
     "eta0": 0.002,
@@ -25,41 +27,12 @@ KNOBS = {
 }
 
 
-def write_config(path: Path, out_dir: Path, **extra) -> None:
-    entries = {"out_dir": out_dir, **KNOBS, **extra}
-    path.write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
-
-
-def read_summary(path: Path):
-    by_value = defaultdict(list)
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            by_value[float(row["value"])].append(row)
-    return dict(sorted(by_value.items()))
-
-
-def mean(rows, field):
-    return sum(float(r[field]) for r in rows) / len(rows)
-
-
 def run(out: Path, seeds: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg = out / "sweep.cfg"
-    write_config(cfg, out)
-    rc = wrf_main(["sweep", "--config", str(cfg), "--param", "gamma",
-                   "--values", GAMMAS, "--seeds", seeds])
-    if rc != 0:
-        return rc
-    summary = read_summary(out / "sweep_summary.csv")
-    base_gap = mean(summary[0.0], "gap_at_best")
-    base_rmean = mean(summary[0.0], "best_val_rmean")
-    print(f"\n{'gamma':>8} {'val rmean':>10} {'drm':>7} {'gap':>8} {'cut %':>7}")
-    for value, rows in summary.items():
-        rmean = mean(rows, "best_val_rmean")
-        gap = mean(rows, "gap_at_best")
-        print(f"{value:8.4f} {rmean:10.3f} {rmean - base_rmean:+7.2f} "
-              f"{gap:8.3f} {100 * (1 - gap / base_gap):7.1f}")
-    return 0
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in {"out_dir": out, **KNOBS}.items()))
+    return wrf_main(["sweep", "--config", str(cfg), "--param", "gamma",
+                     "--values", GAMMAS, "--seeds", seeds])
 
 
 if __name__ == "__main__":

@@ -14,11 +14,7 @@ from pathlib import Path
 
 from wrf.cli import main as wrf_main
 
-KNOBS = {
-    "activation": "relu",
-    "eta0": 0.002,
-    "init_scale": 8.0,
-}
+from gamma_sweep import KNOBS  # the gap study's gradient-limited regime
 
 
 def run(out: Path, seed: int, gamma: float) -> int:

@@ -78,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.run_name or "/" in self.run_name:
             raise ConfigError(f"run_name must be a plain directory name, got {self.run_name!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.fraction <= 1.0):
             raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
         # Building every component config and the model validates all
@@ -242,6 +244,24 @@ def _sweep_config(base: dict, param: str, value, seed: int) -> ExperimentConfig:
     return build_config(mapping)
 
 
+def print_sweep_table(param: str, finished: dict) -> None:
+    """One row per swept value with finished runs: their count and seed means.
+
+    drm is the change of best val Rmean against the first row, cut the
+    % of the first row's best-epoch gap that the value removes (nan when
+    that gap is 0).
+    """
+    for row, (value, records) in enumerate(finished.items()):
+        rmean = sum(r.best_val_rmean for r in records) / len(records)
+        gap = sum(r.gap_at_best() for r in records) / len(records)
+        if row == 0:
+            base_rmean, base_gap = rmean, gap
+            print(f"{param:>9} {'runs':>4} {'val rmean':>10} {'drm':>8} {'gap':>8} {'cut %':>7}")
+        cut = 100 * (1 - gap / base_gap) if base_gap else float("nan")
+        print(f"{_format_value(param, value):>9} {len(records):>4} {rmean:10.3f} "
+              f"{rmean - base_rmean:+8.3f} {gap:8.3f} {cut:7.1f}")
+
+
 def cmd_sweep(args) -> int:
     try:
         base = apply_overrides(read_config_file(args.config), args.set)
@@ -257,6 +277,7 @@ def cmd_sweep(args) -> int:
         return _fail(str(exc), 2)
 
     rows = []
+    finished = {}  # value -> RunRecords of its finished runs, in seed order
     failures = 0
     out_root = Path(planned[0][2].out_dir)
     for value, seed, config in planned:
@@ -266,6 +287,7 @@ def cmd_sweep(args) -> int:
             failures += 1
             print(f"error: run {config.run_name} failed: {exc}", file=sys.stderr)
             continue
+        finished.setdefault(value, []).append(record)
         warm = config.warmup_epochs
         rows.append(
             f"{args.param},{_format_value(args.param, value)},{seed},"
@@ -277,6 +299,7 @@ def cmd_sweep(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     summary = out_root / "sweep_summary.csv"
     summary.write_text("\n".join([SWEEP_HEADER, *rows]) + "\n", encoding="utf-8")
+    print_sweep_table(args.param, finished)
     print(f"summary: {summary} ({len(rows)} rows, {failures} failed)")
     return 4 if failures else 0
 

@@ -19,7 +19,7 @@ sweeps are nested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,32 +182,18 @@ def generate(config: DatasetConfig, edit_maps: np.ndarray | None = None) -> Synt
     return SynthDataset(config, train, val, gallery, mod_embeddings, edit_maps=maps)
 
 
-def subsample(table: TripletTable, fraction: float, seed: int) -> TripletTable:
-    """Seeded sample without replacement of ceil(fraction * n) rows.
+def subsample_dataset(dataset: SynthDataset, fraction: float, seed: int) -> SynthDataset:
+    """Same dataset with a seeded sample of ceil(fraction * n) train rows.
 
     Shared seed gives nested subsets: the sample is a prefix of one
-    permutation, so subsample(0.2) is contained in subsample(0.4).
-    Row order of the original table is preserved.
+    permutation, so fraction 0.2 is contained in fraction 0.4. Row order
+    of the train table is preserved; val and gallery are untouched.
     """
-    if not (0.0 < fraction <= 1.0):
-        raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        return table
-    n = len(table)
-    count = math.ceil(fraction * n)
-    perm = np.random.default_rng([_SUB_TAG, seed]).permutation(n)
-    return table.take(np.sort(perm[:count]))
-
-
-def subsample_dataset(dataset: SynthDataset, fraction: float, seed: int) -> SynthDataset:
-    """Same dataset with a subsampled train table; val and gallery untouched."""
     if fraction == 1.0:
         return dataset
-    return SynthDataset(
-        dataset.config,
-        subsample(dataset.train, fraction, seed),
-        dataset.val,
-        dataset.gallery,
-        dataset.mod_embeddings,
-        dataset.edit_maps,
-    )
+    if not (0.0 < fraction <= 1.0):
+        raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
+    n = len(dataset.train)
+    perm = np.random.default_rng([_SUB_TAG, seed]).permutation(n)
+    train = dataset.train.take(np.sort(perm[: math.ceil(fraction * n)]))
+    return replace(dataset, train=train)

@@ -6,8 +6,9 @@ checks 7-12 rerun the desk-scale training studies and assert their
 directional outcomes. The studies share one reference setup (d_ref=32,
 gallery 2048, 512/512 split, hidden 64x64, batch 64, adamw + cosine,
 60 epochs with 3 warm-up) and pin the free knobs (eta0, init_scale,
-activation) per study to the regime where its effect is measurable;
-the regime notes sit next to each fixture. Every run is seeded, so the
+activation) per study to the regime where its effect is measurable.
+Each study's knobs, grid and regime notes are those of its driver in
+scripts/, so a study is defined once. Every run is seeded, so the
 verdicts are reproducible from machine to machine, wall-clock checks
 aside.
 """
@@ -18,6 +19,9 @@ import time
 import numpy as np
 import pytest
 
+import data_fractions
+import direction_ablation
+import gamma_sweep
 from wrf import diffcore
 from wrf.checkpoint import load_checkpoint
 from wrf.cli import ExperimentConfig, build_dataset
@@ -44,22 +48,22 @@ from wrf.trainer import (
 
 from oracles import cirr_avg, contrastive_q2t, rank_gallery, recall_at_k
 
-SEEDS = (0, 1, 2, 3, 4)
-GAMMA_SWEEP = (0.0, 5e-4, 1e-3, 2e-3, 5e-3)
-RHO_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
-# Check 7/12: the gap study needs training to stay gradient-limited, or
-# the per-step parameter movement swamps a <=0.5% relative perturbation.
-# relu at small eta0 with a wide init puts the baseline there while the
-# largest sweep gamma still bites.
-GAP_KNOBS = dict(activation="relu", eta0=2e-3, init_scale=8.0)
-# Checks 8/9: direction effects only separate from seed noise where the
-# fit is fast and noisy; a 2% budget makes the random direction a real
-# regularizer instead of a no-op, so the three-way ordering resolves.
-RATIO_KNOBS = dict(activation="relu", eta0=1.2e-2, init_scale=6.0)
-RATIO_GAMMA = 2e-2
-# Check 11 runs at the module defaults (tanh, eta0 1e-3, init 1.0).
+def _grid(values: str) -> tuple:
+    return tuple(float(v) for v in values.split(","))
+
+
+SEEDS = (0, 1, 2, 3, 4)
+# Checks 7, 10 and 12.
+GAMMA_SWEEP = _grid(gamma_sweep.GAMMAS)
+GAP_KNOBS = gamma_sweep.KNOBS
+# Checks 8 and 9.
+RHO_GRID = _grid(direction_ablation.RHOS)
+RATIO_KNOBS = direction_ablation.KNOBS
+RATIO_GAMMA = direction_ablation.GAMMA
+# Check 11.
+FRACTIONS = _grid(data_fractions.FRACTIONS)
+FRACTION_KNOBS = data_fractions.KNOBS
 
 GRAD_RTOL = 1e-6
 GRAD_ATOL = 1e-8
@@ -342,7 +346,7 @@ def fraction_study(datasets, tmp_path_factory):
     for fraction in FRACTIONS:
         rows[fraction] = []
         for seed in SEEDS:
-            cfg = ExperimentConfig(gamma=0.0, seed=seed)
+            cfg = ExperimentConfig(seed=seed, **FRACTION_KNOBS)
             subset = subsample_dataset(datasets[seed], fraction, seed=seed)
             out = root / f"f{fraction:g}_s{seed}"
             rows[fraction].append(train(cfg.train_config(), cfg.model_config(), subset, out_dir=out))

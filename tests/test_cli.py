@@ -1,6 +1,7 @@
 """Front-end behavior: exit codes, echo round-trips, artifact layout."""
 
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from wrf import cli
 from wrf.errors import ConfigError
+from wrf.trainer import EpochRow, RunRecord
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -130,18 +132,61 @@ def test_sweep_summary_schema(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def is_table_header(line: str) -> bool:
+    return line.split()[1:] == ["runs", "val", "rmean", "drm", "gap", "cut", "%"]
+
+
 def test_sweep_continues_past_failing_run(cfg_file, tmp_path, capsys):
-    # fraction 0.01 leaves one of the 40 training triplets: that run fails
-    # once its dataset is built, the others must still complete.
+    # fraction 0.01 leaves one of the 40 training triplets: those runs fail
+    # once their dataset is built, the others must still complete, and the
+    # table holds the seed means of the summary rows of the values left.
     code = cli.main([
         "sweep", "--config", str(cfg_file), "--param", "fraction",
-        "--values", "0.01,0.5", "--seeds", "0",
+        "--values", "0.01,0.5,1.0", "--seeds", "0,1",
     ])
     assert code == 4
+    out, err = capsys.readouterr()
+    assert [line.split(" failed: ")[0] for line in err.splitlines()] == [
+        "error: run fraction_0.01_seed0", "error: run fraction_0.01_seed1"]
     lines = (tmp_path / "out" / "sweep_summary.csv").read_text().strip().split("\n")
-    assert len(lines) == 2  # header plus the surviving run
+    assert len(lines) == 5  # header plus the four surviving runs
     assert lines[1].startswith("fraction,0.5,0,")
-    assert "failed" in capsys.readouterr().err
+    by_value = {}
+    for line in lines[1:]:
+        cells = line.split(",")
+        by_value.setdefault(cells[1], []).append((float(cells[3]), float(cells[5])))
+    assert list(by_value) == ["0.5", "1.0"]
+    out_lines = out.splitlines()
+    start = next(i for i, line in enumerate(out_lines) if is_table_header(line))
+    assert out_lines[start].split()[0] == "fraction"
+    assert out_lines[start + 3].startswith("summary: ")
+    base_rmean = base_gap = None
+    for line, (value, runs) in zip(out_lines[start + 1 : start + 3], by_value.items()):
+        rmean = sum(r for r, _ in runs) / len(runs)
+        gap = sum(g for _, g in runs) / len(runs)
+        if base_rmean is None:
+            base_rmean, base_gap = rmean, gap
+        assert line.split() == [
+            value, str(len(runs)), f"{rmean:.3f}", f"{rmean - base_rmean:+.3f}",
+            f"{gap:.3f}", f"{100 * (1 - gap / base_gap):.1f}",
+        ]
+
+
+def test_sweep_table_cut_is_nan_when_the_first_gap_is_0(capsys):
+    def record(rmean, gap):
+        row = EpochRow(epoch=1, train_loss=1.0, lr=0.1, seconds=0.0, adv_steps=0,
+                       rand_steps=0, gap=gap)
+        return RunRecord(seed=0, rows=[row], best_epoch=1, best_val_rmean=rmean)
+
+    cli.print_sweep_table("gamma", {0.0: [record(5.0, 0.0)],
+                                    0.01: [record(6.0, 2.0), record(7.0, 1.0)]})
+    assert capsys.readouterr().out.splitlines() == [
+        "    gamma runs  val rmean      drm      gap   cut %",
+        "      0.0    1      5.000   +0.000    0.000     nan",
+        "     0.01    2      6.500   +1.500    1.500     nan",
+    ]
+    cli.print_sweep_table("gamma", {})  # no run finished: no table
+    assert capsys.readouterr().out == ""
 
 
 LORA_RANK_50 = "error: rank 50 exceeds min dim of 'fusion.0.w' with shape (40, 64)\n"
@@ -351,6 +396,25 @@ def test_default_config_echo_is_pinned():
     assert cli.config_echo_text(config).splitlines()[-1] == "config_hash=921955767115b6e8"
 
 
+def test_negative_seed_is_rejected_before_any_run_dir(cfg_file, tmp_path, capsys):
+    message = "error: seed must be >= 0, got -1\n"
+    assert cli.main(["train", "--config", str(cfg_file), "--set", "seed=-1"]) == 2
+    assert capsys.readouterr().err == message
+    assert cli.main(["sweep", "--config", str(cfg_file), "--param", "rho",
+                     "--values", "0.5", "--seeds", "-1"]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+    # landscape refuses a run whose echo records a negative seed
+    assert cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"]) == 0
+    run_dir = tmp_path / "out" / "a"
+    echo = run_dir / "config.echo"
+    echo.write_text(echo.read_text().replace("\nseed=0\n", "\nseed=-1\n"))
+    capsys.readouterr()
+    assert cli.main(["landscape", "--checkpoint", str(run_dir / "best.ckpt")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (run_dir / "landscape.csv").exists()
+
+
 def test_negative_lora_rank_is_rejected_in_every_mode(cfg_file, tmp_path, capsys):
     for mode in ("full", "lora"):
         with pytest.raises(ConfigError, match="lora_rank must be >= 0"):
@@ -449,3 +513,27 @@ def test_study_driver_help(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+# Driver -> (table headers its stdout holds, files its run writes under --out).
+DRIVER_OUTPUTS = {
+    "data_fractions": (1, ["sweep_summary.csv"]),
+    "direction_ablation": (2, ["baseline/sweep_summary.csv", "rho_grid/sweep_summary.csv"]),
+    "gamma_sweep": (1, ["sweep_summary.csv"]),
+    "landscape_compare": (0, ["baseline/landscape.csv", "perturbed/landscape.csv"]),
+}
+
+
+@pytest.mark.parametrize("script", sorted(DRIVER_OUTPUTS))
+def test_study_driver_runs_end_to_end(script, tmp_path, monkeypatch, capsys):
+    # Each driver at the smoke size with one seed; its own knobs stay on
+    # wherever SMALL_CFG does not set them.
+    driver = importlib.import_module(script)
+    for key, value in cli.parse_config_lines(SMALL_CFG.splitlines()).items():
+        monkeypatch.setitem(driver.KNOBS, key, value)
+    args = (0, 0.005) if script == "landscape_compare" else ("0",)
+    assert driver.run(tmp_path, *args) == 0
+    tables, files = DRIVER_OUTPUTS[script]
+    assert sum(map(is_table_header, capsys.readouterr().out.splitlines())) == tables
+    for name in files:
+        assert (tmp_path / name).is_file(), name

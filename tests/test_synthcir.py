@@ -10,7 +10,6 @@ from wrf.synthcir import (
     DatasetConfig,
     _nearest_subsets,
     generate,
-    subsample,
     subsample_dataset,
 )
 
@@ -136,23 +135,23 @@ def test_tables_are_read_only(small_ds):
 
 
 def test_subsample_counts_and_membership(small_ds):
-    sub = subsample(small_ds.train, 0.5, seed=0)
+    sub = subsample_dataset(small_ds, 0.5, seed=0).train
     assert len(sub) == 20
     original = set(small_ds.train.target_indices.tolist())
     assert set(sub.target_indices.tolist()) <= original
 
 
 def test_subsample_identity_and_validation(small_ds):
-    assert subsample(small_ds.train, 1.0, seed=0) is small_ds.train
+    assert subsample_dataset(small_ds, 1.0, seed=0) is small_ds
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ConfigError):
-            subsample(small_ds.train, bad, seed=0)
+            subsample_dataset(small_ds, bad, seed=0)
 
 
 def test_subsample_nesting(small_ds):
     fractions = [0.2, 0.4, 0.6, 0.8, 1.0]
     picks = [
-        set(subsample(small_ds.train, f, seed=11).target_indices.tolist())
+        set(subsample_dataset(small_ds, f, seed=11).train.target_indices.tolist())
         for f in fractions
     ]
     for smaller, larger in zip(picks[:-1], picks[1:]):
@@ -168,8 +167,8 @@ def test_subsample_nesting(small_ds):
 def test_subsample_properties(seed, f1, f2):
     ds = generate(SMALL)
     lo, hi = sorted((f1, f2))
-    a = subsample(ds.train, lo, seed=seed)
-    b = subsample(ds.train, hi, seed=seed)
+    a = subsample_dataset(ds, lo, seed=seed).train
+    b = subsample_dataset(ds, hi, seed=seed).train
     assert len(a) == int(np.ceil(lo * len(ds.train)))
     assert set(a.target_indices.tolist()) <= set(b.target_indices.tolist())
 

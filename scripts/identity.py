@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that this checkout writes what a parent revision writes, byte for byte.
 
-Runs one fixed set of wrf jobs (four training configs, two landscape
+Runs one fixed set of wrf jobs (five training configs, two landscape
 probes, one fraction sweep) on this checkout's working tree and on a
 parent revision, which is checked out with `git worktree add` into a
 temporary directory and removed afterwards. Both sides run from the same
@@ -42,12 +42,14 @@ CONFIGS = {
     "lora": {"finetune_mode": "lora", "lora_rank": "4", "gamma": "0.01", "rho": "0.5"},
     "relu_lora": {"activation": "relu", "finetune_mode": "lora", "lora_rank": "2",
                   "checkpoint_every": "7", "eval_every": "3"},
+    "sgd": {"optimizer": "sgd", "schedule": "constant", "gamma": "0.01", "rho": "0.5"},
     "sweep": {"out_dir": "sweep"},
 }
 
 # wrf arguments, in run order; each probe reads a best.ckpt trained before it.
 JOBS = (
-    *(["train", "--config", f"{name}.cfg"] for name in ("default", "ablation", "lora", "relu_lora")),
+    *(["train", "--config", f"{name}.cfg"]
+      for name in ("default", "ablation", "lora", "relu_lora", "sgd")),
     *(["landscape", "--checkpoint", f"runs/{name}/best.ckpt"] for name in ("ablation", "relu_lora")),
     ["sweep", "--config", "sweep.cfg", "--param", "fraction", "--values", "0.25,0.5",
      "--seeds", "0,1"],

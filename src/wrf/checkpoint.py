@@ -66,7 +66,7 @@ def load_checkpoint(
         if offset + nbytes > len(body):
             raise DataError(f"{path}: truncated data for layer {name!r}")
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(shape)
-        layers[name] = arr.copy()
+        layers[name] = arr  # ParameterSet copies it into its buffer
         offset += nbytes
     if offset != len(body):
         raise DataError(f"{path}: {len(body) - offset} trailing bytes after last layer")

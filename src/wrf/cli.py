@@ -296,9 +296,12 @@ def cmd_sweep(args) -> int:
             f"{record.seconds_per_epoch(skip_warmup=warm)!r}"
         )
         print(f"{config.run_name}: best val rmean {record.best_val_rmean:.4f}")
-    out_root.mkdir(parents=True, exist_ok=True)
     summary = out_root / "sweep_summary.csv"
-    summary.write_text("\n".join([SWEEP_HEADER, *rows]) + "\n", encoding="utf-8")
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+        summary.write_text("\n".join([SWEEP_HEADER, *rows]) + "\n", encoding="utf-8")
+    except OSError as exc:
+        return _fail(f"cannot write {summary}: {exc}", 2)
     print_sweep_table(args.param, finished)
     print(f"summary: {summary} ({len(rows)} rows, {failures} failed)")
     return 4 if failures else 0

@@ -6,14 +6,17 @@ ParameterSet. Everything is dense float64 numpy; every node's output is
 checked finite so a blow-up is reported at the node that produced it
 instead of surfacing later as a silent NaN. The check stays per node
 because a non-finite intermediate can vanish before the loss
-(relu(-inf) is 0).
+(relu(-inf) is 0). It takes r.dot(r) over the output's ravel, which is
+finite only when every entry is, and runs np.isfinite only when it is
+not, to tell a sum of squares that overflows from a non-finite entry.
 
 Executor.forward walks Graph.nodes directly. Backward runs steps that
 skip every node unable to reach a trainable parameter, so no gradient is
 formed for inputs or frozen layers; the graph caches them per (loss
 node, trainable names), and appending nodes never stales that cache
 because a node depends only on lower ids. Pruning changes no bit of the
-gradients that remain.
+gradients that remain, which are views of one buffer laid out like
+ParameterSet.flat.
 
 Softmax cross-entropy takes each row reduction once: forward keeps
 exp(logits - row max) and its row sums, and the probabilities are
@@ -38,13 +41,14 @@ suite catches it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, StateError
-from .params import GradientSet, ParameterSet
+from .params import GradientSet, ParameterSet, carve
 
 # Rows with L2 norm below this are mapped to zero by l2norm_rows instead
 # of dividing by ~0. Their gradient is zero as well.
@@ -71,6 +75,11 @@ class _Op(NamedTuple):
     backward: Callable
     donates: tuple[int, ...]
     pins_output: bool
+
+
+def _all_finite(a) -> bool:
+    r = a.ravel()
+    return math.isfinite(r.dot(r)) or bool(np.isfinite(r).all())
 
 
 def _require_2d(node_id: int, op: str, arr: np.ndarray, role: str) -> None:
@@ -145,7 +154,10 @@ def _fw_l2norm_rows(i, x):
     _require_2d(i, "l2norm_rows", x, "input")
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     safe = norms > NORM_EPS
-    y = np.where(safe, x / np.where(safe, norms, 1.0), 0.0)
+    if safe.all():  # the np.where form is x / norms, bit for bit; None marks it
+        y, safe = x / norms, None
+    else:
+        y = np.where(safe, x / np.where(safe, norms, 1.0), 0.0)
     return y, (y, norms, safe)
 
 
@@ -153,8 +165,8 @@ def _bw_l2norm_rows(i, g, ctx):
     y, norms, safe = ctx
     # d/dx of x/|x| pushes g onto the tangent of the unit sphere.
     inner = (g * y).sum(axis=1, keepdims=True)
-    gx = np.where(safe, (g - inner * y) / np.where(safe, norms, 1.0), 0.0)
-    return (gx,)
+    gx = (g - inner * y) / (norms if safe is None else np.where(safe, norms, 1.0))
+    return (gx if safe is None else np.where(safe, gx, 0.0),)
 
 
 def _fw_pairwise_dot(i, u, v):
@@ -378,7 +390,7 @@ class Executor:
                     if arg not in inputs:
                         raise ConfigError(f"missing input {arg!r}")
                     out = np.asarray(inputs[arg], dtype=np.float64)
-                    if not np.isfinite(out).all():
+                    if not _all_finite(out):
                         raise NumericError(f"input {arg!r} has non-finite entries")
                 elif op == "param":
                     if arg not in params:
@@ -394,7 +406,7 @@ class Executor:
                     else:
                         out, ctxs[i] = ops[op].forward(i, *args, out=values[j])
                         values[j] = None
-                    if not np.isfinite(out).all():
+                    if not _all_finite(out):
                         raise NumericError(f"node {i} ({op}) produced non-finite values")
                 values[i] = out
         self._values = values
@@ -421,13 +433,18 @@ class Executor:
         adjoints[loss_node] = np.ones_like(loss_val)
         ctxs = self._ctx
         ops = _OPS
-        grads: GradientSet = {}
+        # Each gradient is a view of one buffer laid out like params.flat;
+        # a layer the loss does not reach keeps its zeros.
+        grads = GradientSet()
+        grads.flat = np.zeros(params.flat.size)
+        views = carve(grads.flat, params.spans)
         for i, op, arg, ins in graph.backward_steps(loss_node, params.trainable_names):
             g = adjoints[i]
             if g is None:
                 continue
             if op == "param":
-                grads[arg] = np.array(g, dtype=np.float64)
+                grads[arg] = views[arg]
+                grads[arg][...] = g
                 continue
             in_grads = ops[op].backward(i, g, ctxs[i])
             for j, gj in zip(ins, in_grads):
@@ -438,7 +455,7 @@ class Executor:
                 adjoints[j] = gj if prev is None else prev + gj
         for name in params.trainable_names:
             if name not in grads:
-                grads[name] = np.zeros_like(params[name])
+                grads[name] = views[name]
         _PASS_COUNTS["backward"] += 1
         return grads
 
@@ -457,17 +474,13 @@ def finite_diff_gradient(
     if not (h > 0.0 and np.isfinite(h)):
         raise ConfigError(f"step size h must be positive and finite, got {h}")
     work = params.copy()
-    grads: GradientSet = {}
-    for name in params.trainable_names:
-        flat = work[name].reshape(-1)
-        out = np.zeros_like(flat)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            up = loss_fn(work)
-            flat[k] = orig - h
-            down = loss_fn(work)
-            flat[k] = orig
-            out[k] = (up - down) / (2.0 * h)
-        grads[name] = out.reshape(work[name].shape)
-    return grads
+    flat, out = work.flat, np.zeros(work.flat.size)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        up = loss_fn(work)
+        flat[k] = orig - h
+        down = loss_fn(work)
+        flat[k] = orig
+        out[k] = (up - down) / (2.0 * h)
+    return carve(out, params.spans)

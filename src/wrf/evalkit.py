@@ -194,8 +194,8 @@ def landscape_probe(
             for j, alpha in enumerate(alphas):
                 probe = params  # the alpha=0 row is the exact base loss
                 if alpha != 0.0:
-                    scaled = {n: alpha * d for n, d in pert.deltas.items()}
-                    probe = apply_perturbation(params, Perturbation(scaled, pert.kind))
+                    scaled = Perturbation(alpha * pert.flat, pert.kind, pert.spans)
+                    probe = apply_perturbation(params, scaled)
                 try:
                     val = float(loss_fn(probe))
                 except NumericError:

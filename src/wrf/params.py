@@ -4,59 +4,85 @@ A ParameterSet is the single currency for model weights across the
 package: the trainer mutates one, perturbations copy one, checkpoints
 serialize one. Iteration order is insertion order and is part of the
 contract; checkpoint files and gradient dicts follow it.
+
+A set keeps its values in two contiguous float64 buffers: `flat` holds
+the trainable layers in trainable order, `frozen` the others, and each
+layer is a view into one of them. `spans` locates every trainable layer
+in `flat` as (name, start, stop, shape), so an array laid out like
+`flat` (a gradient, a perturbation, an AdamW moment) is updated in one
+operation and cut into layer views by carve.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 
-# Gradients are plain dicts keyed exactly by the trainable layer names.
-GradientSet = dict[str, np.ndarray]
+class GradientSet(dict):
+    """Trainable layer name -> gradient. Executor.backward's values are
+    views of `flat`, one buffer laid out like ParameterSet.flat."""
+
+    __slots__ = ("flat",)
+
+
+def _pack(arrays: Mapping[str, np.ndarray], names: list[str]) -> tuple[tuple, np.ndarray]:
+    # The spans of names' layers one after another, and a new buffer holding them.
+    stops = itertools.accumulate(arrays[n].size for n in names)
+    spans = tuple((n, b - arrays[n].size, b, arrays[n].shape) for n, b in zip(names, stops))
+    return spans, np.concatenate([np.zeros(0), *(arrays[n].ravel() for n in names)])
+
+
+def carve(buf: np.ndarray, spans: tuple) -> dict[str, np.ndarray]:
+    """Per-layer views of buf, one per span."""
+    return {name: buf[a:b].reshape(shape) for name, a, b, shape in spans}
 
 
 class ParameterSet:
     """Ordered mapping of layer name -> float64 tensor, with trainable flags.
 
     Arrays are copied in and owned by the set. __getitem__ hands out the
-    live array, so in-place updates (optimizer steps) go through it;
-    anything that must not alias calls copy() first.
+    live view, so in-place updates (optimizer steps) go through it or
+    through `flat`; anything that must not alias calls copy() first.
+    names (insertion order), trainable_names, spans, flat and frozen are
+    read-only attributes.
     """
 
-    __slots__ = ("_layers", "_trainable")
+    __slots__ = ("_layers", "_layout", "names", "trainable_names", "spans", "flat", "frozen")
 
     def __init__(
         self,
         layers: Mapping[str, np.ndarray],
         trainable: Iterable[str] | None = None,
     ):
-        self._layers: dict[str, np.ndarray] = {
-            name: np.array(value, dtype=np.float64) for name, value in layers.items()
-        }
+        arrays = {name: np.asarray(value, dtype=np.float64) for name, value in layers.items()}
+        wanted = set(arrays if trainable is None else trainable)
+        spans, flat = _pack(arrays, [n for n in arrays if n in wanted])
+        frozen_spans, frozen = _pack(arrays, [n for n in arrays if n not in wanted])
+        self._attach((tuple(arrays), spans, frozen_spans), flat, frozen)
         self.require_finite()
-        if not self._layers:
+        if not arrays:
             raise ConfigError("a ParameterSet needs at least one layer")
-        if trainable is None:
-            self._trainable = tuple(self._layers)
-        else:
-            wanted = set(trainable)
-            unknown = wanted - set(self._layers)
-            if unknown:
-                raise ConfigError(f"trainable names not present: {sorted(unknown)}")
-            self._trainable = tuple(n for n in self._layers if n in wanted)
-        if not self._trainable:
+        unknown = wanted - set(arrays)
+        if unknown:
+            raise ConfigError(f"trainable names not present: {sorted(unknown)}")
+        if not wanted:
             raise ConfigError("at least one layer must be trainable")
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._layers)
+    def _attach(self, layout, flat: np.ndarray, frozen: np.ndarray) -> "ParameterSet":
+        self.names, self.spans, frozen_spans = self._layout = layout
+        views = carve(flat, self.spans) | carve(frozen, frozen_spans)
+        self._layers = {n: views[n] for n in self.names}
+        self.trainable_names = tuple(s[0] for s in self.spans)
+        self.flat, self.frozen = flat, frozen
+        return self
 
-    @property
-    def trainable_names(self) -> tuple[str, ...]:
-        return self._trainable
+    def __reduce__(self):
+        """Pickle the two buffers, so the views alias them again on load."""
+        return _from_buffers, (self._layout, self.flat, self.frozen)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._layers[name]
@@ -76,6 +102,12 @@ class ParameterSet:
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {n: a.shape for n, a in self._layers.items()}
 
+    def flatten(self, grads: Mapping[str, np.ndarray]) -> np.ndarray:
+        """grads laid out like flat: GradientSet.flat, or a packed copy of a plain dict."""
+        flat = getattr(grads, "flat", None)
+        return flat if flat is not None else np.concatenate(
+            [np.ravel(grads[n]) for n in self.trainable_names], dtype=np.float64)
+
     def require_finite(self) -> None:
         """Raise NumericError naming the first layer with a non-finite entry.
 
@@ -88,12 +120,13 @@ class ParameterSet:
                 raise NumericError(f"layer {name!r} has non-finite entries")
 
     def copy(self) -> "ParameterSet":
-        """A deep copy. The arrays are owned float64 already, so neither
+        """A deep copy of both buffers; the layout is shared, and neither
         conversion nor the finiteness check runs again."""
-        dup = ParameterSet.__new__(ParameterSet)
-        dup._layers = {n: a.copy() for n, a in self._layers.items()}
-        dup._trainable = self._trainable
-        return dup
+        return _from_buffers(self._layout, self.flat.copy(), self.frozen.copy())
+
+
+def _from_buffers(layout, flat: np.ndarray, frozen: np.ndarray) -> ParameterSet:
+    return ParameterSet.__new__(ParameterSet)._attach(layout, flat, frozen)
 
 
 def check_gradient_keys(params: ParameterSet, grads: GradientSet) -> None:

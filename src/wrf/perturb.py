@@ -17,22 +17,28 @@ theta bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
-from .params import GradientSet, ParameterSet, check_gradient_keys
+from .errors import ConfigError, NumericError
+from .params import GradientSet, ParameterSet, carve, check_gradient_keys
 
 # Below this, a norm counts as zero and the layer is left unperturbed.
 ZERO_NORM_EPS = 1e-12
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Per-layer deltas over the trainable layers, and the kind that drew them."""
+    """A delta laid out like ParameterSet.flat (spans), its kind, and its layer views."""
 
-    deltas: dict[str, np.ndarray]
+    flat: np.ndarray
     kind: str
+    spans: tuple
+
+    @property
+    def deltas(self) -> dict[str, np.ndarray]:
+        return carve(self.flat, self.spans)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -42,33 +48,34 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def _build(params: ParameterSet, raw: dict[str, np.ndarray], gamma: float, kind: str) -> Perturbation:
-    """Rescale raw directions to ||delta_l|| = gamma * ||theta_l|| per layer."""
-    deltas: dict[str, np.ndarray] = {}
-    for name in params.trainable_names:
-        w_norm = float(np.linalg.norm(params[name]))
-        direction = raw[name]
-        d_norm = float(np.linalg.norm(direction))
-        if gamma == 0.0 or d_norm < ZERO_NORM_EPS or w_norm < ZERO_NORM_EPS:
-            deltas[name] = np.zeros_like(params[name])
-        else:
-            deltas[name] = direction * (gamma * w_norm / d_norm)
-    return Perturbation(deltas, kind)
+def _build(params: ParameterSet, raw: np.ndarray, gamma: float, kind: str) -> Perturbation:
+    """Rescale raw (laid out like params.flat) to ||delta_l|| = gamma * ||theta_l||
+    per layer; each norm is sqrt(view.dot(view)), as np.linalg.norm takes it."""
+    delta = np.zeros(params.flat.size)
+    if gamma != 0.0:
+        for _, a, b, _ in params.spans:
+            w, direction = params.flat[a:b], raw[a:b]
+            w_norm, d_norm = math.sqrt(w.dot(w)), math.sqrt(direction.dot(direction))
+            if not (d_norm < ZERO_NORM_EPS or w_norm < ZERO_NORM_EPS):
+                np.multiply(direction, gamma * w_norm / d_norm, out=delta[a:b])
+    return Perturbation(delta, kind, params.spans)
 
 
 def adversarial_perturbation(params: ParameterSet, grads: GradientSet, gamma: float) -> Perturbation:
     gamma = _check_gamma(gamma)
     check_gradient_keys(params, grads)
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"gradient for layer {name!r} has non-finite entries")
-    return _build(params, grads, gamma, "adversarial")
+    flat = params.flatten(grads)
+    if not np.isfinite(flat).all():
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise NumericError(f"gradient for layer {name!r} has non-finite entries")
+    return _build(params, flat, gamma, "adversarial")
 
 
 def random_perturbation(params: ParameterSet, gamma: float, rng: np.random.Generator) -> Perturbation:
+    """One draw of flat.size normals: the same stream as a draw per layer."""
     gamma = _check_gamma(gamma)
-    raw = {n: rng.standard_normal(params[n].shape) for n in params.trainable_names}
-    return _build(params, raw, gamma, "random")
+    return _build(params, rng.standard_normal(params.flat.size), gamma, "random")
 
 
 def choose_kind(rho: float, rng: np.random.Generator) -> str:
@@ -77,15 +84,9 @@ def choose_kind(rho: float, rng: np.random.Generator) -> str:
 
 
 def apply_perturbation(params: ParameterSet, pert: Perturbation) -> ParameterSet:
-    """Return a new ParameterSet with deltas added to the trainable layers."""
-    if set(pert.deltas) != set(params.trainable_names):
-        raise ConfigError(
-            f"perturbation covers {sorted(pert.deltas)}, params train {sorted(params.trainable_names)}"
-        )
+    """Return a new ParameterSet with the delta added to the trainable layers."""
+    if pert.spans != params.spans:
+        raise ConfigError(f"perturbation layout {pert.spans} does not fit params {params.spans}")
     out = params.copy()
-    for name, delta in pert.deltas.items():
-        arr = out[name]
-        if delta.shape != arr.shape:
-            raise ShapeError(f"delta for {name!r}: {delta.shape} vs {arr.shape}")
-        arr += delta
+    out.flat += pert.flat
     return out

@@ -75,10 +75,9 @@ def check_gradient_oracle(n_seeds: int = 25) -> CheckResult:
         oracle = finite_diff_gradient(
             lambda p: model.batch_loss(p, refs, mods, targets, tau=5.0), params
         )
-        for name in oracle:
-            gap = np.abs(grads[name] - oracle[name])
-            allowed = np.maximum(GRAD_RTOL * np.abs(oracle[name]), GRAD_ATOL)
-            worst = max(worst, float((gap / allowed).max()))
+        want = params.flatten(oracle)
+        allowed = np.maximum(GRAD_RTOL * np.abs(want), GRAD_ATOL)
+        worst = max(worst, float((np.abs(params.flatten(grads) - want) / allowed).max()))
     ok = worst <= 1.0
     return CheckResult(
         "gradient-oracle", ok,
@@ -126,10 +125,7 @@ def _trajectory_gap(cfg: TrainConfig, params_seed: int, step_a, step_b) -> float
     for _ in range(50):
         step_a(state_a, _TOY_BATCH, cfg, obj)
         step_b(state_b, _TOY_BATCH, cfg, obj)
-    return max(
-        float(np.abs(state_a.params[n] - state_b.params[n]).max())
-        for n in state_a.params.names
-    )
+    return float(np.abs(state_a.params.flat - state_b.params.flat).max())
 
 
 def check_gamma_zero_collapse() -> CheckResult:

@@ -173,8 +173,8 @@ class TrainState:
     rng_noise: np.random.Generator
     epoch: int = 0
     adam_t: int = 0
-    m: GradientSet | None = None
-    v: GradientSet | None = None
+    m: np.ndarray | None = None  # AdamW moments, laid out like params.flat
+    v: np.ndarray | None = None
 
 
 def new_train_state(config: TrainConfig, params: ParameterSet) -> TrainState:
@@ -207,27 +207,28 @@ class StepInfo:
 
 
 def _optimizer_update(state: TrainState, grads: GradientSet, lr: float, config: TrainConfig) -> None:
-    params = state.params
+    # In place on params.flat. AdamW keeps the operation order of
+    # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    # theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta).
+    theta, g = state.params.flat, state.params.flatten(grads)
     if config.optimizer == "sgd":
-        for name in params.trainable_names:
-            arr = params[name]
-            arr -= lr * grads[name]
+        theta -= lr * g
         return
     if state.m is None:
-        state.m = {n: np.zeros_like(params[n]) for n in params.trainable_names}
-        state.v = {n: np.zeros_like(params[n]) for n in params.trainable_names}
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     state.adam_t += 1
-    b1, b2 = config.beta1, config.beta2
-    bc1 = 1.0 - b1**state.adam_t
-    bc2 = 1.0 - b2**state.adam_t
-    for name in params.trainable_names:
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        arr = params[name]
-        arr -= lr * (m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * arr)
+    b1, b2, m, v = config.beta1, config.beta2, state.m, state.v
+    tmp, step = np.empty_like(theta), np.empty_like(theta)
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=tmp)
+    v *= b2
+    v += np.multiply(np.multiply(1.0 - b2, g, out=tmp), g, out=tmp)
+    np.sqrt(np.divide(v, 1.0 - b2**state.adam_t, out=tmp), out=tmp)
+    tmp += config.eps
+    np.divide(np.divide(m, 1.0 - b1**state.adam_t, out=step), tmp, out=step)
+    step += np.multiply(config.weight_decay, theta, out=tmp)
+    step *= lr
+    theta -= step
 
 
 def _pass(objective: Objective, params: ParameterSet, batch: TripletBatch,
@@ -289,10 +290,8 @@ def wrf_step_literal_sgd(
     if config.optimizer != "sgd":
         raise ConfigError("the literal update form is defined for sgd only")
     info, pert, perturbed, grads_p = _two_passes(state, batch, config, objective)
-    for name in perturbed.trainable_names:
-        arr = perturbed[name]
-        arr -= info.lr * grads_p[name]
-        arr -= pert.deltas[name]
+    perturbed.flat -= info.lr * perturbed.flatten(grads_p)
+    perturbed.flat -= pert.flat
     state.params = perturbed
     return info
 

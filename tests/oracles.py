@@ -6,8 +6,11 @@ the rank-of-target counting in ``wrf.evalkit`` and for the nearest
 neighbour subsets in ``wrf.synthcir``, the contrastive loss on plain
 arrays for the graph form in ``wrf.loss``, a node-by-node executor
 without backward pruning for ``wrf.diffcore.Executor``, the softmax
-cross-entropy kernel pair that forms the probabilities in forward, and
-one forward plus one backward through a graph's final node.
+cross-entropy kernel pair that forms the probabilities in forward, the
+l2norm_rows pair in its np.where form only, and one forward plus one
+backward through a graph's final node. The layer-by-layer forms of the
+optimizer updates, the perturbation build and its apply are the
+references for the package's single operations on ``ParameterSet.flat``.
 
 It also holds the small helpers only tests use: pass-count deltas,
 bit-for-bit parameter equality, sharpness under a perturbation and the
@@ -21,7 +24,7 @@ from wrf.diffcore import Executor, Graph
 from wrf.errors import ConfigError, DataError, NumericError, ShapeError
 from wrf.evalkit import MetricReport
 from wrf.params import GradientSet, ParameterSet
-from wrf.perturb import Perturbation, apply_perturbation
+from wrf.perturb import ZERO_NORM_EPS, Perturbation, apply_perturbation
 
 # How far a row norm may drift from 1 before contrastive_q2t rejects it.
 UNIT_NORM_ATOL = 1e-6
@@ -75,6 +78,78 @@ def softmax_xent_forward(i, logits):
 def softmax_xent_backward(i, g, ctx):
     probs, n = ctx
     return ((probs - np.eye(n)) * (float(g) / n),)
+
+
+def l2norm_rows_forward(i, x):
+    """Unit rows; rows with norm <= NORM_EPS map to 0, through np.where always."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    safe = norms > diffcore.NORM_EPS
+    y = np.where(safe, x / np.where(safe, norms, 1.0), 0.0)
+    return y, (y, norms, safe)
+
+
+def l2norm_rows_backward(i, g, ctx):
+    y, norms, safe = ctx
+    inner = (g * y).sum(axis=1, keepdims=True)
+    return (np.where(safe, (g - inner * y) / np.where(safe, norms, 1.0), 0.0),)
+
+
+def sgd_per_layer(params: ParameterSet, grads, lr: float) -> None:
+    """theta_l -= lr * g_l, one layer at a time."""
+    for name in params.trainable_names:
+        arr = params[name]
+        arr -= lr * grads[name]
+
+
+def adamw_per_layer(params: ParameterSet, moments: dict, grads, lr: float, config) -> None:
+    """One AdamW step, one layer at a time; moments holds m, v (per-layer
+    dicts, created on the first call) and t."""
+    if "m" not in moments:
+        moments["m"] = {n: np.zeros_like(params[n]) for n in params.trainable_names}
+        moments["v"] = {n: np.zeros_like(params[n]) for n in params.trainable_names}
+        moments["t"] = 0
+    moments["t"] += 1
+    b1, b2 = config.beta1, config.beta2
+    bc1 = 1.0 - b1 ** moments["t"]
+    bc2 = 1.0 - b2 ** moments["t"]
+    m, v = moments["m"], moments["v"]
+    for name in params.trainable_names:
+        g = grads[name]
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        arr = params[name]
+        arr -= lr * (m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * arr)
+
+
+def random_directions_per_layer(params: ParameterSet, rng: np.random.Generator) -> dict:
+    """One standard normal draw per trainable layer, in trainable order."""
+    return {n: rng.standard_normal(params[n].shape) for n in params.trainable_names}
+
+
+def build_per_layer(params: ParameterSet, raw, gamma: float) -> dict:
+    """delta_l = raw_l * (gamma * ||theta_l|| / ||raw_l||), zeros where a norm
+    is below ZERO_NORM_EPS or gamma is 0."""
+    deltas = {}
+    for name in params.trainable_names:
+        w_norm = float(np.linalg.norm(params[name]))
+        direction = raw[name]
+        d_norm = float(np.linalg.norm(direction))
+        if gamma == 0.0 or d_norm < ZERO_NORM_EPS or w_norm < ZERO_NORM_EPS:
+            deltas[name] = np.zeros_like(params[name])
+        else:
+            deltas[name] = direction * (gamma * w_norm / d_norm)
+    return deltas
+
+
+def apply_per_layer(params: ParameterSet, deltas) -> ParameterSet:
+    """A copy of params with each delta added to its layer."""
+    out = params.copy()
+    for name, delta in deltas.items():
+        arr = out[name]
+        arr += delta
+    return out
 
 
 class NodeByNodeExecutor:

@@ -136,6 +136,25 @@ def is_table_header(line: str) -> bool:
     return line.split()[1:] == ["runs", "val", "rmean", "drm", "gap", "cut", "%"]
 
 
+def test_sweep_into_an_out_dir_that_is_a_file_is_an_error_line(tmp_path, capsys):
+    # Every run fails on the file, then the summary cannot be written: an
+    # IO error (exit 2) with an error: line, not a traceback.
+    blocker = tmp_path / "out"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(SMALL_CFG + f"out_dir={blocker}\n", encoding="utf-8")
+    code = cli.main(["sweep", "--config", str(cfg), "--param", "fraction",
+                     "--values", "0.5", "--seeds", "0,1"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert [line.split(" failed: ")[0] for line in lines[:2]] == [
+        "error: run fraction_0.5_seed0", "error: run fraction_0.5_seed1"]
+    assert lines[2].startswith(f"error: cannot write {blocker / 'sweep_summary.csv'}: ")
+    assert len(lines) == 3 and "summary:" not in out
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_sweep_continues_past_failing_run(cfg_file, tmp_path, capsys):
     # fraction 0.01 leaves one of the 40 training triplets: those runs fail
     # once their dataset is built, the others must still complete, and the

@@ -18,6 +18,8 @@ from wrf.params import ParameterSet
 
 from oracles import (
     NodeByNodeExecutor,
+    l2norm_rows_backward,
+    l2norm_rows_forward,
     softmax_xent_backward,
     softmax_xent_forward,
     value_and_grad,
@@ -477,6 +479,72 @@ def test_overflow_names_the_same_node_as_node_by_node():
             ex.forward(batch, ps, out)
         messages.append(str(err.value))
     assert messages[0] == messages[1] and "(matmul)" in messages[0]
+
+
+# ------------------------------------------------- the per-node finite check
+
+
+def test_finite_entries_whose_sum_of_squares_overflows_pass():
+    x = np.array([[1e200, -1e200], [3e199, 1e-300]])
+    r = x.ravel()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(r.dot(r))  # the cheap test alone would reject x
+    g = Graph()
+    y = g.bias_add(g.scalar_mul(g.input("x"), 1.0), g.param("b"))
+    out = Executor(g).forward({"x": x}, ParameterSet({"b": np.zeros(2)}), y)
+    assert out.tobytes() == x.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert diffcore._all_finite(x) and diffcore._all_finite(np.full(4, 1e300))
+        for bad in (np.inf, -np.inf, np.nan):
+            assert not diffcore._all_finite(np.array([1e200, bad]))
+
+
+def _poison(op, value):
+    """op's forward with one output entry (the last) replaced by value."""
+    original = diffcore._OPS[op]
+
+    def forward(i, *args, **kwargs):
+        out, ctx = original.forward(i, *args, **kwargs)
+        if np.ndim(out) == 0:
+            return np.float64(value), ctx
+        out = np.array(out)
+        out.flat[-1] = value
+        return out, ctx
+
+    return original._replace(forward=forward)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("activation,mode", [("tanh", "lora"), ("relu", "full")])
+def test_a_nonfinite_value_at_any_node_names_that_node(monkeypatch, activation, mode, value):
+    model, ps, batch = _model_case(activation, mode, 0)
+    g, out = model._loss_graph(5.0)
+    ops = {node.op for node in g.nodes if node.op in diffcore._OPS}
+    assert len(ops) == (9 if mode == "lora" else 8)
+    for op in sorted(ops):
+        first = next(i for i, node in enumerate(g.nodes) if node.op == op)
+        with monkeypatch.context() as m:
+            m.setitem(diffcore._OPS, op, _poison(op, value))
+            with pytest.raises(NumericError) as err:
+                Executor(g).forward(batch, ps, out)
+        assert str(err.value) == f"node {first} ({op}) produced non-finite values"
+
+
+@pytest.mark.parametrize("zero_rows", [0, 1, 3])
+def test_l2norm_rows_fast_path_is_the_where_form_bit_for_bit(zero_rows):
+    rng = np.random.default_rng(zero_rows)
+    op = diffcore._OPS["l2norm_rows"]
+    for scale in (1e-6, 1.0, 1e150):
+        x = rng.normal(size=(9, 5)) * scale
+        x[:zero_rows] = 0.0
+        y, ctx = op.forward(0, x)
+        want_y, want_ctx = l2norm_rows_forward(0, x)
+        assert y.tobytes() == want_y.tobytes()
+        assert (ctx[2] is None) == (zero_rows == 0)  # None marks the all-safe path
+        g = rng.normal(size=x.shape)
+        (gx,) = op.backward(0, g, ctx)
+        (want_gx,) = l2norm_rows_backward(0, g, want_ctx)
+        assert gx.tobytes() == want_gx.tobytes()
 
 
 # ------------------------------------- softmax_xent vs the reference kernel

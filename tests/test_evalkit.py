@@ -278,9 +278,9 @@ def quad_loss(ps):
 
 def test_sharpness_quadratic_hand_value():
     ps = ParameterSet({"w": np.array([1.0])})
-    pert = Perturbation({"w": np.array([0.5])}, "adversarial")
+    pert = Perturbation(np.array([0.5]), "adversarial", ps.spans)
     assert sharpness(quad_loss, ps, pert) == pytest.approx(0.625, abs=1e-15)
-    zero = Perturbation({"w": np.zeros(1)}, "adversarial")
+    zero = Perturbation(np.zeros(1), "adversarial", ps.spans)
     assert sharpness(quad_loss, ps, zero) == 0.0
 
 
@@ -423,7 +423,7 @@ def test_flatness_score_cross_checks_against_sharpness():
     raw = dir_rng.standard_normal(ps["w"].shape)
     w_norm = np.linalg.norm(ps["w"])
     delta = raw * (w_norm / np.linalg.norm(raw)) * 0.05
-    pert = Perturbation({"w": delta}, "random")
+    pert = Perturbation(delta.ravel(), "random", ps.spans)
     assert score == pytest.approx(sharpness(quad_loss, ps, pert), abs=1e-12)
     with pytest.raises(ConfigError):
         flatness_score(curves, alpha=0.037)

@@ -1,5 +1,7 @@
 """ParameterSet construction, ordering, copying, and validation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,69 @@ def test_check_gradient_keys_contract():
         check_gradient_keys(ps, {"a": np.zeros((2, 2)), "b": np.zeros(3)})
     with pytest.raises(ConfigError):
         check_gradient_keys(ps, {"a": np.zeros((2, 3))})
+
+
+def lora_like_set():
+    """Frozen and trainable layers interleaved, as in lora mode."""
+    return ParameterSet(
+        {"w0": np.ones((2, 3)), "a0": np.full((2, 1), 2.0), "b0": np.full((1, 3), 3.0),
+         "bias": np.arange(3.0), "w1": np.full((3, 2), 4.0), "s": np.float64(5.0)},
+        trainable=["a0", "b0", "bias", "s"],
+    )
+
+
+def test_layers_are_views_of_the_two_buffers():
+    ps = lora_like_set()
+    assert ps.flat.shape == (2 + 3 + 3 + 1,) and ps.frozen.shape == (6 + 6,)
+    for name in ps.names:
+        buf = ps.flat if name in ps.trainable_names else ps.frozen
+        assert np.shares_memory(ps[name], buf), name
+    # trainable layers sit in trainable order in flat, frozen ones in insertion order
+    assert ps.flat.tolist() == [2.0, 2.0, 3.0, 3.0, 3.0, 0.0, 1.0, 2.0, 5.0]
+    assert ps.frozen.tolist() == [1.0] * 6 + [4.0] * 6
+    assert [s[:3] for s in ps.spans] == [("a0", 0, 2), ("b0", 2, 5), ("bias", 5, 8), ("s", 8, 9)]
+    ps.flat[5] = -1.0
+    ps["w1"][0, 0] = -4.0
+    assert ps["bias"][0] == -1.0 and ps.frozen[6] == -4.0
+
+
+def test_copy_is_independent_of_its_source():
+    ps = lora_like_set()
+    dup = ps.copy()
+    assert dup.names == ps.names and dup.spans == ps.spans
+    assert not np.shares_memory(dup.flat, ps.flat)
+    assert not np.shares_memory(dup.frozen, ps.frozen)
+    assert all(np.shares_memory(dup[n], dup.flat if n in dup.trainable_names else dup.frozen)
+               for n in dup.names)
+    dup.flat += 1.0
+    dup.frozen[...] = 0.0
+    assert equal_bits(ps, lora_like_set())
+    ps["bias"][...] = 7.0
+    assert dup["bias"].tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "bad, named", [(("b0", "w1"), "b0"), (("w1", "s"), "w1"), (("w0", "a0"), "w0")],
+)
+def test_require_finite_names_the_first_layer_in_insertion_order_across_buffers(bad, named):
+    ps = lora_like_set()
+    for name in bad:
+        ps[name].flat[-1] = np.inf if name == bad[0] else np.nan
+    with pytest.raises(NumericError, match=f"layer '{named}' has non-finite entries"):
+        ps.require_finite()
+    with pytest.raises(NumericError, match=f"layer '{named}' has non-finite entries"):
+        ParameterSet(dict(ps.items()), trainable=ps.trainable_names)
+
+
+def test_pickle_round_trip_keeps_the_aliasing():
+    ps = lora_like_set()
+    fn, args = ps.__reduce__()
+    assert args[1] is ps.flat and args[2] is ps.frozen  # the buffers, not one array per layer
+    back = pickle.loads(pickle.dumps(ps))
+    assert equal_bits(back, ps)
+    assert back.trainable_names == ps.trainable_names and back.spans == ps.spans
+    for name in back.names:
+        assert np.shares_memory(back[name], back.flat if name in back.trainable_names
+                                else back.frozen), name
+    back.flat[...] = 0.0
+    assert not back["a0"].any() and ps["a0"].all()

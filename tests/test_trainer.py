@@ -176,8 +176,8 @@ def test_adamw_moments_track_perturbed_gradient_only():
     state = new_train_state(cfg, ParameterSet({"w": np.array([1.0])}))
     wrf_step(state, DUMMY_BATCH, cfg, obj)
     g_prime = float(obj.calls[1]["w"][0])
-    assert state.m["w"][0] == pytest.approx(0.1 * g_prime, abs=1e-15)
-    assert state.v["w"][0] == pytest.approx(0.001 * g_prime**2, abs=1e-15)
+    assert state.m[0] == pytest.approx(0.1 * g_prime, abs=1e-15)
+    assert state.v[0] == pytest.approx(0.001 * g_prime**2, abs=1e-15)
 
 
 def test_cosine_schedule_anchors():

@@ -2,9 +2,9 @@
 """Check that this checkout writes what a parent revision writes, byte for byte.
 
 Runs one fixed set of wrf jobs (five training configs, two landscape
-probes, one fraction sweep) on this checkout's working tree and on a
-parent revision, which is checked out with `git worktree add` into a
-temporary directory and removed afterwards. Both sides run from the same
+probes, one fraction sweep, selfcheck) on this checkout's working tree
+and on a parent revision, which is checked out with `git worktree add`
+into a temporary directory and removed afterwards. Both sides run from the same
 relative out_dir, on three paths:
 
   worker     python -m wrf.cli, OPENBLAS_NUM_THREADS=1 (eval worker forks)
@@ -53,6 +53,7 @@ JOBS = (
     *(["landscape", "--checkpoint", f"runs/{name}/best.ckpt"] for name in ("ablation", "relu_lora")),
     ["sweep", "--config", "sweep.cfg", "--param", "fraction", "--values", "0.25,0.5",
      "--seeds", "0,1"],
+    ["selfcheck"],  # its table holds no timings
 )
 
 # CSV file name -> the wall-clock column left out of its comparison.

@@ -15,8 +15,7 @@ skip every node unable to reach a trainable parameter, so no gradient is
 formed for inputs or frozen layers; the graph caches them per (loss
 node, trainable names), and appending nodes never stales that cache
 because a node depends only on lower ids. Pruning changes no bit of the
-gradients that remain, which are views of one buffer laid out like
-ParameterSet.flat.
+gradient, one float64 array laid out like ParameterSet.flat.
 
 Softmax cross-entropy takes each row reduction once: forward keeps
 exp(logits - row max) and its row sums, and the probabilities are
@@ -48,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, StateError
-from .params import GradientSet, ParameterSet, carve
+from .params import ParameterSet, carve
 
 # Rows with L2 norm below this are mapped to zero by l2norm_rows instead
 # of dividing by ~0. Their gradient is zero as well.
@@ -369,11 +368,9 @@ class Executor:
         self,
         inputs: dict[str, np.ndarray],
         params: ParameterSet,
-        output: int | None = None,
+        output: int,
     ) -> np.ndarray:
         nodes = self.graph.nodes
-        if output is None:
-            output = len(nodes) - 1
         if not (0 <= output < len(nodes)):
             raise ConfigError(f"output node id {output} out of range")
         unknown = inputs.keys() - self.graph._input_ids.keys()
@@ -415,12 +412,12 @@ class Executor:
         _PASS_COUNTS["forward"] += 1
         return values[output]
 
-    def backward(self, loss_node: int | None = None) -> GradientSet:
+    def backward(self, loss_node: int) -> np.ndarray:
+        """The gradient of loss_node, laid out like params.flat; a
+        trainable layer the loss does not reach keeps its zeros."""
         if self._values is None or self._params is None:
             raise StateError("backward called before forward")
         graph = self.graph
-        if loss_node is None:
-            loss_node = len(graph.nodes) - 1
         loss_val = self._values[loss_node]
         if loss_val is None:
             raise StateError(f"node {loss_node}'s buffer was donated; pass it as forward's output")
@@ -433,18 +430,14 @@ class Executor:
         adjoints[loss_node] = np.ones_like(loss_val)
         ctxs = self._ctx
         ops = _OPS
-        # Each gradient is a view of one buffer laid out like params.flat;
-        # a layer the loss does not reach keeps its zeros.
-        grads = GradientSet()
-        grads.flat = np.zeros(params.flat.size)
-        views = carve(grads.flat, params.spans)
+        grad = np.zeros(params.flat.size)
+        views = carve(grad, params.spans)
         for i, op, arg, ins in graph.backward_steps(loss_node, params.trainable_names):
             g = adjoints[i]
             if g is None:
                 continue
             if op == "param":
-                grads[arg] = views[arg]
-                grads[arg][...] = g
+                views[arg][...] = g
                 continue
             in_grads = ops[op].backward(i, g, ctxs[i])
             for j, gj in zip(ins, in_grads):
@@ -453,19 +446,17 @@ class Executor:
                 # Adjoints are never updated in place, so aliasing gj is safe.
                 prev = adjoints[j]
                 adjoints[j] = gj if prev is None else prev + gj
-        for name in params.trainable_names:
-            if name not in grads:
-                grads[name] = views[name]
         _PASS_COUNTS["backward"] += 1
-        return grads
+        return grad
 
 
 def finite_diff_gradient(
     loss_fn: Callable[[ParameterSet], float],
     params: ParameterSet,
     h: float = 1e-5,
-) -> GradientSet:
-    """Central-difference gradient of loss_fn over the trainable layers.
+) -> np.ndarray:
+    """Central-difference gradient of loss_fn over the trainable layers,
+    laid out like params.flat.
 
     Independent of the graph machinery on purpose: this is the oracle
     the backward rules are checked against. loss_fn must be a pure
@@ -483,4 +474,4 @@ def finite_diff_gradient(
         down = loss_fn(work)
         flat[k] = orig
         out[k] = (up - down) / (2.0 * h)
-    return carve(out, params.spans)
+    return out

@@ -27,7 +27,7 @@ import numpy as np
 from . import worker
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .params import ParameterSet
-from .perturb import Perturbation, apply_perturbation, random_perturbation
+from .perturb import apply_perturbation, random_perturbation
 
 _DIR_TAG = 0x51
 
@@ -189,13 +189,12 @@ def landscape_probe(
     def curves(d_ids: range) -> list[LandscapeCurve]:
         out = []
         for d_id in d_ids:
-            pert = random_perturbation(params, 1.0, np.random.default_rng([_DIR_TAG, seed, d_id]))
+            direction = random_perturbation(params, 1.0, np.random.default_rng([_DIR_TAG, seed, d_id]))
             losses = np.empty(len(alphas))
             for j, alpha in enumerate(alphas):
                 probe = params  # the alpha=0 row is the exact base loss
                 if alpha != 0.0:
-                    scaled = Perturbation(alpha * pert.flat, pert.kind, pert.spans)
-                    probe = apply_perturbation(params, scaled)
+                    probe = apply_perturbation(params, alpha * direction)
                 try:
                     val = float(loss_fn(probe))
                 except NumericError:

@@ -22,7 +22,7 @@ import numpy as np
 from .diffcore import Executor, Graph
 from .errors import ConfigError
 from .loss import attach_q2t_loss
-from .params import GradientSet, ParameterSet
+from .params import ParameterSet
 
 # Seed stream tags, distinct across modules so an equal integer seed
 # never aliases two different random draws.
@@ -170,7 +170,7 @@ class RetrievalModel:
 
     def loss_and_grads(
         self, params: ParameterSet, refs, mods, targets, tau: float
-    ) -> tuple[float, GradientSet]:
+    ) -> tuple[float, np.ndarray]:
         g, out = self._loss_graph(tau)
         ex = Executor(g)
         val = ex.forward({"refs": refs, "mods": mods, "targets": targets}, params, out)

@@ -3,14 +3,15 @@
 A ParameterSet is the single currency for model weights across the
 package: the trainer mutates one, perturbations copy one, checkpoints
 serialize one. Iteration order is insertion order and is part of the
-contract; checkpoint files and gradient dicts follow it.
+contract; checkpoint files follow it.
 
 A set keeps its values in two contiguous float64 buffers: `flat` holds
 the trainable layers in trainable order, `frozen` the others, and each
-layer is a view into one of them. `spans` locates every trainable layer
-in `flat` as (name, start, stop, shape), so an array laid out like
-`flat` (a gradient, a perturbation, an AdamW moment) is updated in one
-operation and cut into layer views by carve.
+layer is a view into one of them. A gradient, a perturbation and an
+AdamW moment are plain float64 arrays laid out like `flat`, so each is
+updated in one operation; `spans` locates every trainable layer in
+`flat` as (name, start, stop, shape), and carve(buf, spans) is the one
+way to cut such an array into layer views.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigError, NumericError
-
-class GradientSet(dict):
-    """Trainable layer name -> gradient. Executor.backward's values are
-    views of `flat`, one buffer laid out like ParameterSet.flat."""
-
-    __slots__ = ("flat",)
 
 
 def _pack(arrays: Mapping[str, np.ndarray], names: list[str]) -> tuple[tuple, np.ndarray]:
@@ -102,11 +97,10 @@ class ParameterSet:
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {n: a.shape for n, a in self._layers.items()}
 
-    def flatten(self, grads: Mapping[str, np.ndarray]) -> np.ndarray:
-        """grads laid out like flat: GradientSet.flat, or a packed copy of a plain dict."""
-        flat = getattr(grads, "flat", None)
-        return flat if flat is not None else np.concatenate(
-            [np.ravel(grads[n]) for n in self.trainable_names], dtype=np.float64)
+    def check_flat(self, buf: np.ndarray, what: str) -> None:
+        """ConfigError unless buf (a gradient, a delta) is laid out like flat."""
+        if np.shape(buf) != self.flat.shape:
+            raise ConfigError(f"{what} has shape {np.shape(buf)}, expected {self.flat.shape}")
 
     def require_finite(self) -> None:
         """Raise NumericError naming the first layer with a non-finite entry.
@@ -127,16 +121,3 @@ class ParameterSet:
 
 def _from_buffers(layout, flat: np.ndarray, frozen: np.ndarray) -> ParameterSet:
     return ParameterSet.__new__(ParameterSet)._attach(layout, flat, frozen)
-
-
-def check_gradient_keys(params: ParameterSet, grads: GradientSet) -> None:
-    """Gradient dicts must cover exactly the trainable layers, shape for shape."""
-    if set(grads) != set(params.trainable_names):
-        raise ConfigError(
-            f"gradient keys {sorted(grads)} != trainable {sorted(params.trainable_names)}"
-        )
-    for name, g in grads.items():
-        if g.shape != params[name].shape:
-            raise ConfigError(
-                f"gradient for {name!r} has shape {g.shape}, expected {params[name].shape}"
-            )

@@ -10,35 +10,24 @@ equality for every layer with a usable gradient. The random variant
 draws standard normal entries and rescales to the same per-layer
 budget, which makes the two kinds directly comparable in ablations.
 Layers with vanishing gradient or weight norm get a zero perturbation;
-frozen layers are never touched. apply_perturbation returns a perturbed
-copy and leaves its input as it was, so dropping the copy restores
-theta bit for bit.
+frozen layers are never touched. A gradient and a perturbation delta
+are plain float64 arrays laid out like ParameterSet.flat: both builders
+return delta, and the trainer keeps the kind it drew with choose_kind.
+apply_perturbation returns a perturbed copy and leaves its input as it
+was, so dropping the copy restores theta bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .params import GradientSet, ParameterSet, carve, check_gradient_keys
+from .params import ParameterSet
 
 # Below this, a norm counts as zero and the layer is left unperturbed.
 ZERO_NORM_EPS = 1e-12
-
-@dataclass(frozen=True)
-class Perturbation:
-    """A delta laid out like ParameterSet.flat (spans), its kind, and its layer views."""
-
-    flat: np.ndarray
-    kind: str
-    spans: tuple
-
-    @property
-    def deltas(self) -> dict[str, np.ndarray]:
-        return carve(self.flat, self.spans)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -48,7 +37,7 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def _build(params: ParameterSet, raw: np.ndarray, gamma: float, kind: str) -> Perturbation:
+def _build(params: ParameterSet, raw: np.ndarray, gamma: float) -> np.ndarray:
     """Rescale raw (laid out like params.flat) to ||delta_l|| = gamma * ||theta_l||
     per layer; each norm is sqrt(view.dot(view)), as np.linalg.norm takes it."""
     delta = np.zeros(params.flat.size)
@@ -58,24 +47,23 @@ def _build(params: ParameterSet, raw: np.ndarray, gamma: float, kind: str) -> Pe
             w_norm, d_norm = math.sqrt(w.dot(w)), math.sqrt(direction.dot(direction))
             if not (d_norm < ZERO_NORM_EPS or w_norm < ZERO_NORM_EPS):
                 np.multiply(direction, gamma * w_norm / d_norm, out=delta[a:b])
-    return Perturbation(delta, kind, params.spans)
+    return delta
 
 
-def adversarial_perturbation(params: ParameterSet, grads: GradientSet, gamma: float) -> Perturbation:
+def adversarial_perturbation(params: ParameterSet, grad: np.ndarray, gamma: float) -> np.ndarray:
     gamma = _check_gamma(gamma)
-    check_gradient_keys(params, grads)
-    flat = params.flatten(grads)
-    if not np.isfinite(flat).all():
-        for name, g in grads.items():
-            if not np.isfinite(g).all():
+    params.check_flat(grad, "gradient")
+    if not np.isfinite(grad).all():
+        for name, a, b, _ in params.spans:
+            if not np.isfinite(grad[a:b]).all():
                 raise NumericError(f"gradient for layer {name!r} has non-finite entries")
-    return _build(params, flat, gamma, "adversarial")
+    return _build(params, grad, gamma)
 
 
-def random_perturbation(params: ParameterSet, gamma: float, rng: np.random.Generator) -> Perturbation:
+def random_perturbation(params: ParameterSet, gamma: float, rng: np.random.Generator) -> np.ndarray:
     """One draw of flat.size normals: the same stream as a draw per layer."""
     gamma = _check_gamma(gamma)
-    return _build(params, rng.standard_normal(params.flat.size), gamma, "random")
+    return _build(params, rng.standard_normal(params.flat.size), gamma)
 
 
 def choose_kind(rho: float, rng: np.random.Generator) -> str:
@@ -83,10 +71,9 @@ def choose_kind(rho: float, rng: np.random.Generator) -> str:
     return "adversarial" if rng.random() < rho else "random"
 
 
-def apply_perturbation(params: ParameterSet, pert: Perturbation) -> ParameterSet:
-    """Return a new ParameterSet with the delta added to the trainable layers."""
-    if pert.spans != params.spans:
-        raise ConfigError(f"perturbation layout {pert.spans} does not fit params {params.spans}")
+def apply_perturbation(params: ParameterSet, delta: np.ndarray) -> ParameterSet:
+    """Return a new ParameterSet with delta added to the trainable layers."""
+    params.check_flat(delta, "perturbation")
     out = params.copy()
-    out.flat += pert.flat
+    out.flat += delta
     return out

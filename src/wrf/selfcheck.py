@@ -17,7 +17,7 @@ import numpy as np
 from . import diffcore
 from .diffcore import finite_diff_gradient
 from .model import ACTIVATIONS, MODES, ModelConfig, RetrievalModel
-from .params import ParameterSet
+from .params import ParameterSet, carve
 from .perturb import adversarial_perturbation, random_perturbation
 from .trainer import (
     TrainConfig,
@@ -44,7 +44,7 @@ class CheckResult(NamedTuple):
 class _QuadObjective:
     def loss_and_grads(self, params, batch):
         loss = 0.5 * float(sum((params[n] ** 2).sum() for n in params.trainable_names))
-        return loss, {n: params[n].copy() for n in params.trainable_names}
+        return loss, params.flat.copy()
 
 
 _TOY_BATCH = TripletBatch(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1)))
@@ -71,13 +71,12 @@ def check_gradient_oracle(n_seeds: int = 25) -> CheckResult:
         for name in params.trainable_names:
             if name.endswith(".lora_b"):  # zero at init, which leaves lora_a no gradient
                 params[name][...] = rng.normal(size=params[name].shape)
-        _, grads = model.loss_and_grads(params, refs, mods, targets, tau=5.0)
-        oracle = finite_diff_gradient(
+        _, grad = model.loss_and_grads(params, refs, mods, targets, tau=5.0)
+        want = finite_diff_gradient(
             lambda p: model.batch_loss(p, refs, mods, targets, tau=5.0), params
         )
-        want = params.flatten(oracle)
         allowed = np.maximum(GRAD_RTOL * np.abs(want), GRAD_ATOL)
-        worst = max(worst, float((np.abs(params.flatten(grads) - want) / allowed).max()))
+        worst = max(worst, float((np.abs(grad - want) / allowed).max()))
     ok = worst <= 1.0
     return CheckResult(
         "gradient-oracle", ok,
@@ -94,21 +93,22 @@ def check_perturbation_budget(n_draws: int = 250) -> CheckResult:
     for draw in range(n_draws):
         params = _toy_params(rng.integers(1 << 31))
         gamma = float(10.0 ** rng.uniform(-4, -1))
+        grad = None
         if draw % 2 == 0:
-            grads = {n: rng.normal(size=params[n].shape) for n in params.trainable_names}
+            grad = rng.normal(size=params.flat.size)  # the stream of a draw per layer
             if draw % 10 == 0:
-                grads["b"] = np.zeros_like(params["b"])  # stationary layer
-            pert = adversarial_perturbation(params, grads, gamma)
-            if draw % 10 == 0 and np.any(pert.deltas["b"] != 0.0):
-                zero_ok = False
+                carve(grad, params.spans)["b"][...] = 0.0  # stationary layer
+            delta = adversarial_perturbation(params, grad, gamma)
         else:
-            grads = None
-            pert = random_perturbation(params, gamma, rng)
-        for name in params.trainable_names:
-            if grads is not None and not np.any(grads[name]):
+            delta = random_perturbation(params, gamma, rng)
+        deltas = carve(delta, params.spans)
+        if draw % 10 == 0 and np.any(deltas["b"] != 0.0):
+            zero_ok = False
+        for name, start, stop, _ in params.spans:
+            if grad is not None and not np.any(grad[start:stop]):
                 continue
             budget = gamma * float(np.linalg.norm(params[name]))
-            got = float(np.linalg.norm(pert.deltas[name]))
+            got = float(np.linalg.norm(deltas[name]))
             worst = max(worst, abs(got - budget) / budget)
     ok = worst <= BUDGET_RTOL and zero_ok
     detail = f"max relative budget error {worst:.3e} over {n_draws} draws"

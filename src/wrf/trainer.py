@@ -42,7 +42,7 @@ from . import evalkit, worker
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, NumericError
 from .model import MODES, ModelConfig, RetrievalModel
-from .params import GradientSet, ParameterSet
+from .params import ParameterSet
 from .perturb import (
     adversarial_perturbation,
     apply_perturbation,
@@ -83,7 +83,7 @@ class TripletBatch(NamedTuple):
 class Objective(Protocol):
     def loss_and_grads(
         self, params: ParameterSet, batch: TripletBatch
-    ) -> tuple[float, GradientSet]: ...
+    ) -> tuple[float, np.ndarray]: ...
 
 
 @dataclass
@@ -206,11 +206,11 @@ class StepInfo:
     loss_perturbed: float | None = None
 
 
-def _optimizer_update(state: TrainState, grads: GradientSet, lr: float, config: TrainConfig) -> None:
+def _optimizer_update(state: TrainState, g: np.ndarray, lr: float, config: TrainConfig) -> None:
     # In place on params.flat. AdamW keeps the operation order of
     # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     # theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta).
-    theta, g = state.params.flat, state.params.flatten(grads)
+    theta = state.params.flat
     if config.optimizer == "sgd":
         theta -= lr * g
         return
@@ -232,9 +232,9 @@ def _optimizer_update(state: TrainState, grads: GradientSet, lr: float, config: 
 
 
 def _pass(objective: Objective, params: ParameterSet, batch: TripletBatch,
-          name: str, state: TrainState, gamma: float) -> tuple[float, GradientSet]:
-    """One loss_and_grads pass; a NumericError names the pass and the
-    layer norms of state.params."""
+          name: str, state: TrainState, gamma: float) -> tuple[float, np.ndarray]:
+    """One loss_and_grads pass (the gradient is laid out like params.flat);
+    a NumericError names the pass and the layer norms of state.params."""
     try:
         return objective.loss_and_grads(params, batch)
     except NumericError as exc:
@@ -248,33 +248,34 @@ def baseline_step(
 ) -> StepInfo:
     """Plain step: one pass at theta, optimizer update with its gradient."""
     lr = current_lr(config, state.epoch)
-    loss, grads = _pass(objective, state.params, batch, "loss pass", state, 0.0)
-    _optimizer_update(state, grads, lr, config)
+    loss, grad = _pass(objective, state.params, batch, "loss pass", state, 0.0)
+    _optimizer_update(state, grad, lr, config)
     return StepInfo(loss=loss, lr=lr)
 
 
 def _two_passes(state: TrainState, batch: TripletBatch, config: TrainConfig, objective: Objective):
     """Pass at theta, kind draw, perturbation of a copy, pass at theta+delta:
-    (StepInfo, perturbation, perturbed copy, gradient there); theta untouched."""
+    (StepInfo, delta, perturbed copy, gradient there); theta untouched."""
     lr = current_lr(config, state.epoch)
-    loss, grads = _pass(objective, state.params, batch, "pass at theta", state, config.gamma)
-    if choose_kind(config.rho, state.rng_kind) == "adversarial":
-        pert = adversarial_perturbation(state.params, grads, config.gamma)
+    loss, grad = _pass(objective, state.params, batch, "pass at theta", state, config.gamma)
+    kind = choose_kind(config.rho, state.rng_kind)
+    if kind == "adversarial":
+        delta = adversarial_perturbation(state.params, grad, config.gamma)
     else:
-        pert = random_perturbation(state.params, config.gamma, state.rng_noise)
-    perturbed = apply_perturbation(state.params, pert)
-    loss_p, grads_p = _pass(objective, perturbed, batch, "pass at theta+delta", state, config.gamma)
-    return StepInfo(loss=loss, lr=lr, kind=pert.kind, loss_perturbed=loss_p), pert, perturbed, grads_p
+        delta = random_perturbation(state.params, config.gamma, state.rng_noise)
+    perturbed = apply_perturbation(state.params, delta)
+    loss_p, grad_p = _pass(objective, perturbed, batch, "pass at theta+delta", state, config.gamma)
+    return StepInfo(loss=loss, lr=lr, kind=kind, loss_perturbed=loss_p), delta, perturbed, grad_p
 
 
 def wrf_step(
     state: TrainState, batch: TripletBatch, config: TrainConfig, objective: Objective
 ) -> StepInfo:
     """Two-pass step: direction from theta, update gradient from theta+delta."""
-    info, _, _, grads_p = _two_passes(state, batch, config, objective)
+    info, _, _, grad_p = _two_passes(state, batch, config, objective)
     # state.params was never mutated: dropping the perturbed copy restores
     # theta bit for bit. The optimizer then sees theta.
-    _optimizer_update(state, grads_p, info.lr, config)
+    _optimizer_update(state, grad_p, info.lr, config)
     return info
 
 
@@ -289,9 +290,9 @@ def wrf_step_literal_sgd(
     """
     if config.optimizer != "sgd":
         raise ConfigError("the literal update form is defined for sgd only")
-    info, pert, perturbed, grads_p = _two_passes(state, batch, config, objective)
-    perturbed.flat -= info.lr * perturbed.flatten(grads_p)
-    perturbed.flat -= pert.flat
+    info, delta, perturbed, grad_p = _two_passes(state, batch, config, objective)
+    perturbed.flat -= info.lr * grad_p
+    perturbed.flat -= delta
     state.params = perturbed
     return info
 

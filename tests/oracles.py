@@ -13,6 +13,7 @@ optimizer updates, the perturbation build and its apply are the
 references for the package's single operations on ``ParameterSet.flat``.
 
 It also holds the small helpers only tests use: pass-count deltas,
+packing a per-layer dict into a buffer laid out like ``ParameterSet.flat``,
 bit-for-bit parameter equality, sharpness under a perturbation and the
 CIRR-style average of two recalls.
 """
@@ -23,8 +24,8 @@ from wrf import diffcore
 from wrf.diffcore import Executor, Graph
 from wrf.errors import ConfigError, DataError, NumericError, ShapeError
 from wrf.evalkit import MetricReport
-from wrf.params import GradientSet, ParameterSet
-from wrf.perturb import ZERO_NORM_EPS, Perturbation, apply_perturbation
+from wrf.params import ParameterSet
+from wrf.perturb import ZERO_NORM_EPS, apply_perturbation
 
 # How far a row norm may drift from 1 before contrastive_q2t rejects it.
 UNIT_NORM_ATOL = 1e-6
@@ -163,10 +164,8 @@ class NodeByNodeExecutor:
     def __init__(self, graph: Graph):
         self.graph = graph
 
-    def forward(self, inputs, params, output=None):
+    def forward(self, inputs, params, output):
         nodes = self.graph.nodes
-        if output is None:
-            output = len(nodes) - 1
         values: list = [None] * len(nodes)
         ctxs: list = [None] * len(nodes)
         for i, node in enumerate(nodes):
@@ -187,10 +186,9 @@ class NodeByNodeExecutor:
         self._values, self._ctx, self._params = values, ctxs, params
         return values[output]
 
-    def backward(self, loss_node=None):
+    def backward(self, loss_node):
+        """Per-layer gradient dict, every trainable layer present."""
         nodes = self.graph.nodes
-        if loss_node is None:
-            loss_node = len(nodes) - 1
         adjoints: list = [None] * len(nodes)
         adjoints[loss_node] = np.ones_like(self._values[loss_node])
         params = self._params
@@ -271,11 +269,18 @@ def contrastive_q2t(queries: np.ndarray, targets: np.ndarray, tau: float = 10.0)
 
 def value_and_grad(
     graph: Graph, inputs: dict[str, np.ndarray], params: ParameterSet
-) -> tuple[float, GradientSet]:
-    """One forward plus one backward through the final (scalar) node."""
+) -> tuple[float, np.ndarray]:
+    """One forward plus one backward through the final (scalar) node; the
+    gradient is laid out like params.flat."""
     ex = Executor(graph)
-    loss = ex.forward(inputs, params)
-    return float(np.ravel(loss)[0]), ex.backward()
+    out = len(graph.nodes) - 1
+    loss = ex.forward(inputs, params, out)
+    return float(np.ravel(loss)[0]), ex.backward(out)
+
+
+def pack(params: ParameterSet, layers) -> np.ndarray:
+    """A per-layer dict (every trainable layer) as one buffer laid out like params.flat."""
+    return np.concatenate([np.ravel(layers[n]) for n in params.trainable_names], dtype=np.float64)
 
 
 def pass_count_delta(before: dict[str, int]) -> dict[str, int]:
@@ -291,9 +296,9 @@ def equal_bits(a: ParameterSet, b: ParameterSet) -> bool:
     return all(np.array_equal(a[n], b[n]) for n in a.names)
 
 
-def sharpness(loss_fn, params: ParameterSet, pert: Perturbation) -> float:
+def sharpness(loss_fn, params: ParameterSet, delta: np.ndarray) -> float:
     """Loss increase under a perturbation: L(theta+delta) - L(theta)."""
-    return loss_fn(apply_perturbation(params, pert)) - loss_fn(params)
+    return loss_fn(apply_perturbation(params, delta)) - loss_fn(params)
 
 
 def cirr_avg(report: MetricReport) -> float:

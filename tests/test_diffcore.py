@@ -14,12 +14,13 @@ from wrf import diffcore
 from wrf.diffcore import Executor, Graph, finite_diff_gradient
 from wrf.errors import ConfigError, NumericError, ShapeError, StateError
 from wrf.model import ModelConfig, RetrievalModel
-from wrf.params import ParameterSet
+from wrf.params import ParameterSet, carve
 
 from oracles import (
     NodeByNodeExecutor,
     l2norm_rows_backward,
     l2norm_rows_forward,
+    pack,
     softmax_xent_backward,
     softmax_xent_forward,
     value_and_grad,
@@ -29,12 +30,13 @@ FD_H = 1e-5
 FD_RTOL = 1e-6
 
 
-def max_rel_err(analytic, oracle):
+def max_rel_err(analytic, oracle, spans):
+    """Largest error per layer, relative to that layer's largest oracle entry."""
     worst = 0.0
-    for name, g_o in oracle.items():
-        g_a = analytic[name]
+    for _, a, b, _ in spans:
+        g_o = oracle[a:b]
         scale = max(np.abs(g_o).max(), 1e-10)
-        worst = max(worst, np.abs(g_a - g_o).max() / scale)
+        worst = max(worst, np.abs(analytic[a:b] - g_o).max() / scale)
     return worst
 
 
@@ -44,8 +46,8 @@ def quadratic_loss(ps):
 
 def test_finite_diff_oracle_on_quadratic():
     ps = ParameterSet({"theta": np.array([2.0, -1.5, 0.25])})
-    grads = finite_diff_gradient(quadratic_loss, ps, h=FD_H)
-    np.testing.assert_allclose(grads["theta"], ps["theta"], rtol=0, atol=1e-9)
+    grad = finite_diff_gradient(quadratic_loss, ps, h=FD_H)
+    np.testing.assert_allclose(grad, ps["theta"], rtol=0, atol=1e-9)
 
 
 def test_finite_diff_rejects_bad_step():
@@ -87,10 +89,10 @@ def run_fd_check(build, param_arrays, inputs, seed=0):
     _, analytic = value_and_grad(graph, inputs, ps)
 
     def loss_fn(p):
-        return float(np.ravel(Executor(graph).forward(inputs, p))[0])
+        return float(np.ravel(Executor(graph).forward(inputs, p, out))[0])
 
     oracle = finite_diff_gradient(loss_fn, ps, h=FD_H)
-    err = max_rel_err(analytic, oracle)
+    err = max_rel_err(analytic, oracle, ps.spans)
     assert err <= FD_RTOL, f"gradient mismatch {err:.3e}"
 
 
@@ -235,65 +237,65 @@ def test_frozen_params_get_no_gradient():
     ps = ParameterSet(
         {"a": rand((3, 4), 0), "b": rand((4, 4), 1)}, trainable=["a"]
     )
-    _, grads = value_and_grad(g, {}, ps)
-    assert set(grads) == {"a"}
+    _, grad = value_and_grad(g, {}, ps)
+    assert grad.shape == ps.flat.shape == (ps["a"].size,)
 
 
 def test_unused_trainable_param_gets_zero_gradient():
     g = Graph()
     g.softmax_xent(g.pairwise_dot(g.param("u"), g.param("u")))
     ps = ParameterSet({"u": rand((3, 4), 0), "spare": np.ones((2, 2))})
-    _, grads = value_and_grad(g, {}, ps)
-    assert np.array_equal(grads["spare"], np.zeros((2, 2)))
+    _, grad = value_and_grad(g, {}, ps)
+    assert np.array_equal(carve(grad, ps.spans)["spare"], np.zeros((2, 2)))
 
 
 def test_backward_before_forward_raises():
     g = Graph()
-    g.softmax_xent(g.pairwise_dot(g.param("u"), g.param("u")))
+    loss = g.softmax_xent(g.pairwise_dot(g.param("u"), g.param("u")))
     with pytest.raises(StateError):
-        Executor(g).backward()
+        Executor(g).backward(loss)
 
 
 def test_backward_on_nonscalar_raises():
     g = Graph()
-    g.pairwise_dot(g.param("u"), g.param("u"))
+    scores = g.pairwise_dot(g.param("u"), g.param("u"))
     ex = Executor(g)
-    ex.forward({}, ParameterSet({"u": rand((3, 4), 0)}))
+    ex.forward({}, ParameterSet({"u": rand((3, 4), 0)}), scores)
     with pytest.raises(ShapeError):
-        ex.backward()
+        ex.backward(scores)
 
 
 def test_shape_mismatch_names_node():
     g = Graph()
-    g.matmul(g.param("a"), g.param("b"))
+    out = g.matmul(g.param("a"), g.param("b"))
     ps = ParameterSet({"a": np.ones((3, 4)), "b": np.ones((3, 4))})
     with pytest.raises(ShapeError, match="node"):
-        Executor(g).forward({}, ps)
+        Executor(g).forward({}, ps, out)
 
 
 def test_overflow_names_node():
     g = Graph()
     x = g.input("x")
-    g.scalar_mul(g.scalar_mul(x, 1e200), 1e200)
+    out = g.scalar_mul(g.scalar_mul(x, 1e200), 1e200)
     with pytest.raises(NumericError, match="node"):
-        Executor(g).forward({"x": np.array([[1e200]])}, ParameterSet({"w": np.ones(1)}))
+        Executor(g).forward({"x": np.array([[1e200]])}, ParameterSet({"w": np.ones(1)}), out)
 
 
 def test_nonfinite_input_rejected():
     g = Graph()
-    g.scalar_mul(g.input("x"), 2.0)
+    out = g.scalar_mul(g.input("x"), 2.0)
     with pytest.raises(NumericError):
-        Executor(g).forward({"x": np.array([[np.nan]])}, ParameterSet({"w": np.ones(1)}))
+        Executor(g).forward({"x": np.array([[np.nan]])}, ParameterSet({"w": np.ones(1)}), out)
 
 
 def test_missing_and_unknown_inputs_rejected():
     g = Graph()
-    g.scalar_mul(g.input("x"), 2.0)
+    out = g.scalar_mul(g.input("x"), 2.0)
     ps = ParameterSet({"w": np.ones(1)})
     with pytest.raises(ConfigError):
-        Executor(g).forward({}, ps)
+        Executor(g).forward({}, ps, out)
     with pytest.raises(ConfigError):
-        Executor(g).forward({"x": np.ones((1, 1)), "bogus": np.ones(1)}, ps)
+        Executor(g).forward({"x": np.ones((1, 1)), "bogus": np.ones(1)}, ps, out)
 
 
 def test_leaf_name_collision_rejected():
@@ -318,8 +320,7 @@ def test_forward_backward_deterministic():
     l1, g1 = value_and_grad(g, {"x": x}, ps)
     l2, g2 = value_and_grad(g, {"x": x}, ps)
     assert l1 == l2
-    for name in g1:
-        assert np.array_equal(g1[name], g2[name])
+    assert g1.tobytes() == g2.tobytes()
 
 
 def test_pass_counters_track_executions():
@@ -335,9 +336,9 @@ def test_pass_counters_track_executions():
 
 def test_l2norm_zero_row_maps_to_zero():
     g = Graph()
-    g.l2norm_rows(g.input("x"))
+    y = g.l2norm_rows(g.input("x"))
     x = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
-    out = Executor(g).forward({"x": x}, ParameterSet({"w": np.ones(1)}))
+    out = Executor(g).forward({"x": x}, ParameterSet({"w": np.ones(1)}), y)
     assert np.array_equal(out[0], np.zeros(3))
     np.testing.assert_allclose(out[1], [0.6, 0.8, 0.0], atol=1e-15)
 
@@ -355,9 +356,9 @@ def test_l2norm_guard_never_produces_nonfinite(seed, scale):
     n = g.l2norm_rows(g.param("x"))
     g.softmax_xent(g.scalar_mul(g.pairwise_dot(n, n), 2.0))
     ps = ParameterSet({"x": x})
-    loss, grads = value_and_grad(g, {}, ps)
+    loss, grad = value_and_grad(g, {}, ps)
     assert np.isfinite(loss)
-    assert np.all(np.isfinite(grads["x"]))
+    assert np.all(np.isfinite(grad))
 
 
 @settings(deadline=None, max_examples=40)
@@ -367,8 +368,8 @@ def test_l2norm_rows_are_unit_or_zero(seed, rows, cols):
     x = rng.normal(size=(rows, cols))
     x[0] = 0.0
     g = Graph()
-    g.l2norm_rows(g.input("x"))
-    out = Executor(g).forward({"x": x}, ParameterSet({"w": np.ones(1)}))
+    y = g.l2norm_rows(g.input("x"))
+    out = Executor(g).forward({"x": x}, ParameterSet({"w": np.ones(1)}), y)
     norms = np.linalg.norm(out, axis=1)
     for val in norms:
         assert abs(val - 1.0) <= 1e-12 or val == 0.0
@@ -402,9 +403,7 @@ def test_plan_matches_node_by_node_bit_for_bit(activation, mode):
         for _ in range(2):  # the second pass reuses the cached backward steps
             assert ex.forward(batch, ps, out) == ref.forward(batch, ps, out)
             got, want = ex.backward(out), ref.backward(out)
-            assert list(got) == list(want)  # same key order, not only same keys
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes(), name
+            assert got.tobytes() == pack(ps, want).tobytes()
         queries = model.embed_queries(ps, batch["refs"], batch["mods"])
         q_graph, q_out = model._query_graph, model._query_out
         want_q = NodeByNodeExecutor(q_graph).forward(batch, ps, q_out)
@@ -414,13 +413,13 @@ def test_plan_matches_node_by_node_bit_for_bit(activation, mode):
 def test_backward_gradients_are_fresh_arrays():
     g = Graph()
     w = g.param("w")
-    g.softmax_xent(g.pairwise_dot(g.add(w, w), g.input("v")))
+    loss = g.softmax_xent(g.pairwise_dot(g.add(w, w), g.input("v")))
     ps = ParameterSet({"w": rand((3, 2), 1)})
     ex = Executor(g)
-    ex.forward({"v": rand((3, 2), 2)}, ps)
-    grads = ex.backward()
-    assert not np.shares_memory(grads["w"], ps["w"])
-    assert all(not np.shares_memory(grads["w"], v) for v in ex._values if isinstance(v, np.ndarray))
+    ex.forward({"v": rand((3, 2), 2)}, ps, loss)
+    grad = ex.backward(loss)
+    assert not np.shares_memory(grad, ps.flat)
+    assert all(not np.shares_memory(grad, v) for v in ex._values if isinstance(v, np.ndarray))
 
 
 def test_plan_follows_appended_nodes_and_trainable_sets():
@@ -433,11 +432,10 @@ def test_plan_follows_appended_nodes_and_trainable_sets():
 
     def both_backwards(ps, loss_node):
         ex, ref = Executor(g), NodeByNodeExecutor(g)
-        ex.forward(x, ps)
-        ref.forward(x, ps)
+        ex.forward(x, ps, loss_node)
+        ref.forward(x, ps, loss_node)
         got, want = ex.backward(loss_node), ref.backward(loss_node)
-        assert list(got) == list(want)
-        assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+        assert got.tobytes() == pack(ps, want).tobytes()
         return got
 
     sets = [ParameterSet(layers, trainable) for trainable in (None, ["a"], ["b"])]
@@ -447,10 +445,9 @@ def test_plan_follows_appended_nodes_and_trainable_sets():
     # A node depends only on lower ids, so appending nodes leaves the
     # cached backward steps and the gradients of the old loss as they were.
     second = g.softmax_xent(g.scalar_mul(s, 2.0))
-    for ps, (steps, grads) in zip(sets, before):
+    for ps, (steps, grad) in zip(sets, before):
         assert g.backward_steps(loss, ps.trainable_names) == steps
-        again = both_backwards(ps, loss)
-        assert all(again[n].tobytes() == grads[n].tobytes() for n in grads)
+        assert both_backwards(ps, loss).tobytes() == grad.tobytes()
         both_backwards(ps, second)
 
 
@@ -459,9 +456,9 @@ def test_overflow_names_the_same_node_as_node_by_node():
     # catches the overflow at node 2.
     g = Graph()
     h = g.relu(g.scalar_mul(g.scalar_mul(g.input("x"), -1e200), 1e200))
-    g.softmax_xent(g.pairwise_dot(h, g.param("w")))
-    assert g.donations(len(g.nodes) - 1)[2] == 1  # node 2 overflows in node 1's buffer
-    args = ({"x": np.ones((2, 2))}, ParameterSet({"w": np.ones((2, 2))}))
+    loss = g.softmax_xent(g.pairwise_dot(h, g.param("w")))
+    assert g.donations(loss)[2] == 1  # node 2 overflows in node 1's buffer
+    args = ({"x": np.ones((2, 2))}, ParameterSet({"w": np.ones((2, 2))}), loss)
     messages = []
     for ex in (Executor(g), NodeByNodeExecutor(g)):
         with pytest.raises(NumericError, match="node 2 \\(scalar_mul\\)") as err:
@@ -574,8 +571,7 @@ def test_backward_twice_on_one_tape_is_bit_identical(mode):
     ex = Executor(g)
     ex.forward(batch, ps, out)
     first, second = ex.backward(out), ex.backward(out)
-    assert list(first) == list(second)
-    assert all(first[n].tobytes() == second[n].tobytes() for n in first)
+    assert first.tobytes() == second.tobytes() and first is not second
 
 
 # ------------------------------------------------------- buffer donation
@@ -597,7 +593,7 @@ def _full_size_case(activation, mode, rows):
     return model, ps, batch
 
 
-def _same_pass(g, inputs, ps, output=None):
+def _same_pass(g, inputs, ps, output):
     """Forward on both executors; asserts equal bytes of the result and of
     every value the executor kept, returns both."""
     ex, ref = Executor(g), NodeByNodeExecutor(g)
@@ -609,11 +605,8 @@ def _same_pass(g, inputs, ps, output=None):
     return ex, ref
 
 
-def _same_grads(ex, ref):
-    grads, want = ex.backward(), ref.backward()
-    assert list(grads) == list(want)
-    for name in want:
-        assert grads[name].tobytes() == want[name].tobytes(), name
+def _same_grads(ex, ref, loss_node):
+    assert ex.backward(loss_node).tobytes() == pack(ex._params, ref.backward(loss_node)).tobytes()
 
 
 @pytest.mark.parametrize("rows", [64, 512])
@@ -637,7 +630,7 @@ def test_donating_forward_matches_node_by_node_bit_for_bit(activation, mode, row
     for _ in range(2):  # the second pass reuses the cached plan
         ex, ref = _same_pass(g, batch, ps, out)
         assert all(ex._values[j] is None for j in donated)
-        _same_grads(ex, ref)
+        _same_grads(ex, ref, out)
     assert {name: ps[name].tobytes() for name in ps} == params_before
     assert {name: arr.tobytes() for name, arr in batch.items()} == inputs_before
     queries = model.embed_queries(ps, batch["refs"], batch["mods"])
@@ -678,12 +671,12 @@ def test_donation_plan_follows_the_four_rules():
     last = len(g.nodes) - 1
     plan = g.donations(last)
     assert {i: j for i, j in enumerate(plan) if j is not None} == expected
-    _same_grads(*_same_pass(g, inputs, ps))
+    _same_grads(*_same_pass(g, inputs, ps, last), last)
     # The requested output keeps its buffer, and the plan is cached per output.
     assert g.donations(ids["scores"])[ids["logits"]] is None
     assert g.donations(last) is plan
     for name in ("scores", "mm", "d", "adapter"):
-        _same_pass(g, inputs, ps, output=ids[name])
+        _same_pass(g, inputs, ps, ids[name])
 
 
 def test_forward_to_an_intermediate_returns_its_bytes():
@@ -693,14 +686,14 @@ def test_forward_to_an_intermediate_returns_its_bytes():
     loss = NodeByNodeExecutor(g).forward(batch, ps, out)
     for k in sorted({j for j in plan if j is not None}):  # each buffer a full pass donates
         assert g.donations(k)[plan.index(k)] is None
-        ex, _ = _same_pass(g, batch, ps, output=k)
+        ex, _ = _same_pass(g, batch, ps, k)
         assert ex._values[out] == loss
 
 
 def test_backward_from_a_donated_node_is_a_state_error():
     g, ids, _, inputs, ps = _donation_graph()
     ex = Executor(g)
-    ex.forward(inputs, ps)
+    ex.forward(inputs, ps, len(g.nodes) - 1)
     with pytest.raises(StateError, match=f"node {ids['scores']}"):
         ex.backward(ids["scores"])
 
@@ -708,14 +701,14 @@ def test_backward_from_a_donated_node_is_a_state_error():
 def test_a_second_consumer_appended_after_a_pass_turns_donation_off():
     g, ids, _, inputs, ps = _donation_graph()
     loss = ids["loss"]
-    _same_grads(*_same_pass(g, inputs, ps, output=loss))
+    _same_grads(*_same_pass(g, inputs, ps, loss), loss)
     assert g.donations(loss)[ids["logits"]] == ids["scores"]
     # Two more readers of the scores: none of them may write over them now,
     # also in a pass to the same requested output.
     flipped = g.scalar_mul(ids["scores"], -1.0)
-    g.softmax_xent(g.add(ids["scores"], flipped))
-    for output in (loss, None):
-        plan = g.donations(len(g.nodes) - 1 if output is None else output)
+    last = g.softmax_xent(g.add(ids["scores"], flipped))
+    for output in (loss, last):
+        plan = g.donations(output)
         assert plan[ids["logits"]] is None and plan[flipped] is None
-        _same_pass(g, inputs, ps, output=output)
-    _same_grads(*_same_pass(g, inputs, ps))
+        _same_pass(g, inputs, ps, output)
+    _same_grads(*_same_pass(g, inputs, ps, last), last)

@@ -23,8 +23,8 @@ from wrf.evalkit import (
     target_ranks,
 )
 from wrf.model import ModelConfig, RetrievalModel
-from wrf.params import ParameterSet
-from wrf.perturb import Perturbation, adversarial_perturbation, random_perturbation
+from wrf.params import ParameterSet, carve
+from wrf.perturb import adversarial_perturbation, random_perturbation
 
 from oracles import (
     cirr_avg,
@@ -278,10 +278,8 @@ def quad_loss(ps):
 
 def test_sharpness_quadratic_hand_value():
     ps = ParameterSet({"w": np.array([1.0])})
-    pert = Perturbation(np.array([0.5]), "adversarial", ps.spans)
-    assert sharpness(quad_loss, ps, pert) == pytest.approx(0.625, abs=1e-15)
-    zero = Perturbation(np.zeros(1), "adversarial", ps.spans)
-    assert sharpness(quad_loss, ps, zero) == 0.0
+    assert sharpness(quad_loss, ps, np.array([0.5])) == pytest.approx(0.625, abs=1e-15)
+    assert sharpness(quad_loss, ps, np.zeros(1)) == 0.0
 
 
 def test_adversarial_sharpness_is_nonnegative_for_small_gamma():
@@ -290,8 +288,8 @@ def test_adversarial_sharpness_is_nonnegative_for_small_gamma():
     for _ in range(1000):
         theta = rng.normal(size=5)
         ps = ParameterSet({"w": theta})
-        pert = adversarial_perturbation(ps, {"w": theta.copy()}, gamma=1e-4)
-        if sharpness(quad_loss, ps, pert) >= 0:
+        delta = adversarial_perturbation(ps, theta.copy(), gamma=1e-4)
+        if sharpness(quad_loss, ps, delta) >= 0:
             wins += 1
     assert wins >= 990
 
@@ -360,7 +358,8 @@ def test_landscape_directions_match_the_per_layer_loop_bit_for_bit(monkeypatch, 
         landscape_probe(lambda p: probes.append(p) or 0.0, ps, 10, [0.0, 1.0], seed=seed)
         for d_id in range(10):
             want = landscape_direction_by_loop(ps, seed, d_id)
-            got = random_perturbation(ps, 1.0, np.random.default_rng([0x51, seed, d_id])).deltas
+            got = carve(random_perturbation(ps, 1.0, np.random.default_rng([0x51, seed, d_id])),
+                        ps.spans)
             assert all(got[n].tobytes() == want[n].tobytes() for n in want), (seed, d_id)
             probe = probes[2 * d_id + 1]  # the alpha=1 row: ps + 1.0 * direction
             for name in ps.names:
@@ -423,8 +422,7 @@ def test_flatness_score_cross_checks_against_sharpness():
     raw = dir_rng.standard_normal(ps["w"].shape)
     w_norm = np.linalg.norm(ps["w"])
     delta = raw * (w_norm / np.linalg.norm(raw)) * 0.05
-    pert = Perturbation(delta.ravel(), "random", ps.spans)
-    assert score == pytest.approx(sharpness(quad_loss, ps, pert), abs=1e-12)
+    assert score == pytest.approx(sharpness(quad_loss, ps, delta.ravel()), abs=1e-12)
     with pytest.raises(ConfigError):
         flatness_score(curves, alpha=0.037)
 

@@ -1,15 +1,16 @@
 """The flat-buffer step against its layer-by-layer reference forms.
 
 The optimizer updates, the perturbation build and its apply run as
-single operations on ``ParameterSet.flat``; ``oracles`` keeps the
-layer-by-layer forms. Whole trajectories must match them byte for byte.
+single operations on ``ParameterSet.flat`` and on gradients and deltas
+laid out like it; ``oracles`` keeps the layer-by-layer forms, which
+take per-layer dicts. Whole trajectories must match them byte for byte.
 """
 
 import numpy as np
 import pytest
 
 from wrf.model import ModelConfig, RetrievalModel
-from wrf.params import ParameterSet
+from wrf.params import ParameterSet, carve
 from wrf.perturb import (
     adversarial_perturbation,
     apply_perturbation,
@@ -31,6 +32,7 @@ from oracles import (
     adamw_per_layer,
     apply_per_layer,
     build_per_layer,
+    pack,
     random_directions_per_layer,
     sgd_per_layer,
 )
@@ -76,9 +78,11 @@ def reference_update(params, moments, grads, lr, config):
 
 def reference_step(ref, moments, batch, config, objective, two_pass=True, literal=False):
     """baseline_step, wrf_step or wrf_step_literal_sgd from the oracle forms,
-    on ref (a TrainState) and moments (adamw_per_layer's dict)."""
+    on ref (a TrainState) and moments (adamw_per_layer's dict); each
+    gradient is cut into per-layer views."""
     lr = current_lr(config, ref.epoch)
-    loss, grads = objective.loss_and_grads(ref.params, batch)
+    loss, grad = objective.loss_and_grads(ref.params, batch)
+    grads = carve(grad, ref.params.spans)
     if not two_pass:
         reference_update(ref.params, moments, grads, lr, config)
         return None, loss, None
@@ -89,7 +93,8 @@ def reference_step(ref, moments, batch, config, objective, two_pass=True, litera
         raw = random_directions_per_layer(ref.params, ref.rng_noise)
     deltas = build_per_layer(ref.params, raw, config.gamma)
     perturbed = apply_per_layer(ref.params, deltas)
-    loss_p, grads_p = objective.loss_and_grads(perturbed, batch)
+    loss_p, grad_p = objective.loss_and_grads(perturbed, batch)
+    grads_p = carve(grad_p, perturbed.spans)
     if literal:
         for name in perturbed.trainable_names:
             arr = perturbed[name]
@@ -175,13 +180,14 @@ def test_perturbations_match_the_per_layer_build_and_apply(seed):
     grads["b"] = np.zeros(5)  # a stationary layer gets an exact +0.0 delta
     names = ps.trainable_names
     for gamma in (0.0, float(10.0 ** rng.uniform(-4, 0))):
-        pert = adversarial_perturbation(ps, grads, gamma)
+        delta = adversarial_perturbation(ps, pack(ps, grads), gamma)
         want = build_per_layer(ps, grads, gamma)
-        assert pert.flat.tobytes() == layer_bytes(want, names)
-        assert set_bytes(apply_perturbation(ps, pert)) == set_bytes(apply_per_layer(ps, want))
-        pert = random_perturbation(ps, gamma, np.random.default_rng([1, seed]))
+        assert delta.tobytes() == layer_bytes(want, names)
+        assert set_bytes(apply_perturbation(ps, delta)) == set_bytes(apply_per_layer(ps, want))
+        delta = random_perturbation(ps, gamma, np.random.default_rng([1, seed]))
         want = build_per_layer(ps, random_directions_per_layer(ps, np.random.default_rng([1, seed])),
                                gamma)
-        assert pert.flat.tobytes() == layer_bytes(want, names)
-        assert set_bytes(apply_perturbation(ps, pert)) == set_bytes(apply_per_layer(ps, want))
-        assert all(pert.deltas[n].tobytes() == want[n].tobytes() for n in names)
+        assert delta.tobytes() == layer_bytes(want, names)
+        assert set_bytes(apply_perturbation(ps, delta)) == set_bytes(apply_per_layer(ps, want))
+        deltas = carve(delta, ps.spans)
+        assert all(deltas[n].tobytes() == want[n].tobytes() for n in names)

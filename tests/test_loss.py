@@ -99,8 +99,8 @@ def test_graph_form_matches_reference():
     u = unit_rows(rng.normal(size=(6, 5)))
     v = unit_rows(rng.normal(size=(6, 5)))
     g = Graph()
-    attach_q2t_loss(g, g.input("u"), g.input("v"), tau=10.0)
-    got = Executor(g).forward({"u": u, "v": v}, ParameterSet({"w": np.ones(1)}))
+    loss = attach_q2t_loss(g, g.input("u"), g.input("v"), tau=10.0)
+    got = Executor(g).forward({"u": u, "v": v}, ParameterSet({"w": np.ones(1)}), loss)
     assert abs(float(got) - contrastive_q2t(u, v, tau=10.0)) <= 1e-12
 
 
@@ -113,17 +113,17 @@ def test_graph_form_gradient_matches_finite_difference():
     g = Graph()
     qn = g.l2norm_rows(g.param("raw_u"))
     tn = g.l2norm_rows(g.param("raw_v"))
-    attach_q2t_loss(g, qn, tn, tau=3.0)
+    loss = attach_q2t_loss(g, qn, tn, tau=3.0)
     ps = ParameterSet({"raw_u": raw_u, "raw_v": raw_v})
     _, analytic = value_and_grad(g, {}, ps)
 
     def loss_fn(p):
-        return float(Executor(g).forward({}, p))
+        return float(Executor(g).forward({}, p, loss))
 
     oracle = finite_diff_gradient(loss_fn, ps, h=1e-5)
-    for name in oracle:
-        scale = max(np.abs(oracle[name]).max(), 1e-10)
-        assert np.abs(analytic[name] - oracle[name]).max() / scale <= 1e-6
+    for _, a, b, _ in ps.spans:
+        scale = max(np.abs(oracle[a:b]).max(), 1e-10)
+        assert np.abs(analytic[a:b] - oracle[a:b]).max() / scale <= 1e-6
 
 
 def test_loss_config_validates_tau():

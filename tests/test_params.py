@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wrf.errors import ConfigError, NumericError
-from wrf.params import ParameterSet, check_gradient_keys
+from wrf.params import ParameterSet
+from wrf.perturb import adversarial_perturbation, apply_perturbation
 
 from oracles import equal_bits
 
@@ -80,15 +81,6 @@ def test_equal_bits_detects_any_difference():
     assert not equal_bits(ps, same)
 
 
-def test_check_gradient_keys_contract():
-    ps = ParameterSet({"a": np.ones((2, 2)), "b": np.ones(3)}, trainable=["a"])
-    check_gradient_keys(ps, {"a": np.zeros((2, 2))})
-    with pytest.raises(ConfigError):
-        check_gradient_keys(ps, {"a": np.zeros((2, 2)), "b": np.zeros(3)})
-    with pytest.raises(ConfigError):
-        check_gradient_keys(ps, {"a": np.zeros((2, 3))})
-
-
 def lora_like_set():
     """Frozen and trainable layers interleaved, as in lora mode."""
     return ParameterSet(
@@ -96,6 +88,25 @@ def lora_like_set():
          "bias": np.arange(3.0), "w1": np.full((3, 2), 4.0), "s": np.float64(5.0)},
         trainable=["a0", "b0", "bias", "s"],
     )
+
+
+def test_a_gradient_or_delta_not_laid_out_like_flat_names_both_shapes():
+    ps = lora_like_set()
+    ps.check_flat(np.zeros(9), "gradient")
+    with pytest.raises(ConfigError, match=r"^gradient has shape \(21,\), expected \(9,\)$"):
+        adversarial_perturbation(ps, np.zeros(21), gamma=0.1)  # flat and frozen together
+    with pytest.raises(ConfigError, match=r"^perturbation has shape \(3, 3\), expected \(9,\)$"):
+        apply_perturbation(ps, np.zeros((3, 3)))
+    with pytest.raises(ConfigError, match=r"^perturbation has shape \(1,\), expected \(9,\)$"):
+        apply_perturbation(ps, np.zeros(1))  # would broadcast
+
+
+def test_a_nonfinite_gradient_names_its_layer():
+    ps = lora_like_set()
+    grad = np.ones(ps.flat.size)
+    grad[[6, 8]] = [np.inf, np.nan]  # in "bias" and "s"
+    with pytest.raises(NumericError, match="^gradient for layer 'bias' has non-finite entries$"):
+        adversarial_perturbation(ps, grad, gamma=0.1)
 
 
 def test_layers_are_views_of_the_two_buffers():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrf.errors import ConfigError, NumericError
-from wrf.params import ParameterSet
+from wrf.params import ParameterSet, carve
 from wrf.perturb import (
     adversarial_perturbation,
     apply_perturbation,
@@ -29,32 +29,32 @@ def random_params(rng, n_layers=3, frozen=False):
 
 
 def grads_like(ps, rng):
-    return {n: rng.normal(size=ps[n].shape) for n in ps.trainable_names}
+    """A gradient laid out like ps.flat: the stream of one draw per trainable layer."""
+    return rng.normal(size=ps.flat.size)
 
 
 def test_hand_example():
     # theta=[3,4] has norm 5; g=[0,2] normalizes to [0,1]; gamma=0.001
     # gives delta = 0.001 * [0,1] * 5 = [0, 0.005].
     ps = ParameterSet({"w": np.array([3.0, 4.0])})
-    pert = adversarial_perturbation(ps, {"w": np.array([0.0, 2.0])}, gamma=0.001)
-    np.testing.assert_allclose(pert.deltas["w"], [0.0, 0.005], rtol=1e-12)
+    delta = adversarial_perturbation(ps, np.array([0.0, 2.0]), gamma=0.001)
+    np.testing.assert_allclose(delta, [0.0, 0.005], rtol=1e-12)
 
 
 def test_gamma_zero_gives_zero_perturbation():
     rng = np.random.default_rng(0)
     ps = random_params(rng)
-    pert = adversarial_perturbation(ps, grads_like(ps, rng), gamma=0.0)
-    assert all(np.array_equal(d, np.zeros_like(d)) for d in pert.deltas.values())
-    rpert = random_perturbation(ps, 0.0, rng)
-    assert all(np.array_equal(d, np.zeros_like(d)) for d in rpert.deltas.values())
+    delta = adversarial_perturbation(ps, grads_like(ps, rng), gamma=0.0)
+    assert np.array_equal(delta, np.zeros_like(ps.flat))
+    assert np.array_equal(random_perturbation(ps, 0.0, rng), np.zeros_like(ps.flat))
 
 
 def test_zero_gradient_layer_is_skipped_others_kept():
     ps = ParameterSet({"a": np.array([3.0, 4.0]), "b": np.array([1.0, 0.0])})
-    grads = {"a": np.zeros(2), "b": np.array([0.0, 1.0])}
-    pert = adversarial_perturbation(ps, grads, gamma=0.01)
-    assert np.array_equal(pert.deltas["a"], np.zeros(2))
-    assert np.linalg.norm(pert.deltas["b"]) > 0
+    deltas = carve(adversarial_perturbation(ps, np.array([0.0, 0.0, 0.0, 1.0]), gamma=0.01),
+                   ps.spans)
+    assert np.array_equal(deltas["a"], np.zeros(2))
+    assert np.linalg.norm(deltas["b"]) > 0
 
 
 def test_budget_equality_over_many_draws():
@@ -66,11 +66,12 @@ def test_budget_equality_over_many_draws():
         ps = random_params(rng)
         gamma = float(gammas[trial])
         if trial % 2 == 0:
-            pert = adversarial_perturbation(ps, grads_like(ps, rng), gamma)
+            delta = adversarial_perturbation(ps, grads_like(ps, rng), gamma)
         else:
-            pert = random_perturbation(ps, gamma, rng)
+            delta = random_perturbation(ps, gamma, rng)
+        deltas = carve(delta, ps.spans)
         for name in ps.trainable_names:
-            d_norm = np.linalg.norm(pert.deltas[name])
+            d_norm = np.linalg.norm(deltas[name])
             budget = gamma * np.linalg.norm(ps[name])
             if d_norm > 0:
                 assert abs(d_norm - budget) <= 1e-10 * budget
@@ -80,10 +81,10 @@ def test_adversarial_direction_is_exactly_gradient_direction():
     rng = np.random.default_rng(7)
     for _ in range(100):
         ps = random_params(rng)
-        grads = grads_like(ps, rng)
-        pert = adversarial_perturbation(ps, grads, gamma=0.01)
-        for name in ps.trainable_names:
-            d, g = pert.deltas[name].ravel(), grads[name].ravel()
+        grad = grads_like(ps, rng)
+        delta = adversarial_perturbation(ps, grad, gamma=0.01)
+        for _, a, b, _ in ps.spans:
+            d, g = delta[a:b], grad[a:b]
             cos = d @ g / (np.linalg.norm(d) * np.linalg.norm(g))
             assert abs(cos - 1.0) <= 1e-10
 
@@ -103,8 +104,7 @@ def test_first_order_ascent_on_smooth_loss():
 
         grad = 4.0 * a * theta**3 + 2.0 * theta
         ps = ParameterSet({"w": theta})
-        pert = adversarial_perturbation(ps, {"w": grad}, gamma=1e-4)
-        perturbed = apply_perturbation(ps, pert)
+        perturbed = apply_perturbation(ps, adversarial_perturbation(ps, grad, gamma=1e-4))
         if loss(perturbed["w"]) >= loss(theta):
             wins += 1
     assert wins >= 0.99 * trials
@@ -114,17 +114,16 @@ def test_random_perturbation_deterministic_given_seed():
     ps = random_params(np.random.default_rng(1))
     p1 = random_perturbation(ps, 0.01, np.random.default_rng(99))
     p2 = random_perturbation(ps, 0.01, np.random.default_rng(99))
-    for name in p1.deltas:
-        assert np.array_equal(p1.deltas[name], p2.deltas[name])
+    assert np.array_equal(p1, p2)
 
 
 def test_frozen_layers_never_perturbed():
     rng = np.random.default_rng(3)
     ps = random_params(rng, frozen=True)
     frozen = set(ps.names) - set(ps.trainable_names)
-    pert = random_perturbation(ps, 0.05, rng)
-    assert frozen and not (set(pert.deltas) & frozen)
-    out = apply_perturbation(ps, pert)
+    delta = random_perturbation(ps, 0.05, rng)
+    assert frozen and delta.shape == ps.flat.shape
+    out = apply_perturbation(ps, delta)
     for name in frozen:
         assert np.array_equal(out[name], ps[name])
 
@@ -142,11 +141,12 @@ def test_apply_and_restore_are_exact():
     rng = np.random.default_rng(8)
     ps = random_params(rng)
     before = ps.copy()
-    pert = adversarial_perturbation(ps, grads_like(ps, rng), gamma=0.05)
-    perturbed = apply_perturbation(ps, pert)
+    delta = adversarial_perturbation(ps, grads_like(ps, rng), gamma=0.05)
+    perturbed = apply_perturbation(ps, delta)
     assert not equal_bits(perturbed, ps)
+    deltas = carve(delta, ps.spans)
     for name in ps.trainable_names:
-        assert np.array_equal(perturbed[name], before[name] + pert.deltas[name])
+        assert np.array_equal(perturbed[name], before[name] + deltas[name])
     assert equal_bits(ps, before)
 
 
@@ -154,27 +154,25 @@ def test_apply_leaves_input_untouched():
     rng = np.random.default_rng(9)
     ps = random_params(rng)
     before = {n: ps[n].copy() for n in ps.names}
-    pert = random_perturbation(ps, 0.1, rng)
-    apply_perturbation(ps, pert)
+    apply_perturbation(ps, random_perturbation(ps, 0.1, rng))
     for n in ps.names:
         assert np.array_equal(ps[n], before[n])
 
 
 def test_single_weight_apply():
     ps = ParameterSet({"w": np.array([1.0])})
-    pert = adversarial_perturbation(ps, {"w": np.array([1.0])}, gamma=0.25)
-    out = apply_perturbation(ps, pert)
+    out = apply_perturbation(ps, adversarial_perturbation(ps, np.array([1.0]), gamma=0.25))
     assert out["w"][0] == pytest.approx(1.25, abs=1e-15)
 
 
 def test_validation_errors():
     ps = ParameterSet({"w": np.array([1.0, 2.0])})
     with pytest.raises(NumericError):
-        adversarial_perturbation(ps, {"w": np.array([np.nan, 1.0])}, gamma=0.01)
+        adversarial_perturbation(ps, np.array([np.nan, 1.0]), gamma=0.01)
     with pytest.raises(ConfigError):
-        adversarial_perturbation(ps, {"w": np.ones(2)}, gamma=-0.1)
+        adversarial_perturbation(ps, np.ones(2), gamma=-0.1)
     with pytest.raises(ConfigError):
-        adversarial_perturbation(ps, {"other": np.ones(2)}, gamma=0.1)
+        adversarial_perturbation(ps, np.ones(3), gamma=0.1)
     with pytest.raises(ConfigError):
         TrainConfig(rho=1.5)
     with pytest.raises(ConfigError):
@@ -186,8 +184,8 @@ def test_validation_errors():
 def test_budget_property(seed, gamma):
     rng = np.random.default_rng(seed)
     ps = random_params(rng)
-    pert = adversarial_perturbation(ps, grads_like(ps, rng), gamma)
+    deltas = carve(adversarial_perturbation(ps, grads_like(ps, rng), gamma), ps.spans)
     for name in ps.trainable_names:
-        d_norm = float(np.linalg.norm(pert.deltas[name]))
+        d_norm = float(np.linalg.norm(deltas[name]))
         budget = gamma * float(np.linalg.norm(ps[name]))
         assert d_norm == 0.0 or abs(d_norm - budget) <= 1e-10 * budget

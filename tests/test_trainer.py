@@ -51,9 +51,8 @@ class QuadraticObjective:
 
     def loss_and_grads(self, params, batch):
         loss = 0.5 * float(sum((params[n] ** 2).sum() for n in params.trainable_names))
-        grads = {n: params[n].copy() for n in params.trainable_names}
         self.calls.append({n: params[n].copy() for n in params.trainable_names})
-        return loss, grads
+        return loss, params.flat.copy()
 
 
 def quad_params(seed=0, shapes=((3, 2), (4,))):

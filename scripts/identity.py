@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Check that this checkout writes what a parent revision writes, byte for byte.
 
-Runs one fixed set of wrf jobs (five training configs, two landscape
-probes, one fraction sweep, selfcheck) on this checkout's working tree
+Runs one fixed set of wrf jobs (five training configs, three landscape
+probes, a fraction and a lora_rank sweep, selfcheck clean and with an
+injected fault) on this checkout's working tree
 and on a parent revision, which is checked out with `git worktree add`
 into a temporary directory and removed afterwards. Both sides run from the same
 relative out_dir, on three paths:
@@ -44,6 +45,7 @@ CONFIGS = {
                   "checkpoint_every": "7", "eval_every": "3"},
     "sgd": {"optimizer": "sgd", "schedule": "constant", "gamma": "0.01", "rho": "0.5"},
     "sweep": {"out_dir": "sweep"},
+    "rank_sweep": {"out_dir": "rank_sweep"},
 }
 
 # wrf arguments, in run order; each probe reads a best.ckpt trained before it.
@@ -51,9 +53,13 @@ JOBS = (
     *(["train", "--config", f"{name}.cfg"]
       for name in ("default", "ablation", "lora", "relu_lora", "sgd")),
     *(["landscape", "--checkpoint", f"runs/{name}/best.ckpt"] for name in ("ablation", "relu_lora")),
+    ["landscape", "--checkpoint", "runs/lora/best.ckpt", "--directions", "1"],
     ["sweep", "--config", "sweep.cfg", "--param", "fraction", "--values", "0.25,0.5",
      "--seeds", "0,1"],
+    ["sweep", "--config", "rank_sweep.cfg", "--param", "lora_rank", "--values", "0,2",
+     "--seeds", "0"],
     ["selfcheck"],  # its table holds no timings
+    ["selfcheck", "--inject", "grad-sign"],  # exit 1, compared like any other job
 )
 
 # CSV file name -> the wall-clock column left out of its comparison.

@@ -76,7 +76,7 @@ class ExperimentConfig:
     fraction: float = 1.0
 
     def __post_init__(self):
-        if not self.run_name or "/" in self.run_name:
+        if self.run_name in ("", ".", "..") or "/" in self.run_name:
             raise ConfigError(f"run_name must be a plain directory name, got {self.run_name!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -215,7 +215,7 @@ def cmd_train(args) -> int:
     print(f"run dir: {run_dir}")
     print(
         f"best val rmean {record.best_val_rmean:.4f} at epoch {record.best_epoch}; "
-        f"final {record.final_val_rmean:.4f}; gap at best {record.gap_at_best():.4f}"
+        f"final {record.final_val_rmean:.4f}; gap at best {record.gap_at_best:.4f}"
     )
     return 0
 
@@ -253,7 +253,7 @@ def print_sweep_table(param: str, finished: dict) -> None:
     """
     for row, (value, records) in enumerate(finished.items()):
         rmean = sum(r.best_val_rmean for r in records) / len(records)
-        gap = sum(r.gap_at_best() for r in records) / len(records)
+        gap = sum(r.gap_at_best for r in records) / len(records)
         if row == 0:
             base_rmean, base_gap = rmean, gap
             print(f"{param:>9} {'runs':>4} {'val rmean':>10} {'drm':>8} {'gap':>8} {'cut %':>7}")
@@ -292,7 +292,7 @@ def cmd_sweep(args) -> int:
         rows.append(
             f"{args.param},{_format_value(args.param, value)},{seed},"
             f"{record.best_val_rmean!r},{record.final_val_rmean!r},"
-            f"{record.gap_at_best()!r},{record.best_epoch},"
+            f"{record.gap_at_best!r},{record.best_epoch},"
             f"{record.seconds_per_epoch(skip_warmup=warm)!r}"
         )
         print(f"{config.run_name}: best val rmean {record.best_val_rmean:.4f}")

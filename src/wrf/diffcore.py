@@ -2,7 +2,9 @@
 
 Graphs are declarative: build once with Graph methods, then run any
 number of times through an Executor bound to concrete inputs and a
-ParameterSet. Everything is dense float64 numpy; every node's output is
+ParameterSet. A leaf name is bound once: a second input or param of
+one name is a ConfigError, so a leaf used twice is one node with two
+consumers. Everything is dense float64 numpy; every node's output is
 checked finite so a blow-up is reported at the node that produced it
 instead of surfacing later as a silent NaN. The check stays per node
 because a non-finite intermediate can vanish before the loss
@@ -241,8 +243,7 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._input_ids: dict[str, int] = {}
-        self._param_ids: dict[str, int] = {}
+        self._leaves: dict[str, str] = {}  # leaf name -> "input" or "param"; one leaf per name
         self._backward: dict[tuple[int, tuple[str, ...]], tuple] = {}
         self._donations: dict[tuple[int, int], tuple] = {}
 
@@ -255,23 +256,17 @@ class Graph:
             raise ConfigError(f"unknown node id {i}")
         return i
 
+    def _leaf(self, kind: str, name: str) -> int:
+        if name in self._leaves:
+            raise ConfigError(f"{name!r} is already a leaf of this graph ({self._leaves[name]})")
+        self._leaves[name] = kind
+        return self._push(Node(kind, (), name))
+
     def input(self, name: str) -> int:
-        if name in self._input_ids:
-            return self._input_ids[name]
-        if name in self._param_ids:
-            raise ConfigError(f"{name!r} already used as a param leaf")
-        i = self._push(Node("input", (), name))
-        self._input_ids[name] = i
-        return i
+        return self._leaf("input", name)
 
     def param(self, name: str) -> int:
-        if name in self._param_ids:
-            return self._param_ids[name]
-        if name in self._input_ids:
-            raise ConfigError(f"{name!r} already used as an input leaf")
-        i = self._push(Node("param", (), name))
-        self._param_ids[name] = i
-        return i
+        return self._leaf("param", name)
 
     def matmul(self, a: int, b: int) -> int:
         return self._push(Node("matmul", (self._check_id(a), self._check_id(b))))
@@ -373,7 +368,7 @@ class Executor:
         nodes = self.graph.nodes
         if not (0 <= output < len(nodes)):
             raise ConfigError(f"output node id {output} out of range")
-        unknown = inputs.keys() - self.graph._input_ids.keys()
+        unknown = [name for name in inputs if self.graph._leaves.get(name) != "input"]
         if unknown:
             raise ConfigError(f"unexpected inputs: {sorted(unknown)}")
         values: list = [None] * len(nodes)

@@ -3,11 +3,13 @@
 Ranking is by descending dot product with ties broken by ascending
 gallery index, everywhere, including inside candidate subsets (the
 global order restricted to the subset). Every query comes with its
-candidate subset. recall_report counts the rank of each query's target
-instead of materializing full rankings, and takes the global and the
-subset ranks from one Q x G score matrix; the index-ordered tie count
-runs only on rows where another entry ties the target's score. The
-tests check the ranks against a full-sort reference ranking.
+candidate subset. recall_report gives Recall@K for the requested Ks,
+their mean (Rmean) and Recall_subset@1. It counts the rank of each
+query's target instead of materializing full rankings, and takes the
+global and the subset ranks from one Q x G score matrix; the
+index-ordered tie count runs only on rows where another entry ties the
+target's score. The tests check the ranks against a full-sort
+reference ranking.
 
 A landscape direction is a random perturbation at budget 1: standard
 normal entries per trainable layer, rescaled to that layer's weight
@@ -34,10 +36,9 @@ _DIR_TAG = 0x51
 
 @dataclass(frozen=True)
 class MetricReport:
-    split: str
-    recall_at: dict[int, float]
-    rmean: float
-    recall_subset_at: dict[int, float]
+    recall_at: dict[int, float]  # K -> Recall@K, in %
+    rmean: float  # mean of recall_at
+    recall_subset_at: dict[int, float]  # {1: Recall_subset@1}, in %
 
 
 def _check_embeddings(queries: np.ndarray, gallery: np.ndarray) -> None:
@@ -112,9 +113,8 @@ def recall_report(
     targets: np.ndarray,
     subsets: np.ndarray,
     ks: Sequence[int],
-    split: str,
-    subset_ks: Sequence[int] = (1,),
 ) -> MetricReport:
+    """Recall@K for each K in ks, their mean, and Recall_subset@1."""
     if not ks:
         raise ConfigError("need at least one K value")
     _check_embeddings(query_embs, gallery_embs)
@@ -122,10 +122,10 @@ def recall_report(
         if not (1 <= int(k) <= gallery_embs.shape[0]):
             raise ConfigError(f"K={int(k)} outside [1, gallery size]")
     ranks, sub_ranks = target_ranks(query_embs, gallery_embs, targets, subsets)
-    recall_subset_at = {int(k): float(100.0 * (sub_ranks <= k).mean()) for k in subset_ks}
+    recall_subset_at = {1: float(100.0 * (sub_ranks <= 1).mean())}
     recall_at = {int(k): float(100.0 * (ranks <= k).mean()) for k in ks}
     rmean = float(np.mean(list(recall_at.values())))
-    return MetricReport(split, recall_at, rmean, recall_subset_at)
+    return MetricReport(recall_at, rmean, recall_subset_at)
 
 
 def generalization_gap(train_report: MetricReport, val_report: MetricReport) -> float:

@@ -3,7 +3,7 @@
 A ParameterSet is the single currency for model weights across the
 package: the trainer mutates one, perturbations copy one, checkpoints
 serialize one. Iteration order is insertion order and is part of the
-contract; checkpoint files follow it.
+contract; checkpoint files follow it, and `names` holds it.
 
 A set keeps its values in two contiguous float64 buffers: `flat` holds
 the trainable layers in trainable order, `frozen` the others, and each
@@ -17,7 +17,7 @@ way to cut such an array into layer views.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -84,12 +84,6 @@ class ParameterSet:
 
     def __contains__(self, name: str) -> bool:
         return name in self._layers
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._layers)
-
-    def __len__(self) -> int:
-        return len(self._layers)
 
     def items(self):
         return self._layers.items()

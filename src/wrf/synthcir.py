@@ -1,12 +1,14 @@
 """Seeded synthetic composed-retrieval data.
 
 Each modification code m owns a fixed random linear edit map A_m
-(columns normalized). A triplet is a reference vector drawn uniformly
-on the sphere, a code, and the normalized image of the reference under
-that code's map plus isotropic noise. The gallery holds every train and
-val target plus distractor targets built the same way from held-out
-references, so distractors live on the same manifold and retrieval is
-not trivially easy.
+(columns normalized), the first draw of the dataset's seeded stream.
+A triplet is a reference vector drawn uniformly on the sphere, a code,
+and the normalized image of the reference under that code's map plus
+isotropic noise. The maps are not kept, since neither training nor
+evaluation reads them; the tests redraw them to check the noise-free
+targets. The gallery holds every train and val target plus distractor
+targets built the same way from held-out references, so distractors
+live on the same manifold and retrieval is not trivially easy.
 
 Per-query candidate subsets (for subset recall) are the target plus its
 nearest gallery neighbors by dot product, ties by ascending index,
@@ -101,12 +103,10 @@ class TripletTable:
 
 @dataclass(frozen=True)
 class SynthDataset:
-    config: DatasetConfig
     train: TripletTable
     val: TripletTable
     gallery: np.ndarray  # (gallery_size, d_ref), unit rows
     mod_embeddings: np.ndarray  # (n_mods, d_mod), unit rows
-    edit_maps: np.ndarray | None = None  # kept in memory only; oracle access
 
     def __post_init__(self):
         self.gallery.flags.writeable = False
@@ -142,22 +142,12 @@ def _nearest_subsets(gallery: np.ndarray, targets: np.ndarray, subset_size: int)
     return np.concatenate([targets[:, None], nearest], axis=1).astype(np.uint32)
 
 
-def generate(config: DatasetConfig, edit_maps: np.ndarray | None = None) -> SynthDataset:
-    """Build the full dataset from the config seed.
-
-    edit_maps overrides the drawn maps (shape (n_mods, d_ref, d_ref));
-    it exists so tests can install identity edits and check the
-    noise-free oracle.
-    """
+def generate(config: DatasetConfig) -> SynthDataset:
+    """Build the full dataset from the config seed."""
     rng = np.random.default_rng([_GEN_TAG, config.seed])
     d, m = config.d_ref, config.n_mods
-    if edit_maps is None:
-        maps = rng.standard_normal((m, d, d))
-        maps /= np.linalg.norm(maps, axis=1, keepdims=True)  # unit columns
-    else:
-        maps = np.asarray(edit_maps, dtype=np.float64)
-        if maps.shape != (m, d, d):
-            raise ConfigError(f"edit_maps must have shape {(m, d, d)}, got {maps.shape}")
+    maps = rng.standard_normal((m, d, d))
+    maps /= np.linalg.norm(maps, axis=1, keepdims=True)  # unit columns
     mod_embeddings = _unit_rows(rng.standard_normal((m, config.d_mod)), "mod embedding")
 
     total = config.gallery_size  # train + val + distractors, all built alike
@@ -179,7 +169,7 @@ def generate(config: DatasetConfig, edit_maps: np.ndarray | None = None) -> Synt
         all_idx[n_tr : n_tr + n_va].copy(),
         subsets[n_tr:],
     )
-    return SynthDataset(config, train, val, gallery, mod_embeddings, edit_maps=maps)
+    return SynthDataset(train, val, gallery, mod_embeddings)
 
 
 def subsample_dataset(dataset: SynthDataset, fraction: float, seed: int) -> SynthDataset:

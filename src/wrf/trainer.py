@@ -20,11 +20,11 @@ train() keeps at most one epoch uncommitted: at the end of epoch
 e it commits epoch e-1, copies the parameters once and, if epoch e is
 evaluated, submits the copy. Committing an evaluated epoch first makes
 its call, at the end of the next epoch. It then writes what depends on
-the reports (gap, best-so-far, best.ckpt, metrics.csv rows,
-checkpoints) with that epoch's parameters, so artifacts are the same
-on both paths and as in a sequential loop; metrics.csv trails training
-by one epoch. Worker passes do not reach this process's
-diffcore.pass_counts().
+the reports (gap, best-so-far with the RunRecord's gap_at_best,
+best.ckpt, metrics.csv rows, checkpoints) with that epoch's
+parameters, so artifacts are the same on both paths and as in a
+sequential loop; metrics.csv trails training by one epoch. Worker
+passes do not reach this process's diffcore.pass_counts().
 """
 
 from __future__ import annotations
@@ -312,17 +312,11 @@ class EpochRow:
 
 @dataclass
 class RunRecord:
-    seed: int
     rows: list[EpochRow] = field(default_factory=list)
     best_epoch: int | None = None
     best_val_rmean: float | None = None
+    gap_at_best: float | None = None  # the gap of best_epoch
     final_val_rmean: float | None = None
-
-    def gap_at_best(self) -> float | None:
-        for row in self.rows:
-            if row.epoch == self.best_epoch:
-                return row.gap
-        return None
 
     def seconds_per_epoch(self, skip_warmup: int = 0) -> float:
         rows = [r for r in self.rows if r.epoch > skip_warmup]
@@ -375,9 +369,9 @@ def _evaluate(model, dataset, train_eval_table, ks, params):
     return tuple(
         evalkit.recall_report(
             model.embed_queries(params, table.refs, dataset.mod_embeddings[table.mod_codes]),
-            gallery_embs, table.target_indices, table.subsets, ks, split,
+            gallery_embs, table.target_indices, table.subsets, ks,
         )
-        for table, split in ((train_eval_table, "train"), (dataset.val, "val"))
+        for table in (train_eval_table, dataset.val)
     )
 
 
@@ -415,7 +409,7 @@ def train(
     model = RetrievalModel(model_config, mode=config.finetune_mode, lora_rank=config.lora_rank)
     objective = RetrievalObjective(model, tau=config.tau)
     state = new_train_state(config, model.init_params())
-    record = RunRecord(seed=config.seed)
+    record = RunRecord()
     ks = [k for k in EVAL_KS if k <= dataset.gallery.shape[0]]
     train_eval_idx = np.arange(len(dataset.train))
     if len(train_eval_idx) > TRAIN_EVAL_CAP:
@@ -446,6 +440,7 @@ def train(
             if record.best_val_rmean is None or row.val_report.rmean > record.best_val_rmean:
                 record.best_val_rmean = row.val_report.rmean
                 record.best_epoch = row.epoch
+                record.gap_at_best = row.gap
                 save_checkpoint(out_path / "best.ckpt", params)
             record.final_val_rmean = row.val_report.rmean
         record.rows.append(row)

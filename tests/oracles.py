@@ -3,7 +3,8 @@
 Each function here is the plain, full-materialization version of
 something the package computes a cheaper way: a full gallery sort for
 the rank-of-target counting in ``wrf.evalkit`` and for the nearest
-neighbour subsets in ``wrf.synthcir``, the contrastive loss on plain
+neighbour subsets in ``wrf.synthcir``, a redraw of the edit maps that
+``wrf.synthcir.generate`` does not keep, the contrastive loss on plain
 arrays for the graph form in ``wrf.loss``, a node-by-node executor
 without backward pruning for ``wrf.diffcore.Executor``, the softmax
 cross-entropy kernel pair that forms the probabilities in forward, the
@@ -26,6 +27,7 @@ from wrf.errors import ConfigError, DataError, NumericError, ShapeError
 from wrf.evalkit import MetricReport
 from wrf.params import ParameterSet
 from wrf.perturb import ZERO_NORM_EPS, apply_perturbation
+from wrf.synthcir import DatasetConfig
 
 # How far a row norm may drift from 1 before contrastive_q2t rejects it.
 UNIT_NORM_ATOL = 1e-6
@@ -51,6 +53,17 @@ def target_ranks_by_sort(queries, gallery, targets, subsets=None):
         for row, members, t in zip(rankings, subsets, targets)
     ])
     return ranks, sub_ranks
+
+
+def edit_maps(config: DatasetConfig) -> np.ndarray:
+    """The (n_mods, d_ref, d_ref) edit maps of generate(config).
+
+    They are the first draw of the dataset's [0x41, seed] stream, with
+    each column scaled to unit norm.
+    """
+    rng = np.random.default_rng([0x41, config.seed])
+    maps = rng.standard_normal((config.n_mods, config.d_ref, config.d_ref))
+    return maps / np.linalg.norm(maps, axis=1, keepdims=True)
 
 
 def nearest_subsets_by_sort(gallery: np.ndarray, targets: np.ndarray, subset_size: int) -> np.ndarray:

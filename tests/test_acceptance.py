@@ -2,17 +2,20 @@
 
 Each check prints one [PASS]/[FAIL] line so a verbose run reads as a
 checklist. Checks 1-6 and 13 pin exact values or tight tolerances;
-checks 7-12 rerun the desk-scale training studies and assert their
-directional outcomes. The studies share one reference setup (d_ref=32,
-gallery 2048, 512/512 split, hidden 64x64, batch 64, adamw + cosine,
-60 epochs with 3 warm-up) and pin the free knobs (eta0, init_scale,
-activation) per study to the regime where its effect is measurable.
-Each study's knobs, grid and regime notes are those of its driver in
-scripts/, so a study is defined once. Every run is seeded, so the
-verdicts are reproducible from machine to machine, wall-clock checks
-aside.
+checks 7-12 assert the directional outcomes of the desk-scale training
+studies. They run the study drivers in scripts/ (gamma_sweep,
+direction_ablation, data_fractions) into temporary directories, read
+the sweep_summary.csv and per-run metrics.csv files the drivers leave,
+and probe best checkpoints with `wrf landscape --out`; so a study's
+knobs, grid and regime notes live only in its driver. The studies share
+one reference setup (d_ref=32, gallery 2048, 512/512 split, hidden
+64x64, batch 64, adamw + cosine, 60 epochs with 3 warm-up) and pin the
+free knobs (eta0, init_scale, activation) per study to the regime where
+its effect is measurable. Every run is seeded, so the verdicts are
+reproducible from machine to machine, wall-clock checks aside.
 """
 
+import csv
 import math
 import time
 
@@ -22,19 +25,13 @@ import pytest
 import data_fractions
 import direction_ablation
 import gamma_sweep
-from wrf import diffcore
+from wrf import cli, diffcore
 from wrf.checkpoint import load_checkpoint
 from wrf.cli import ExperimentConfig, build_dataset
-from wrf.evalkit import (
-    MetricReport,
-    default_alpha_grid,
-    flatness_score,
-    landscape_probe,
-)
+from wrf.evalkit import LandscapeCurve, MetricReport, flatness_score
 from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet, carve
 from wrf.perturb import adversarial_perturbation
-from wrf.synthcir import subsample_dataset
 from wrf.trainer import (
     RetrievalObjective,
     TrainConfig,
@@ -56,14 +53,10 @@ def _grid(values: str) -> tuple:
 SEEDS = (0, 1, 2, 3, 4)
 # Checks 7, 10 and 12.
 GAMMA_SWEEP = _grid(gamma_sweep.GAMMAS)
-GAP_KNOBS = gamma_sweep.KNOBS
 # Checks 8 and 9.
 RHO_GRID = _grid(direction_ablation.RHOS)
-RATIO_KNOBS = direction_ablation.KNOBS
-RATIO_GAMMA = direction_ablation.GAMMA
 # Check 11.
 FRACTIONS = _grid(data_fractions.FRACTIONS)
-FRACTION_KNOBS = data_fractions.KNOBS
 
 GRAD_RTOL = 1e-6
 GRAD_ATOL = 1e-8
@@ -247,7 +240,7 @@ def test_05_loss_anchors(capsys):
 
 
 def test_06_metric_anchors(capsys):
-    report = MetricReport("val", recall_at={5: 82.12}, rmean=82.12, recall_subset_at={1: 80.65})
+    report = MetricReport(recall_at={5: 82.12}, rmean=82.12, recall_subset_at={1: 80.65})
     avg = cirr_avg(report)
     assert abs(avg - (82.12 + 80.65) / 2.0) <= ANCHOR_EXACT
     anchor, tol = CIRR_ANCHOR
@@ -275,35 +268,53 @@ def test_06_metric_anchors(capsys):
     assert mismatches == 0
 
 
-# ------------------------------------------------------- training fixtures
+# ------------------------------------------------------- study drivers
 
 
-@pytest.fixture(scope="session")
-def datasets():
-    return {seed: build_dataset(ExperimentConfig(seed=seed)) for seed in SEEDS}
-
-
-@pytest.fixture(scope="session")
-def gamma_sweep(datasets, tmp_path_factory):
-    """(gamma, seed) -> (RunRecord, run_dir) plus the sweep wall time."""
-    root = tmp_path_factory.mktemp("gamma_sweep")
+def _run_driver(driver, tmp_path_factory):
+    """Run a scripts/ study driver into a fresh directory: (out dir, seconds)."""
+    out = tmp_path_factory.mktemp(driver.__name__)
     start = time.perf_counter()
-    runs = {}
-    for gamma in GAMMA_SWEEP:
-        for seed in SEEDS:
-            cfg = ExperimentConfig(gamma=gamma, seed=seed, **GAP_KNOBS)
-            out = root / f"g{gamma:g}_s{seed}"
-            rec = train(cfg.train_config(), cfg.model_config(), datasets[seed], out_dir=out)
-            runs[gamma, seed] = (rec, out)
-    return {"runs": runs, "elapsed": time.perf_counter() - start}
+    assert driver.run(out, ",".join(map(str, SEEDS))) == 0
+    return out, time.perf_counter() - start
 
 
-def _sweep_means(runs):
+@pytest.fixture(scope="session")
+def gamma_sweep_out(tmp_path_factory):
+    return _run_driver(gamma_sweep, tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def direction_ablation_out(tmp_path_factory):
+    return _run_driver(direction_ablation, tmp_path_factory)[0]
+
+
+@pytest.fixture(scope="session")
+def data_fractions_out(tmp_path_factory):
+    return _run_driver(data_fractions, tmp_path_factory)[0]
+
+
+def _summary(sweep_dir):
+    """(value, seed) -> (best val Rmean, gap at best) of each row of a sweep_summary.csv."""
+    with (sweep_dir / "sweep_summary.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return {
+        (float(r["value"]), int(r["seed"])): (float(r["best_val_rmean"]), float(r["gap_at_best"]))
+        for r in rows
+    }
+
+
+def _run_dir(sweep_dir, param, value, seed):
+    """The directory `wrf sweep` gives the run of (value, seed)."""
+    return sweep_dir / f"{param}_{value!r}_seed{seed}"
+
+
+def _seed_means(summary, grid):
+    """value -> (seed-mean best val Rmean, seed-mean gap at best) over the grid."""
     out = {}
-    for gamma in GAMMA_SWEEP:
-        rmean = float(np.mean([runs[gamma, s][0].best_val_rmean for s in SEEDS]))
-        gap = float(np.mean([runs[gamma, s][0].gap_at_best() for s in SEEDS]))
-        out[gamma] = (rmean, gap)
+    for value in grid:
+        runs = [summary[value, seed] for seed in SEEDS]
+        out[value] = (float(np.mean([r[0] for r in runs])), float(np.mean([r[1] for r in runs])))
     return out
 
 
@@ -321,48 +332,14 @@ def _best_gamma(means):
     return best, best_cut
 
 
-@pytest.fixture(scope="session")
-def rho_study(datasets, tmp_path_factory):
-    """Baseline plus the rho grid at a fixed 2% budget, five seeds each."""
-    root = tmp_path_factory.mktemp("rho_study")
-    base = []
-    for seed in SEEDS:
-        cfg = ExperimentConfig(gamma=0.0, seed=seed, **RATIO_KNOBS)
-        out = root / f"base_s{seed}"
-        base.append(train(cfg.train_config(), cfg.model_config(), datasets[seed], out_dir=out))
-    grid = {}
-    for rho in RHO_GRID:
-        grid[rho] = []
-        for seed in SEEDS:
-            cfg = ExperimentConfig(gamma=RATIO_GAMMA, rho=rho, seed=seed, **RATIO_KNOBS)
-            out = root / f"rho{rho:g}_s{seed}"
-            grid[rho].append(train(cfg.train_config(), cfg.model_config(), datasets[seed], out_dir=out))
-    return base, grid
-
-
-@pytest.fixture(scope="session")
-def fraction_study(datasets, tmp_path_factory):
-    """Unperturbed runs at the default knobs over nested train subsets."""
-    root = tmp_path_factory.mktemp("fraction_study")
-    rows = {}
-    for fraction in FRACTIONS:
-        rows[fraction] = []
-        for seed in SEEDS:
-            cfg = ExperimentConfig(seed=seed, **FRACTION_KNOBS)
-            subset = subsample_dataset(datasets[seed], fraction, seed=seed)
-            out = root / f"f{fraction:g}_s{seed}"
-            rows[fraction].append(train(cfg.train_config(), cfg.model_config(), subset, out_dir=out))
-    return rows
-
-
 # ---------------------------------------------------------------- check 7
 
 
-def test_07_gap_reduction_at_best_gamma(gamma_sweep, capsys):
-    means = _sweep_means(gamma_sweep["runs"])
+def test_07_gap_reduction_at_best_gamma(gamma_sweep_out, capsys):
+    out, elapsed = gamma_sweep_out
+    means = _seed_means(_summary(out), GAMMA_SWEEP)
     base_rmean, base_gap = means[0.0]
     gamma, cut = _best_gamma(means)
-    elapsed = gamma_sweep["elapsed"]
     ok = gamma is not None and cut >= GAP_CUT_MIN and elapsed < SWEEP_BUDGET_S
     drm = means[gamma][0] - base_rmean if gamma is not None else float("nan")
     _report(capsys, 7, ok,
@@ -377,11 +354,12 @@ def test_07_gap_reduction_at_best_gamma(gamma_sweep, capsys):
 # ---------------------------------------------------------------- check 8
 
 
-def test_08_direction_ablation(rho_study, capsys):
-    base_runs, grid = rho_study
-    base = np.array([r.best_val_rmean for r in base_runs])
-    rwp = np.array([r.best_val_rmean for r in grid[0.0]])
-    wrf = np.array([r.best_val_rmean for r in grid[1.0]])
+def test_08_direction_ablation(direction_ablation_out, capsys):
+    base_runs = _summary(direction_ablation_out / "baseline")
+    grid = _summary(direction_ablation_out / "rho_grid")
+    base = np.array([base_runs[0.0, s][0] for s in SEEDS])
+    rwp = np.array([grid[0.0, s][0] for s in SEEDS])
+    wrf = np.array([grid[1.0, s][0] for s in SEEDS])
     inv_low = int((rwp < base).sum())
     inv_high = int((wrf < rwp).sum())
     ordered = base.mean() <= rwp.mean() <= wrf.mean()
@@ -397,9 +375,9 @@ def test_08_direction_ablation(rho_study, capsys):
 # ---------------------------------------------------------------- check 9
 
 
-def test_09_ratio_trend(rho_study, capsys):
-    _, grid = rho_study
-    means = [float(np.mean([r.best_val_rmean for r in grid[rho]])) for rho in RHO_GRID]
+def test_09_ratio_trend(direction_ablation_out, capsys):
+    by_rho = _seed_means(_summary(direction_ablation_out / "rho_grid"), RHO_GRID)
+    means = [by_rho[rho][0] for rho in RHO_GRID]
     inversions = sum(1 for a, b in zip(means, means[1:]) if b < a)
     ok = inversions <= MAX_PAIR_INVERSIONS
     _report(capsys, 9, ok,
@@ -412,22 +390,25 @@ def test_09_ratio_trend(rho_study, capsys):
 # --------------------------------------------------------------- check 10
 
 
-def _median_epoch_s(record, two_pass: bool, warmup: int) -> float:
-    """Median seconds of a run's warm-up (one-pass) or later (two-pass) epochs."""
-    seconds = [row.seconds for row in record.rows if (row.epoch > warmup) is two_pass]
+def _median_epoch_s(run_dir, two_pass: bool, warmup: int) -> float:
+    """Median seconds of a run's warm-up (one-pass) or later (two-pass) epochs,
+    read from the train rows of its metrics.csv."""
+    with (run_dir / "metrics.csv").open(encoding="utf-8") as fh:
+        seconds = [float(r["seconds"]) for r in csv.DictReader(fh)
+                   if r["split"] == "train" and (int(r["epoch"]) > warmup) is two_pass]
     return float(np.median(seconds))
 
 
-def test_10_compute_overhead(gamma_sweep, capsys):
+def test_10_compute_overhead(gamma_sweep_out, capsys):
     # Each gamma>0 run trains its warm-up epochs with one pass per step and
     # the rest with two, so both step kinds are timed within seconds of each
     # other: a slower phase of a shared host then scales both, where it
     # would scale only one side of a ratio against the gamma=0 runs.
-    runs = gamma_sweep["runs"]
+    out, _ = gamma_sweep_out
     warmup = ExperimentConfig().warmup_epochs
-    records = [runs[g, s][0] for g in GAMMA_SWEEP[1:] for s in SEEDS]
-    base_s = float(np.mean([_median_epoch_s(r, False, warmup) for r in records]))
-    wrf_s = float(np.mean([_median_epoch_s(r, True, warmup) for r in records]))
+    run_dirs = [_run_dir(out, "gamma", g, s) for g in GAMMA_SWEEP[1:] for s in SEEDS]
+    base_s = float(np.mean([_median_epoch_s(d, False, warmup) for d in run_dirs]))
+    wrf_s = float(np.mean([_median_epoch_s(d, True, warmup) for d in run_dirs]))
     ratio = wrf_s / base_s
     lo, hi = RATIO_BAND
 
@@ -455,9 +436,10 @@ def test_10_compute_overhead(gamma_sweep, capsys):
 # --------------------------------------------------------------- check 11
 
 
-def test_11_fraction_trends(fraction_study, capsys):
-    gaps = [float(np.mean([r.gap_at_best() for r in fraction_study[f]])) for f in FRACTIONS]
-    rmeans = [float(np.mean([r.best_val_rmean for r in fraction_study[f]])) for f in FRACTIONS]
+def test_11_fraction_trends(data_fractions_out, capsys):
+    means = _seed_means(_summary(data_fractions_out), FRACTIONS)
+    gaps = [means[f][1] for f in FRACTIONS]
+    rmeans = [means[f][0] for f in FRACTIONS]
     gap_inv = sum(1 for a, b in zip(gaps, gaps[1:]) if b > a)
     rmean_inv = sum(1 for a, b in zip(rmeans, rmeans[1:]) if b < a)
     ok = gap_inv <= MAX_PAIR_INVERSIONS and rmean_inv <= MAX_PAIR_INVERSIONS
@@ -473,32 +455,30 @@ def test_11_fraction_trends(fraction_study, capsys):
 # --------------------------------------------------------------- check 12
 
 
-def _flatness(run_dir, dataset, seed):
-    cfg = ExperimentConfig(seed=seed, **GAP_KNOBS)
-    model = RetrievalModel(cfg.model_config())
-    params = load_checkpoint(run_dir / "best.ckpt", trainable=model.init_params().trainable_names)
-    table = dataset.train
-    batch = TripletBatch(
-        table.refs,
-        dataset.mod_embeddings[table.mod_codes],
-        dataset.gallery[table.target_indices],
-    )
-    objective = RetrievalObjective(model, tau=cfg.tau)
-    curves = landscape_probe(
-        lambda p: objective.loss(p, batch), params, N_DIRECTIONS,
-        default_alpha_grid(0.1, 10), seed=seed,
-    )
+def _flatness(run_dir, csv_path) -> float:
+    """Flatness of run_dir's best.ckpt from the curves `wrf landscape --out` writes."""
+    argv = ["landscape", "--checkpoint", str(run_dir / "best.ckpt"),
+            "--directions", str(N_DIRECTIONS), "--out", str(csv_path)]
+    assert cli.main(argv) == 0
+    with csv_path.open(encoding="utf-8") as fh:
+        rows = [(int(r["direction_id"]), float(r["alpha"]), float(r["loss"]))
+                for r in csv.DictReader(fh)]
+    curves = [
+        LandscapeCurve(d_id, np.array([r[1] for r in rows if r[0] == d_id]),
+                       np.array([r[2] for r in rows if r[0] == d_id]))
+        for d_id in range(N_DIRECTIONS)
+    ]
     return flatness_score(curves, FLATNESS_ALPHA)
 
 
-def test_12_landscape_flatness(gamma_sweep, datasets, capsys):
-    runs = gamma_sweep["runs"]
-    gamma, _ = _best_gamma(_sweep_means(runs))
+def test_12_landscape_flatness(gamma_sweep_out, tmp_path, capsys):
+    out, _ = gamma_sweep_out
+    gamma, _ = _best_gamma(_seed_means(_summary(out), GAMMA_SWEEP))
     wins = 0
     pairs = []
     for seed in SEEDS:
-        base_f = _flatness(runs[0.0, seed][1], datasets[seed], seed)
-        wrf_f = _flatness(runs[gamma, seed][1], datasets[seed], seed)
+        base_f = _flatness(_run_dir(out, "gamma", 0.0, seed), tmp_path / f"base_s{seed}.csv")
+        wrf_f = _flatness(_run_dir(out, "gamma", gamma, seed), tmp_path / f"wrf_s{seed}.csv")
         pairs.append((base_f, wrf_f))
         wins += int(wrf_f < base_f)
     ok = wins >= FLATNESS_WINS_MIN
@@ -513,12 +493,13 @@ def test_12_landscape_flatness(gamma_sweep, datasets, capsys):
 # --------------------------------------------------------------- check 13
 
 
-def test_13_lora_mode(datasets, tmp_path, capsys):
+def test_13_lora_mode(tmp_path, capsys):
     cfg = ExperimentConfig(
         seed=5, finetune_mode="lora", lora_rank=4, gamma=5e-3,
         total_epochs=6, warmup_epochs=1, batch_size=32, eval_every=2,
     )
-    train(cfg.train_config(), cfg.model_config(), datasets[5 % len(SEEDS)], out_dir=tmp_path)
+    dataset = build_dataset(ExperimentConfig(seed=0))
+    train(cfg.train_config(), cfg.model_config(), dataset, out_dir=tmp_path)
     model = RetrievalModel(cfg.model_config(), mode="lora", lora_rank=4)
     fresh = model.init_params()
     final = load_checkpoint(tmp_path / f"epoch_{cfg.total_epochs}.ckpt")

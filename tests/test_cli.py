@@ -12,7 +12,7 @@ import pytest
 
 from wrf import cli
 from wrf.errors import ConfigError
-from wrf.trainer import EpochRow, RunRecord
+from wrf.trainer import RunRecord
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -193,9 +193,7 @@ def test_sweep_continues_past_failing_run(cfg_file, tmp_path, capsys):
 
 def test_sweep_table_cut_is_nan_when_the_first_gap_is_0(capsys):
     def record(rmean, gap):
-        row = EpochRow(epoch=1, train_loss=1.0, lr=0.1, seconds=0.0, adv_steps=0,
-                       rand_steps=0, gap=gap)
-        return RunRecord(seed=0, rows=[row], best_epoch=1, best_val_rmean=rmean)
+        return RunRecord(best_epoch=1, best_val_rmean=rmean, gap_at_best=gap)
 
     cli.print_sweep_table("gamma", {0.0: [record(5.0, 0.0)],
                                     0.01: [record(6.0, 2.0), record(7.0, 1.0)]})
@@ -432,6 +430,22 @@ def test_negative_seed_is_rejected_before_any_run_dir(cfg_file, tmp_path, capsys
     assert cli.main(["landscape", "--checkpoint", str(run_dir / "best.ckpt")]) == 2
     assert capsys.readouterr().err == message
     assert not (run_dir / "landscape.csv").exists()
+
+
+@pytest.mark.parametrize("run_name", [".", ".."])
+def test_run_name_naming_out_dir_or_its_parent_is_exit_2(cfg_file, tmp_path, capsys, run_name):
+    # A run there would write into tmp_path/out or tmp_path and remove the
+    # checkpoints and landscape.csv of whatever run it found.
+    for name in ("best.ckpt", "epoch_3.ckpt", "landscape.csv", "metrics.csv", "config.echo"):
+        (tmp_path / name).write_text(f"kept {name}\n", encoding="utf-8")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    code = cli.main(["train", "--config", str(cfg_file), "--set", f"run_name={run_name}"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: run_name must be a plain directory name, got {run_name!r}\n"
+    )
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_lora_rank_is_rejected_in_every_mode(cfg_file, tmp_path, capsys):

@@ -243,7 +243,8 @@ def test_frozen_params_get_no_gradient():
 
 def test_unused_trainable_param_gets_zero_gradient():
     g = Graph()
-    g.softmax_xent(g.pairwise_dot(g.param("u"), g.param("u")))
+    u = g.param("u")
+    g.softmax_xent(g.pairwise_dot(u, u))
     ps = ParameterSet({"u": rand((3, 4), 0), "spare": np.ones((2, 2))})
     _, grad = value_and_grad(g, {}, ps)
     assert np.array_equal(carve(grad, ps.spans)["spare"], np.zeros((2, 2)))
@@ -251,14 +252,16 @@ def test_unused_trainable_param_gets_zero_gradient():
 
 def test_backward_before_forward_raises():
     g = Graph()
-    loss = g.softmax_xent(g.pairwise_dot(g.param("u"), g.param("u")))
+    u = g.param("u")
+    loss = g.softmax_xent(g.pairwise_dot(u, u))
     with pytest.raises(StateError):
         Executor(g).backward(loss)
 
 
 def test_backward_on_nonscalar_raises():
     g = Graph()
-    scores = g.pairwise_dot(g.param("u"), g.param("u"))
+    u = g.param("u")
+    scores = g.pairwise_dot(u, u)
     ex = Executor(g)
     ex.forward({}, ParameterSet({"u": rand((3, 4), 0)}), scores)
     with pytest.raises(ShapeError):
@@ -305,10 +308,14 @@ def test_leaf_name_collision_rejected():
         g.param("x")
 
 
-def test_repeated_leaves_are_deduplicated():
+@pytest.mark.parametrize("kind", ["input", "param"])
+def test_a_repeated_leaf_name_is_rejected(kind):
+    # A leaf used twice is bound once and passed to both consumers.
     g = Graph()
-    assert g.param("w") == g.param("w")
-    assert g.input("x") == g.input("x")
+    getattr(g, kind)("w")
+    with pytest.raises(ConfigError, match="'w' is already a leaf"):
+        getattr(g, kind)("w")
+    assert len(g.nodes) == 1
 
 
 def test_forward_backward_deterministic():
@@ -325,7 +332,8 @@ def test_forward_backward_deterministic():
 
 def test_pass_counters_track_executions():
     g = Graph()
-    g.softmax_xent(g.pairwise_dot(g.param("u"), g.param("u")))
+    u = g.param("u")
+    g.softmax_xent(g.pairwise_dot(u, u))
     ps = ParameterSet({"u": rand((3, 4), 0)})
     before = diffcore.pass_counts()
     value_and_grad(g, {}, ps)
@@ -424,8 +432,8 @@ def test_backward_gradients_are_fresh_arrays():
 
 def test_plan_follows_appended_nodes_and_trainable_sets():
     g = Graph()
-    a, b = g.param("a"), g.param("b")
-    s = g.pairwise_dot(g.matmul(g.input("x"), a), g.matmul(g.input("x"), b))
+    a, b, x_leaf = g.param("a"), g.param("b"), g.input("x")
+    s = g.pairwise_dot(g.matmul(x_leaf, a), g.matmul(x_leaf, b))
     loss = g.softmax_xent(s)
     x = {"x": rand((3, 2), 3)}
     layers = {"a": rand((2, 2), 4), "b": rand((2, 2), 5)}
@@ -625,13 +633,13 @@ def test_donating_forward_matches_node_by_node_bit_for_bit(activation, mode, row
     if mode == "lora":  # add writes over the adapter product, its second input
         assert any(g.nodes[i].op == "add" and j == g.nodes[i].inputs[1]
                    for i, j in enumerate(plan) if j is not None)
-    params_before = {name: ps[name].tobytes() for name in ps}
+    params_before = {name: ps[name].tobytes() for name in ps.names}
     inputs_before = {name: arr.tobytes() for name, arr in batch.items()}
     for _ in range(2):  # the second pass reuses the cached plan
         ex, ref = _same_pass(g, batch, ps, out)
         assert all(ex._values[j] is None for j in donated)
         _same_grads(ex, ref, out)
-    assert {name: ps[name].tobytes() for name in ps} == params_before
+    assert {name: ps[name].tobytes() for name in ps.names} == params_before
     assert {name: arr.tobytes() for name, arr in batch.items()} == inputs_before
     queries = model.embed_queries(ps, batch["refs"], batch["mods"])
     want_q = NodeByNodeExecutor(model._query_graph).forward(batch, ps, model._query_out)

@@ -33,10 +33,13 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
     inprocess = run_jobs(tmp_path / "inprocess", monkeypatch, False)
     forked = run_jobs(tmp_path / "worker", monkeypatch, True)
     assert identity.differences(inprocess, forked) == []
-    assert all(out.startswith(b"exit 0\n") for name, out in inprocess.items() if name[0] == "<")
+    codes = {name: out.split(b"\n", 1)[0] for name, out in inprocess.items() if name[0] == "<"}
+    assert codes.pop("<wrf selfcheck --inject grad-sign>") == b"exit 1"
+    assert set(codes.values()) == {b"exit 0"}
     for name in ("runs/default/best.ckpt", "runs/relu_lora/epoch_7.ckpt",
-                 "runs/relu_lora/landscape.csv", "sweep/fraction_0.25_seed1/epoch_8.ckpt",
-                 "sweep/sweep_summary.csv"):
+                 "runs/relu_lora/landscape.csv", "runs/lora/landscape.csv",
+                 "sweep/fraction_0.25_seed1/epoch_8.ckpt", "sweep/sweep_summary.csv",
+                 "rank_sweep/lora_rank_2_seed0/epoch_8.ckpt", "rank_sweep/sweep_summary.csv"):
         assert name in inprocess, name
     assert not any(name.endswith(".rng.json") for name in inprocess)
 

@@ -13,7 +13,7 @@ from wrf.synthcir import (
     subsample_dataset,
 )
 
-from oracles import nearest_subsets_by_sort
+from oracles import edit_maps, nearest_subsets_by_sort
 
 SMALL = DatasetConfig(
     d_ref=8, d_mod=4, n_mods=3, n_train=40, n_val=30, gallery_size=120,
@@ -51,11 +51,6 @@ def test_rows_are_unit_norm(small_ds):
         np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-12)
 
 
-def test_edit_maps_have_unit_columns(small_ds):
-    norms = np.linalg.norm(small_ds.edit_maps, axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
-
 def test_subsets_contain_target_first(small_ds):
     for table in (small_ds.train, small_ds.val):
         assert table.subsets.shape[1] == SMALL.subset_size
@@ -87,32 +82,30 @@ def test_nearest_subsets_break_ties_like_a_full_stable_sort():
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), subset_size
 
 
-def test_identity_edits_no_noise_recover_references():
-    cfg = DatasetConfig(
-        d_ref=6, d_mod=3, n_mods=2, n_train=20, n_val=20, gallery_size=64,
-        noise_sigma=0.0, subset_size=3, seed=1,
-    )
-    eye = np.tile(np.eye(6), (2, 1, 1))
-    ds = generate(cfg, edit_maps=eye)
-    # Targets are the re-normalized references; equality holds to the
-    # last-ulp wobble the extra normalization introduces.
-    np.testing.assert_allclose(ds.gallery[:20], ds.train.refs, atol=1e-15, rtol=0)
-    # And a model applying the true (identity) edit retrieves at R@1=100.
-    scores = ds.train.refs @ ds.gallery.T
-    top = scores.argmax(axis=1)
-    assert np.array_equal(top, ds.train.target_indices)
+NOISE_FREE = DatasetConfig(
+    d_ref=8, d_mod=4, n_mods=3, n_train=30, n_val=30, gallery_size=100,
+    noise_sigma=0.0, subset_size=3, seed=3,
+)
+
+
+def _edited(config, table):
+    """Each row's reference under its code's edit map, normalized."""
+    ideal = np.einsum("nij,nj->ni", edit_maps(config)[table.mod_codes], table.refs)
+    return ideal / np.linalg.norm(ideal, axis=1, keepdims=True)
+
+
+def test_noise_free_targets_are_normalized_edits_of_their_references():
+    ds = generate(NOISE_FREE)
+    for table in (ds.train, ds.val):
+        np.testing.assert_allclose(
+            ds.gallery[table.target_indices], _edited(NOISE_FREE, table), atol=1e-15, rtol=0
+        )
 
 
 def test_bayes_oracle_is_perfect_without_noise():
-    cfg = DatasetConfig(
-        d_ref=8, d_mod=4, n_mods=3, n_train=30, n_val=30, gallery_size=100,
-        noise_sigma=0.0, subset_size=3, seed=3,
-    )
-    ds = generate(cfg)
+    ds = generate(NOISE_FREE)
     for table in (ds.train, ds.val):
-        ideal = np.einsum("nij,nj->ni", ds.edit_maps[table.mod_codes], table.refs)
-        ideal /= np.linalg.norm(ideal, axis=1, keepdims=True)
-        top = (ideal @ ds.gallery.T).argmax(axis=1)
+        top = (_edited(NOISE_FREE, table) @ ds.gallery.T).argmax(axis=1)
         assert np.array_equal(top, table.target_indices)
 
 

@@ -316,8 +316,8 @@ def test_metrics_rows_layout():
 
     from wrf.evalkit import MetricReport
 
-    row.train_report = MetricReport("train", {1: 50.0, 5: 75.0}, 62.5, {1: 80.0})
-    row.val_report = MetricReport("val", {1: 30.0, 5: 55.0}, 42.5, {1: 60.0})
+    row.train_report = MetricReport({1: 50.0, 5: 75.0}, 62.5, {1: 80.0})
+    row.val_report = MetricReport({1: 30.0, 5: 55.0}, 42.5, {1: 60.0})
     row.gap = 20.0
     lines = metrics_rows(row)
     assert len(lines) == 2
@@ -369,7 +369,8 @@ def test_train_integration(tmp_path):
     assert record.best_epoch in (2, 4)
     assert record.best_val_rmean is not None
     assert record.final_val_rmean is not None
-    assert record.gap_at_best() is not None
+    assert record.gap_at_best is not None
+    assert record.gap_at_best == record.rows[record.best_epoch - 1].gap
     assert len(record.rows) == 4
     # warm-up epoch runs plain steps; later epochs perturb every step
     assert record.rows[0].adv_steps == 0 and record.rows[0].rand_steps == 0

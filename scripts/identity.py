@@ -3,10 +3,11 @@
 
 Runs one fixed set of wrf jobs (five training configs, three landscape
 probes, a fraction and a lora_rank sweep, selfcheck clean and with an
-injected fault) on this checkout's working tree
-and on a parent revision, which is checked out with `git worktree add`
-into a temporary directory and removed afterwards. Both sides run from the same
-relative out_dir, on three paths:
+injected fault, and three jobs that end in an error exit) on this
+checkout's working tree and on a parent revision, which is checked out
+with `git worktree add` into a temporary directory and removed
+afterwards. Both sides run from the same relative out_dir, on three
+paths:
 
   worker     python -m wrf.cli, OPENBLAS_NUM_THREADS=1 (eval worker forks)
   inprocess  python -m wrf.cli pinned to one CPU (evaluation in-process)
@@ -14,7 +15,9 @@ relative out_dir, on three paths:
 
 Every file either side writes is compared: metrics.csv without its
 seconds column, sweep_summary.csv without seconds_per_epoch, everything
-else byte for byte, plus each job's exit code and stdout. A file on one
+else byte for byte, plus each job's exit code, stdout and the stderr
+lines that start with ``error:`` (other stderr lines, such as a
+RuntimeWarning's, name a file path of the tree). A file on one
 side only counts as a difference. --checklist also compares the 13
 check lines of `pytest -s tests/test_acceptance.py` with the wall-clock
 figures masked. Prints one line per difference and a total, and exits 1
@@ -60,6 +63,10 @@ JOBS = (
      "--seeds", "0"],
     ["selfcheck"],  # its table holds no timings
     ["selfcheck", "--inject", "grad-sign"],  # exit 1, compared like any other job
+    ["train", "--config", "default.cfg", "--set", "gamma=-1"],  # exit 2: config
+    ["landscape", "--checkpoint", "runs/missing/best.ckpt"],  # exit 2: IO
+    # exit 3: a numeric abort in epoch 1, after config.echo and the metrics.csv header
+    ["train", "--config", "default.cfg", "--set", "eta0=1e300", "--set", "run_name=diverged"],
 )
 
 # CSV file name -> the wall-clock column left out of its comparison.
@@ -93,8 +100,10 @@ def write_configs(workdir: Path, epochs: int | None = None) -> None:
         (workdir / f"{stem}.cfg").write_text(text, encoding="utf-8")
 
 
-def outcome(code: int, stdout: str) -> bytes:
-    return f"exit {code}\n{stdout}".encode("utf-8")
+def outcome(code: int, stdout: str, stderr: str) -> bytes:
+    """A job's exit code, its stdout and the ``error:`` lines of its stderr."""
+    errors = "".join(f"{line}\n" for line in stderr.splitlines() if line.startswith("error:"))
+    return f"exit {code}\n{stdout}{errors}".encode("utf-8")
 
 
 def _comparable(path: Path) -> bytes:
@@ -152,7 +161,7 @@ def run_side(tree: Path, workdir: Path, path: str) -> dict[str, bytes]:
             [sys.executable, "-m", module, *argv], cwd=workdir, env=_env(tree / "src", blas),
             capture_output=True, text=True, preexec_fn=_pin_to_one_cpu if pinned else None,
         )
-        outcomes[" ".join(argv)] = outcome(proc.returncode, proc.stdout)
+        outcomes[" ".join(argv)] = outcome(proc.returncode, proc.stdout, proc.stderr)
     return snapshot(workdir, outcomes)
 
 

@@ -7,7 +7,9 @@ file back in reproduces the run (the data, the init, and the step
 streams are all derived from the recorded seed).
 
 Exit codes: 0 success, 1 selfcheck failure, 2 config or IO error,
-3 numeric abort, 4 sweep finished with some failed runs.
+3 numeric abort, 4 sweep finished with some failed runs. The commands
+raise their errors; main() alone maps ConfigError, DataError and
+OSError to 2 and NumericError to 3, each with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ class ExperimentConfig:
     fraction: float = 1.0
 
     def __post_init__(self):
+        for name in ("run_name", "out_dir"):
+            # config.echo holds each value on one line; "replace" changes
+            # what UTF-8 cannot encode, such as an undecodable argv byte.
+            value = getattr(self, name)
+            if len(value.splitlines()) > 1 or value.encode("utf-8", "replace").decode() != value:
+                raise ConfigError(f"{name} must be one line of UTF-8 text, got {value!r}")
         if self.run_name in ("", ".", "..") or "/" in self.run_name:
             raise ConfigError(f"run_name must be a plain directory name, got {self.run_name!r}")
         if self.seed < 0:
@@ -147,7 +155,11 @@ def read_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_lines(path.read_text(encoding="utf-8").splitlines(), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8") from exc
+    return parse_config_lines(text.splitlines(), str(path))
 
 
 def build_config(mapping: dict) -> ExperimentConfig:
@@ -195,23 +207,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Path]:
     return record, run_dir
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def cmd_train(args) -> int:
-    try:
-        mapping = apply_overrides(read_config_file(args.config), args.set)
-        config = build_config(mapping)
-    except (ConfigError, DataError, OSError) as exc:
-        return _fail(str(exc), 2)
-    try:
-        record, run_dir = run_experiment(config)
-    except (ConfigError, DataError, OSError) as exc:
-        return _fail(str(exc), 2)
-    except NumericError as exc:
-        return _fail(f"numeric abort: {exc}", 3)
+    config = build_config(apply_overrides(read_config_file(args.config), args.set))
+    record, run_dir = run_experiment(config)
     print(f"run dir: {run_dir}")
     print(
         f"best val rmean {record.best_val_rmean:.4f} at epoch {record.best_epoch}; "
@@ -236,9 +234,7 @@ def _sweep_config(base: dict, param: str, value, seed: int) -> ExperimentConfig:
     if param == "lora_rank":
         # rank 0 means ordinary full fine-tuning: the sweep's baseline row.
         mapping["finetune_mode"] = "lora" if value > 0 else "full"
-        mapping["lora_rank"] = str(value)
-    else:
-        mapping[param] = repr(value)
+    mapping[param] = repr(value)
     mapping["seed"] = str(seed)
     mapping["run_name"] = f"{param}_{value!r}_seed{seed}"
     return build_config(mapping)
@@ -263,19 +259,15 @@ def print_sweep_table(param: str, finished: dict) -> None:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        base = apply_overrides(read_config_file(args.config), args.set)
-        kind = int if args.param == "lora_rank" else float
-        values = _parse_sweep_list(args.values, kind, "value")
-        seeds = _parse_sweep_list(args.seeds, int, "seed")
-        planned = [
-            (value, seed, _sweep_config(base, args.param, value, seed))
-            for value in values
-            for seed in seeds
-        ]
-    except (ConfigError, DataError, OSError) as exc:
-        return _fail(str(exc), 2)
-
+    base = apply_overrides(read_config_file(args.config), args.set)
+    kind = int if args.param == "lora_rank" else float
+    values = _parse_sweep_list(args.values, kind, "value")
+    seeds = _parse_sweep_list(args.seeds, int, "seed")
+    planned = [
+        (value, seed, _sweep_config(base, args.param, value, seed))
+        for value in values
+        for seed in seeds
+    ]
     rows = []
     finished = {}  # value -> RunRecords of its finished runs, in seed order
     failures = 0
@@ -301,31 +293,27 @@ def cmd_sweep(args) -> int:
         out_root.mkdir(parents=True, exist_ok=True)
         summary.write_text("\n".join([SWEEP_HEADER, *rows]) + "\n", encoding="utf-8")
     except OSError as exc:
-        return _fail(f"cannot write {summary}: {exc}", 2)
+        raise OSError(f"cannot write {summary}: {exc}") from exc
     print_sweep_table(args.param, finished)
     print(f"summary: {summary} ({len(rows)} rows, {failures} failed)")
     return 4 if failures else 0
 
 
 def cmd_landscape(args) -> int:
-    try:
-        ckpt_path = Path(args.checkpoint)
-        run_dir = ckpt_path.parent
-        config = load_config_echo(run_dir / "config.echo")
-        model = RetrievalModel(
-            config.model_config(), mode=config.finetune_mode, lora_rank=config.lora_rank
+    ckpt_path = Path(args.checkpoint)
+    run_dir = ckpt_path.parent
+    config = load_config_echo(run_dir / "config.echo")
+    model = RetrievalModel(
+        config.model_config(), mode=config.finetune_mode, lora_rank=config.lora_rank
+    )
+    expected = model.init_params()
+    params = load_checkpoint(ckpt_path, trainable=expected.trainable_names)
+    if params.shapes() != expected.shapes():
+        raise DataError(
+            f"{ckpt_path}: layer shapes {params.shapes()} do not fit the run's "
+            f"config.echo, which builds {expected.shapes()}"
         )
-        expected = model.init_params()
-        params = load_checkpoint(ckpt_path, trainable=expected.trainable_names)
-        if params.shapes() != expected.shapes():
-            raise DataError(
-                f"{ckpt_path}: layer shapes {params.shapes()} do not fit the run's "
-                f"config.echo, which builds {expected.shapes()}"
-            )
-        dataset = build_dataset(config)
-    except (ConfigError, DataError, OSError) as exc:
-        return _fail(str(exc), 2)
-
+    dataset = build_dataset(config)
     table = dataset.train
     n = min(len(table), LANDSCAPE_BATCH_CAP)
     batch = TripletBatch(
@@ -338,18 +326,10 @@ def cmd_landscape(args) -> int:
     def loss_fn(ps):
         return objective.loss(ps, batch)
 
-    try:
-        alphas = default_alpha_grid(args.alpha_max, args.alpha_steps)
-        curves = landscape_probe(loss_fn, params, args.directions, alphas, seed=config.seed)
-    except (ConfigError, DataError) as exc:
-        return _fail(str(exc), 2)
-    except NumericError as exc:
-        return _fail(f"numeric abort: {exc}", 3)
+    alphas = default_alpha_grid(args.alpha_max, args.alpha_steps)
+    curves = landscape_probe(loss_fn, params, args.directions, alphas, seed=config.seed)
     out = Path(args.out) if args.out else run_dir / "landscape.csv"
-    try:
-        landscape_to_csv(curves, out)
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    landscape_to_csv(curves, out)
     print(f"landscape: {out} ({len(curves)} directions x {len(alphas)} alphas)")
     try:
         print(f"flatness at alpha=0.05: {flatness_score(curves, 0.05):.6f}")
@@ -412,7 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigError, DataError, OSError) as exc:
+        message, code = str(exc), 2
+    except NumericError as exc:
+        message, code = f"numeric abort: {exc}", 3
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -402,8 +402,8 @@ def train(
     docstring); the worker forks before metrics.csv opens, and
     only this process writes files. Failures keep the order of a
     sequential loop: an evaluation error is raised after the rows of the
-    epochs before it, and a failing step first commits the epoch before
-    it. The worker is stopped before train() returns or raises.
+    epochs before it; an exception or Ctrl-C in a step first commits
+    the previous epoch. The worker is stopped before train() returns or raises.
     """
     check_train_split(dataset)
     model = RetrievalModel(model_config, mode=config.finetune_mode, lora_rank=config.lora_rank)
@@ -459,15 +459,15 @@ def train(
     ) as metrics_fh:
         metrics_fh.write(METRICS_HEADER + "\n")
         metrics_fh.flush()
-        for epoch in range(config.total_epochs):
-            state.epoch = epoch
-            step_fn = baseline_step
-            if config.gamma > 0.0 and epoch >= config.warmup_epochs:
-                step_fn = wrf_step
-            order = state.rng_shuffle.permutation(len(dataset.train))
-            losses, kinds = [], []
-            tick = time.perf_counter()
-            try:
+        try:
+            for epoch in range(config.total_epochs):
+                state.epoch = epoch
+                step_fn = baseline_step
+                if config.gamma > 0.0 and epoch >= config.warmup_epochs:
+                    step_fn = wrf_step
+                order = state.rng_shuffle.permutation(len(dataset.train))
+                losses, kinds = [], []
+                tick = time.perf_counter()
                 for idx in _epoch_batches(order, config.batch_size):
                     batch = TripletBatch(
                         refs=dataset.train.refs[idx],
@@ -477,25 +477,23 @@ def train(
                     info = step_fn(state, batch, config, objective)
                     losses.append(info.loss)
                     kinds.append(info.kind)
-            except Exception:
-                commit()  # the epoch before this one ends first, as in a sequential loop
-                raise
-            seconds = time.perf_counter() - tick
+                seconds = time.perf_counter() - tick
 
-            epoch_no = epoch + 1
-            row = EpochRow(
-                epoch=epoch_no,
-                train_loss=float(np.mean(losses)),
-                lr=current_lr(config, epoch),
-                seconds=seconds,
-                adv_steps=kinds.count("adversarial"),
-                rand_steps=kinds.count("random"),
-            )
-            commit()  # one evaluation in flight at a time
-            params = state.params.copy()  # the next epoch updates state.params in place
-            reports = None
-            if epoch_no % config.eval_every == 0 or epoch_no == config.total_epochs:
-                reports = submit(params)
-            pending = (row, params, reports)
-        commit()
+                epoch_no = epoch + 1
+                row = EpochRow(
+                    epoch=epoch_no,
+                    train_loss=float(np.mean(losses)),
+                    lr=current_lr(config, epoch),
+                    seconds=seconds,
+                    adv_steps=kinds.count("adversarial"),
+                    rand_steps=kinds.count("random"),
+                )
+                commit()  # one evaluation in flight at a time
+                params = state.params.copy()  # the next epoch updates state.params in place
+                reports = None
+                if epoch_no % config.eval_every == 0 or epoch_no == config.total_epochs:
+                    reports = submit(params)
+                pending = (row, params, reports)
+        finally:
+            commit()  # the last epoch, or the one before a failing epoch, as in a sequential loop
     return record

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wrf import cli
-from wrf.errors import ConfigError
+from wrf.errors import ConfigError, DataError, NumericError
 from wrf.trainer import RunRecord
 
 REPO = Path(__file__).resolve().parent.parent
@@ -446,6 +446,60 @@ def test_run_name_naming_out_dir_or_its_parent_is_exit_2(cfg_file, tmp_path, cap
     )
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["run_name", "out_dir"])
+@pytest.mark.parametrize("value", ["x\ny", "x\x1cy", "x\x85y", "x\u2028y", "p\udc85q"])
+def test_a_value_config_echo_cannot_hold_is_exit_2_before_any_directory(
+    cfg_file, tmp_path, monkeypatch, capsys, key, value
+):
+    # "p\udc85q" is how Python decodes the argv bytes p, 0x85, q.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--config", str(cfg_file), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {key} must be one line of UTF-8 text, got {value!r}\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["base.cfg"]
+
+
+def test_config_file_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"run_name=\xff\n")
+    assert cli.main(["train", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: config file is not UTF-8\n"
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError("bad value"), 2, "error: "),
+    (DataError("bad file"), 2, "error: "),
+    (OSError("disk full"), 2, "error: "),
+    (NumericError("loss is nan"), 3, "error: numeric abort: "),
+])
+@pytest.mark.parametrize("command, raiser", [
+    ("train", "run_experiment"),
+    ("sweep", "build_config"),
+    ("landscape", "landscape_probe"),
+])
+def test_main_maps_each_error_to_its_exit_code(
+    cfg_file, tmp_path, monkeypatch, capsys, command, raiser, error, code, prefix
+):
+    argv = {
+        "train": ["train", "--config", str(cfg_file)],
+        "sweep": ["sweep", "--config", str(cfg_file), "--param", "rho", "--values", "0.5"],
+        "landscape": ["landscape", "--checkpoint", str(tmp_path / "out" / "run" / "best.ckpt")],
+    }[command]
+    if command == "landscape":
+        assert cli.main(["train", "--config", str(cfg_file)]) == 0
+        capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, raiser, fail)
+    assert cli.main(argv) == code
+    out = capsys.readouterr()
+    assert out.err == f"{prefix}{error}\n"
+    assert out.out == ""
 
 
 def test_negative_lora_rank_is_rejected_in_every_mode(cfg_file, tmp_path, capsys):

@@ -22,10 +22,10 @@ def run_jobs(workdir: Path, monkeypatch, forks: bool) -> dict[str, bytes]:
     monkeypatch.setattr(worker, "available", lambda: forks)
     outcomes = {}
     for argv in identity.JOBS:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        outcomes[" ".join(argv)] = identity.outcome(code, out.getvalue())
+        outcomes[" ".join(argv)] = identity.outcome(code, out.getvalue(), err.getvalue())
     return identity.snapshot(workdir, outcomes)
 
 
@@ -35,7 +35,17 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
     assert identity.differences(inprocess, forked) == []
     codes = {name: out.split(b"\n", 1)[0] for name, out in inprocess.items() if name[0] == "<"}
     assert codes.pop("<wrf selfcheck --inject grad-sign>") == b"exit 1"
+    for name, code, prefix in (
+        ("<wrf train --config default.cfg --set gamma=-1>", b"exit 2", b"error: "),
+        ("<wrf landscape --checkpoint runs/missing/best.ckpt>", b"exit 2", b"error: "),
+        ("<wrf train --config default.cfg --set eta0=1e300 --set run_name=diverged>",
+         b"exit 3", b"error: numeric abort: "),
+    ):
+        assert codes.pop(name) == code
+        assert inprocess[name].split(b"\n")[1].startswith(prefix), name
     assert set(codes.values()) == {b"exit 0"}
+    assert inprocess["runs/diverged/metrics.csv"].count(b"\n") == 1  # the header only
+    assert "runs/diverged/config.echo" in inprocess
     for name in ("runs/default/best.ckpt", "runs/relu_lora/epoch_7.ckpt",
                  "runs/relu_lora/landscape.csv", "runs/lora/landscape.csv",
                  "sweep/fraction_0.25_seed1/epoch_8.ckpt", "sweep/sweep_summary.csv",
@@ -53,7 +63,10 @@ def test_comparison_masks_only_the_wall_clock_columns(tmp_path):
     a, b = identity.snapshot(tmp_path / "a", {}), identity.snapshot(tmp_path / "b", {})
     assert identity.differences(a, b) == ["differs: other.csv"]
     (tmp_path / "b" / "extra.ckpt.rng.json").write_text("{}")
-    b = identity.snapshot(tmp_path / "b", {"train": identity.outcome(0, "x\n")})
+    b = identity.snapshot(tmp_path / "b", {"train": identity.outcome(0, "x\n", "")})
+    # Only error: lines of stderr count; a warning names the tree's file path.
+    assert identity.outcome(2, "x\n", "/a/wrf/cli.py:9: RuntimeWarning: overflow\nerror: bad\n") \
+        == b"exit 2\nx\nerror: bad\n"
     assert identity.differences(a, b) == [
         "only in change: <wrf train>", "only in change: extra.ckpt.rng.json",
         "differs: other.csv",

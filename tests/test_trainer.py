@@ -477,6 +477,30 @@ def test_train_partial_metrics_survive_abort(tmp_path, monkeypatch):
             assert (out / "epoch_2.ckpt").read_bytes() == (clean / "epoch_2.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("path", EVAL_PATHS)
+def test_ctrl_c_in_an_epoch_keeps_the_epochs_before_it(tmp_path, monkeypatch, path):
+    use_eval_path(monkeypatch, path)
+    dataset, cfg = generate(DATA_CFG), small_run_config(eval_every=1)
+    clean = tmp_path / "clean"
+    train(cfg, MODEL_CFG, dataset, out_dir=clean)
+    real = trainer.wrf_step
+
+    def interrupted(state, batch, config, objective):
+        if state.epoch == 2:  # the first step of 1-based epoch 3
+            raise KeyboardInterrupt
+        return real(state, batch, config, objective)
+
+    monkeypatch.setattr(trainer, "wrf_step", interrupted)
+    out = tmp_path / "r"
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg, MODEL_CFG, dataset, out_dir=out)
+    assert multiprocessing.active_children() == []
+    # Epoch 2 was still uncommitted (and, on the worker path, being
+    # evaluated) when epoch 3 was interrupted; it is written in full.
+    assert metrics_lines(out) == metrics_lines(clean)[: 1 + 2 * 2]
+    assert (out / "epoch_2.ckpt").read_bytes() == (clean / "epoch_2.ckpt").read_bytes()
+
+
 @pytest.mark.parametrize("path, next_step_fails", [
     pytest.param(path, fails, id=f"{path}-and-a-step-of-the-next-epoch" if fails else path)
     for fails in (False, True) for path in EVAL_PATHS

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that this checkout writes what a parent revision writes, byte for byte.
 
-Runs one fixed set of wrf jobs (five training configs, three landscape
+Runs one fixed set of wrf jobs (six training configs, three landscape
 probes, a fraction and a lora_rank sweep, selfcheck clean and with an
 injected fault, and three jobs that end in an error exit) on this
 checkout's working tree and on a parent revision, which is checked out
@@ -47,6 +47,8 @@ CONFIGS = {
     "relu_lora": {"activation": "relu", "finetune_mode": "lora", "lora_rank": "2",
                   "checkpoint_every": "7", "eval_every": "3"},
     "sgd": {"optimizer": "sgd", "schedule": "constant", "gamma": "0.01", "rho": "0.5"},
+    # Subset recall over candidate lists well beyond the default 6.
+    "wide_subsets": {"subset_size": "41", "total_epochs": "2", "warmup_epochs": "1"},
     "sweep": {"out_dir": "sweep"},
     "rank_sweep": {"out_dir": "rank_sweep"},
 }
@@ -54,7 +56,7 @@ CONFIGS = {
 # wrf arguments, in run order; each probe reads a best.ckpt trained before it.
 JOBS = (
     *(["train", "--config", f"{name}.cfg"]
-      for name in ("default", "ablation", "lora", "relu_lora", "sgd")),
+      for name in ("default", "ablation", "lora", "relu_lora", "sgd", "wide_subsets")),
     *(["landscape", "--checkpoint", f"runs/{name}/best.ckpt"] for name in ("ablation", "relu_lora")),
     ["landscape", "--checkpoint", "runs/lora/best.ckpt", "--directions", "1"],
     ["sweep", "--config", "sweep.cfg", "--param", "fraction", "--values", "0.25,0.5",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -300,6 +301,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_landscape(args) -> int:
+    if args.directions < 1:
+        raise ConfigError(f"--directions must be >= 1, got {args.directions}")
+    if not (math.isfinite(args.alpha_max) and args.alpha_max > 0):
+        raise ConfigError(f"--alpha-max must be finite and > 0, got {args.alpha_max}")
+    if args.alpha_steps < 1:
+        raise ConfigError(f"--alpha-steps must be >= 1, got {args.alpha_steps}")
     ckpt_path = Path(args.checkpoint)
     run_dir = ckpt_path.parent
     config = load_config_echo(run_dir / "config.echo")

@@ -37,6 +37,9 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
+# Overflow is not a warning here: the pass at theta + delta rejects a
+# non-finite perturbed parameter with a NumericError.
+@np.errstate(over="ignore", invalid="ignore")
 def _build(params: ParameterSet, raw: np.ndarray, gamma: float) -> np.ndarray:
     """Rescale raw (laid out like params.flat) to ||delta_l|| = gamma * ||theta_l||
     per layer; each norm is sqrt(view.dot(view)), as np.linalg.norm takes it."""

@@ -206,6 +206,9 @@ class StepInfo:
     loss_perturbed: float | None = None
 
 
+# Overflow is not a warning here: a later pass or evaluation rejects
+# non-finite parameters with a NumericError.
+@np.errstate(over="ignore", invalid="ignore")
 def _optimizer_update(state: TrainState, g: np.ndarray, lr: float, config: TrainConfig) -> None:
     # In place on params.flat. AdamW keeps the operation order of
     # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and

@@ -300,6 +300,22 @@ def test_landscape_corrupt_checkpoint_is_exit_2(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--directions", "0", ">= 1, got 0"),
+    ("--alpha-max", "0", "finite and > 0, got 0.0"),
+    ("--alpha-max", "nan", "finite and > 0, got nan"),
+    ("--alpha-max", "inf", "finite and > 0, got inf"),
+    ("--alpha-steps", "0", ">= 1, got 0"),
+])
+def test_landscape_rejects_a_bad_grid_flag_before_reading_the_run(
+    tmp_path, capsys, flag, value, rule
+):
+    # The checkpoint does not exist: the flag is checked before the run is read.
+    code = cli.main(["landscape", "--checkpoint", str(tmp_path / "ghost.ckpt"), flag, value])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag} must be {rule}\n"
+
+
 def test_landscape_nonfinite_checkpoint_is_exit_2(cfg_file, tmp_path, capsys):
     cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
     ckpt = tmp_path / "out" / "a" / "best.ckpt"
@@ -556,6 +572,19 @@ def run_entry_probe(**blas_env) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def test_numeric_abort_prints_only_its_error_line(cfg_file):
+    # An overflowing update is caught by a later pass, not warned about.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wrf.cli", "train", "--config", str(cfg_file),
+         "--set", "eta0=1e300"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: numeric abort: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_wrf_command_defaults_to_one_blas_thread():

@@ -1,5 +1,7 @@
 """Perturbation budget, direction, and mixing properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,17 @@ def random_params(rng, n_layers=3, frozen=False):
 def grads_like(ps, rng):
     """A gradient laid out like ps.flat: the stream of one draw per trainable layer."""
     return rng.normal(size=ps.flat.size)
+
+
+def test_overflowing_norms_give_a_non_finite_delta_without_a_warning():
+    ps = ParameterSet({"w": np.full(4, 1e200), "b": np.ones(2)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta in (
+            adversarial_perturbation(ps, np.full(6, 1e300), gamma=0.5),
+            random_perturbation(ps, 0.5, np.random.default_rng(0)),
+        ):
+            assert not np.isfinite(delta[:4]).all() and np.isfinite(delta[4:]).all()
 
 
 def test_hand_example():

@@ -69,17 +69,18 @@ def test_generated_subsets_equal_a_full_stable_sort(subset_size):
 
 
 def test_nearest_subsets_break_ties_like_a_full_stable_sort():
-    # Duplicate rows of a few vectors tie at, above and below every
-    # row's selection threshold.
+    # Duplicate rows of a few vectors tie in large groups in every row.
+    # 150 rows fill two 64-row argmax blocks and part of a third.
     rng = np.random.default_rng(3)
     base = rng.normal(size=(4, 3))
     base /= np.linalg.norm(base, axis=1, keepdims=True)
-    gallery = base[rng.integers(0, 4, size=40)]
-    targets = np.arange(40, dtype=np.uint32)
-    for subset_size in (2, 3, 7, 11, 25, 40):
-        want = nearest_subsets_by_sort(gallery, targets, subset_size)
-        got = _nearest_subsets(gallery, targets, subset_size)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), subset_size
+    for n, subset_sizes in ((40, (2, 3, 7, 11, 25, 40)), (150, range(2, 151))):
+        gallery = base[rng.integers(0, 4, size=n)]
+        targets = np.arange(n, dtype=np.uint32)
+        for subset_size in subset_sizes:
+            want = nearest_subsets_by_sort(gallery, targets, subset_size)
+            got = _nearest_subsets(gallery, targets, subset_size)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, subset_size)
 
 
 NOISE_FREE = DatasetConfig(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that this checkout writes what a parent revision writes, byte for byte.
 
-Runs one fixed set of wrf jobs (six training configs, three landscape
+Runs one fixed set of wrf jobs (seven training configs, four landscape
 probes, a fraction and a lora_rank sweep, selfcheck clean and with an
 injected fault, and three jobs that end in an error exit) on this
 checkout's working tree and on a parent revision, which is checked out
@@ -49,16 +49,20 @@ CONFIGS = {
     "sgd": {"optimizer": "sgd", "schedule": "constant", "gamma": "0.01", "rho": "0.5"},
     # Subset recall over candidate lists well beyond the default 6.
     "wide_subsets": {"subset_size": "41", "total_epochs": "2", "warmup_epochs": "1"},
+    # No hidden layer: no activation between the fusion matmul and l2norm_rows.
+    "one_layer": {"hidden": "", "gamma": "0.01", "rho": "0.5", "total_epochs": "2",
+                  "warmup_epochs": "1"},
     "sweep": {"out_dir": "sweep"},
     "rank_sweep": {"out_dir": "rank_sweep"},
 }
 
 # wrf arguments, in run order; each probe reads a best.ckpt trained before it.
 JOBS = (
-    *(["train", "--config", f"{name}.cfg"]
-      for name in ("default", "ablation", "lora", "relu_lora", "sgd", "wide_subsets")),
+    *(["train", "--config", f"{name}.cfg"] for name in (
+        "default", "ablation", "lora", "relu_lora", "sgd", "wide_subsets", "one_layer")),
     *(["landscape", "--checkpoint", f"runs/{name}/best.ckpt"] for name in ("ablation", "relu_lora")),
     ["landscape", "--checkpoint", "runs/lora/best.ckpt", "--directions", "1"],
+    ["landscape", "--checkpoint", "runs/one_layer/best.ckpt", "--directions", "2"],
     ["sweep", "--config", "sweep.cfg", "--param", "fraction", "--values", "0.25,0.5",
      "--seeds", "0,1"],
     ["sweep", "--config", "rank_sweep.cfg", "--param", "lora_rank", "--values", "0,2",

@@ -140,7 +140,7 @@ def _format_value(key: str, value) -> str:
 
 
 def parse_config_lines(lines, source: str = "<config>") -> dict:
-    mapping = {}
+    mapping, set_on = {}, {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -148,7 +148,10 @@ def parse_config_lines(lines, source: str = "<config>") -> dict:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        mapping[key.strip()] = value
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"{source}:{lineno}: {key} is already set on line {set_on[key]}")
+        mapping[key], set_on[key] = value, lineno
     return mapping
 
 

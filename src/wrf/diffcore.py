@@ -4,20 +4,24 @@ Graphs are declarative: build once with Graph methods, then run any
 number of times through an Executor bound to concrete inputs and a
 ParameterSet. A leaf name is bound once: a second input or param of
 one name is a ConfigError, so a leaf used twice is one node with two
-consumers. Everything is dense float64 numpy; every node's output is
-checked finite so a blow-up is reported at the node that produced it
+consumers. Everything is dense float64 numpy; every node a pass runs
+is checked finite so a blow-up is reported at the node that produced it
 instead of surfacing later as a silent NaN. The check stays per node
 because a non-finite intermediate can vanish before the loss
 (relu(-inf) is 0). It takes r.dot(r) over the output's ravel, which is
 finite only when every entry is, and runs np.isfinite only when it is
 not, to tell a sum of squares that overflows from a non-finite entry.
 
-Executor.forward walks Graph.nodes directly. Backward runs steps that
-skip every node unable to reach a trainable parameter, so no gradient is
-formed for inputs or frozen layers; the graph caches them per (loss
-node, trainable names), and appending nodes never stales that cache
-because a node depends only on lower ids. Pruning changes no bit of the
-gradient, one float64 array laid out like ParameterSet.flat.
+A pass follows one plan, Graph.plan(output, trainable): forward steps
+over only the nodes output needs, and backward steps over those of
+them that can reach a trainable parameter, so no gradient is formed
+for inputs or frozen layers. A forward to an intermediate node neither
+computes nor checks the nodes after it, and Executor.backward
+differentiates the forward's output. The graph caches one plan per
+(output, trainable names); a node depends only on lower ids, so
+appending nodes never changes an existing output's plan. Pruning
+changes no bit of the gradient, one float64 array laid out like
+ParameterSet.flat.
 
 Softmax cross-entropy takes each row reduction once: forward keeps
 exp(logits - row max) and its row sums, and the probabilities are
@@ -27,15 +31,17 @@ Forward donates buffers: when a value's only consumer runs, it writes
 its output into that value's buffer (add into either input; bias_add,
 tanh, scalar_mul and softmax_xent into the first) with the same ufunc
 and out=, so no byte changes and every node is still checked finite.
-Node i takes input j only when j is an intermediate (not an input or
-param leaf), i is j's only consumer (add(x, x) is two uses), j is not
-the requested output, and j's producer does not pin it (tanh and
-l2norm_rows keep it in their ctx; softmax_xent's is a scalar). Backward
-never writes, so it is untouched.
+Uses are counted among the pass's own nodes. Node i takes input j only
+when j is an intermediate (not an input or param leaf), i is j's only
+consumer in the pass (add(x, x) is two uses), j is not the pass's
+output (which has no consumer in its own pass, so the count keeps it),
+and j's producer does not pin it (tanh and l2norm_rows keep it in
+their ctx; softmax_xent's is a scalar). Backward never writes, so it
+is untouched.
 
 The op set is deliberately tiny (ten ops). Each op is a (forward,
 backward, donates, pins_output) entry in the _OPS registry, looked up on
-every pass rather than bound into the graph; the selfcheck command relies
+every pass rather than bound into the plan; the selfcheck command relies
 on that registry to inject a broken backward rule and prove the gradient
 suite catches it.
 """
@@ -244,8 +250,7 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
         self._leaves: dict[str, str] = {}  # leaf name -> "input" or "param"; one leaf per name
-        self._backward: dict[tuple[int, tuple[str, ...]], tuple] = {}
-        self._donations: dict[tuple[int, int], tuple] = {}
+        self._plans: dict[tuple[int, tuple[str, ...]], tuple] = {}
 
     def _push(self, node: Node) -> int:
         self.nodes.append(node)
@@ -301,53 +306,52 @@ class Graph:
     def softmax_xent(self, logits: int) -> int:
         return self._push(Node("softmax_xent", (self._check_id(logits),)))
 
-    def backward_steps(self, loss_node: int, trainable: tuple[str, ...]) -> tuple:
-        """(node id, op, leaf name or coefficient, input ids) per node from
-        loss_node down, keeping only nodes that can reach a trainable
-        parameter; an input that cannot is None, so no adjoint is built
-        for refs, mods, targets or frozen layers. Kernels are not bound
-        here: every pass looks them up in _OPS, the registry selfcheck's
-        fault injection patches."""
-        key = (loss_node, trainable)
-        steps = self._backward.get(key)
-        if steps is None:
-            wanted = set(trainable)
-            nodes = self.nodes[: loss_node + 1]
-            live: list[bool] = []
-            for op, ins, arg in nodes:
-                live.append(arg in wanted if op == "param" else any(live[j] for j in ins))
-            steps = tuple(
-                (i, op, arg, tuple(j if live[j] else None for j in ins))
-                for i, (op, ins, arg) in reversed(list(enumerate(nodes)))
-                if live[i]
-            )
-            self._backward[key] = steps
-        return steps
-
-    def donations(self, output: int) -> tuple:
-        """Per node, the input id whose buffer its forward overwrites, or None
-        (the rules are in the module docstring). Cached per (output, node
-        count), because an appended node may add a consumer."""
-        key = (output, len(self.nodes))
-        plan = self._donations.get(key)
+    def plan(self, output: int, trainable: tuple[str, ...]) -> tuple[tuple, tuple]:
+        """(forward steps, backward steps) of one pass to output, over only
+        the nodes output needs. A forward step is (node id, op, leaf name or
+        coefficient, input ids, the input id whose buffer it overwrites or
+        None); a backward step, from output down, keeps only nodes that can
+        reach a trainable parameter, and an input that cannot is None, so
+        no adjoint is built for refs, mods, targets or frozen layers.
+        Kernels are not bound here: every pass looks them up in _OPS, the
+        registry selfcheck's fault injection patches."""
+        key = (self._check_id(output), trainable)
+        plan = self._plans.get(key)
         if plan is None:
-            uses = Counter(j for node in self.nodes for j in node.inputs)
+            nodes = self.nodes[: output + 1]
+            needed = [False] * output + [True]
+            for i in range(output, -1, -1):
+                if needed[i]:
+                    for j in nodes[i].inputs:
+                        needed[j] = True
+            steps = [(i, *node) for i, node in enumerate(nodes) if needed[i]]
+            uses = Counter(j for _, _, ins, _ in steps for j in ins)
 
             def free(j):
-                op = self.nodes[j].op
-                return op in _OPS and uses[j] == 1 and j != output and not _OPS[op].pins_output
+                op = nodes[j].op
+                return op in _OPS and uses[j] == 1 and not _OPS[op].pins_output
 
-            plan = tuple(
-                next((ins[k] for k in _OPS[op].donates if free(ins[k])), None)
-                if op in _OPS else None
-                for op, ins, _ in self.nodes
+            forward = tuple(
+                (i, op, arg, ins, next((ins[k] for k in _OPS[op].donates if free(ins[k])), None)
+                 if op in _OPS else None)
+                for i, op, ins, arg in steps
             )
-            self._donations[key] = plan
+            wanted, live = set(trainable), {}
+            for i, op, ins, arg in steps:
+                live[i] = arg in wanted if op == "param" else any(live[j] for j in ins)
+            backward = tuple(
+                (i, op, arg, tuple(j if live[j] else None for j in ins))
+                for i, op, ins, arg in reversed(steps)
+                if live[i]
+            )
+            plan = self._plans[key] = forward, backward
         return plan
 
 
 class Executor:
-    """Runs a graph forward and, from the stored tape, backward.
+    """Runs a graph forward to one output and, from the stored tape,
+    backward from that output; each pass follows the graph's plan for
+    (output, params.trainable_names).
 
     backward() before forward() is a StateError; forward() invalidates
     any previous tape, so grads always correspond to the latest values.
@@ -358,6 +362,8 @@ class Executor:
         self._values: list | None = None
         self._ctx: list | None = None
         self._params: ParameterSet | None = None
+        self._output: int | None = None
+        self._backward_steps: tuple = ()
 
     def forward(
         self,
@@ -365,19 +371,17 @@ class Executor:
         params: ParameterSet,
         output: int,
     ) -> np.ndarray:
-        nodes = self.graph.nodes
-        if not (0 <= output < len(nodes)):
-            raise ConfigError(f"output node id {output} out of range")
+        """The value of output; an input counts as missing only if output needs it."""
+        forward, backward = self.graph.plan(output, params.trainable_names)
         unknown = [name for name in inputs if self.graph._leaves.get(name) != "input"]
         if unknown:
             raise ConfigError(f"unexpected inputs: {sorted(unknown)}")
-        values: list = [None] * len(nodes)
-        ctxs: list = [None] * len(nodes)
+        values: list = [None] * len(self.graph.nodes)
+        ctxs: list = [None] * len(values)
         ops = _OPS
-        donations = self.graph.donations(output)
         # Overflow is not a warning here: non-finite outputs raise below.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, (op, ins, arg) in enumerate(nodes):
+            for i, op, arg, ins, j in forward:
                 if op == "input":
                     if arg not in inputs:
                         raise ConfigError(f"missing input {arg!r}")
@@ -389,10 +393,9 @@ class Executor:
                         raise ConfigError(f"missing param {arg!r}")
                     out = params[arg]
                 else:
-                    args = [values[j] for j in ins]
+                    args = [values[k] for k in ins]
                     if arg is not None:  # the scalar_mul coefficient
                         args.append(arg)
-                    j = donations[i]
                     if j is None:
                         out, ctxs[i] = ops[op].forward(i, *args)
                     else:
@@ -401,46 +404,38 @@ class Executor:
                     if not _all_finite(out):
                         raise NumericError(f"node {i} ({op}) produced non-finite values")
                 values[i] = out
-        self._values = values
-        self._ctx = ctxs
-        self._params = params
+        self._values, self._ctx, self._params = values, ctxs, params
+        self._output, self._backward_steps = output, backward
         _PASS_COUNTS["forward"] += 1
         return values[output]
 
-    def backward(self, loss_node: int) -> np.ndarray:
-        """The gradient of loss_node, laid out like params.flat; a
-        trainable layer the loss does not reach keeps its zeros."""
-        if self._values is None or self._params is None:
+    def backward(self) -> np.ndarray:
+        """The gradient of forward's output, laid out like params.flat; a
+        trainable layer the output does not reach keeps its zeros."""
+        if self._values is None:
             raise StateError("backward called before forward")
-        graph = self.graph
-        loss_val = self._values[loss_node]
-        if loss_val is None:
-            raise StateError(f"node {loss_node}'s buffer was donated; pass it as forward's output")
+        out = self._output
+        loss_val = self._values[out]
         if np.ndim(loss_val) != 0 and np.size(loss_val) != 1:
-            raise ShapeError(
-                f"loss node {loss_node} is not scalar (shape {np.shape(loss_val)})"
-            )
+            raise ShapeError(f"loss node {out} is not scalar (shape {np.shape(loss_val)})")
         params = self._params
-        adjoints: list = [None] * len(graph.nodes)
-        adjoints[loss_node] = np.ones_like(loss_val)
+        adjoints: list = [None] * len(self._values)
+        adjoints[out] = np.ones_like(loss_val)
         ctxs = self._ctx
         ops = _OPS
         grad = np.zeros(params.flat.size)
         views = carve(grad, params.spans)
-        for i, op, arg, ins in graph.backward_steps(loss_node, params.trainable_names):
+        # Every step's node reaches out through steps before it, so its adjoint is set.
+        for i, op, arg, ins in self._backward_steps:
             g = adjoints[i]
-            if g is None:
-                continue
             if op == "param":
                 views[arg][...] = g
                 continue
-            in_grads = ops[op].backward(i, g, ctxs[i])
-            for j, gj in zip(ins, in_grads):
-                if j is None or gj is None:
-                    continue
-                # Adjoints are never updated in place, so aliasing gj is safe.
-                prev = adjoints[j]
-                adjoints[j] = gj if prev is None else prev + gj
+            for j, gj in zip(ins, ops[op].backward(i, g, ctxs[i])):
+                if j is not None:
+                    # Adjoints are never updated in place, so aliasing gj is safe.
+                    prev = adjoints[j]
+                    adjoints[j] = gj if prev is None else prev + gj
         _PASS_COUNTS["backward"] += 1
         return grad
 

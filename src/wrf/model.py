@@ -6,6 +6,11 @@ query embedding, and a single linear projection maps candidate target
 vectors into the same space. Both outputs are row-normalized, so
 retrieval is by dot product.
 
+Each RetrievalModel holds one graph: the query branch, then the target
+branch, then one contrastive loss head per temperature, appended on
+first use. An embedding pass runs the graph to its branch's output and
+so needs only that branch's inputs; a loss pass runs it to the head.
+
 An optional low-rank adapter mode freezes every weight matrix and
 trains factor pairs on the fusion layers instead: the effective weight
 is W + A·B with A seeded-random (in x rank) and B zero-initialized
@@ -15,7 +20,7 @@ RetrievalModel.init_params adds the adapters to init_model's weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,12 +104,11 @@ def _append_target_branch(g: Graph) -> int:
 
 @dataclass
 class RetrievalModel:
-    """Owns the graphs for one (config, mode) pair and runs them."""
+    """Owns the graph for one (config, mode) pair and runs it."""
 
     config: ModelConfig
     mode: str = "full"
     lora_rank: int | None = None
-    _loss_graphs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -117,9 +121,9 @@ class RetrievalModel:
                 if self.lora_rank > min(shape):
                     raise ConfigError(f"rank {self.lora_rank} exceeds min dim of "
                                       f"'fusion.{i}.w' with shape {shape}")
-        self._query_graph, self._target_graph = Graph(), Graph()
-        self._query_out = _append_query_branch(self._query_graph, self.config, self.mode)
-        self._target_out = _append_target_branch(self._target_graph)
+        self._graph, self._losses = Graph(), {}
+        self._query_out = _append_query_branch(self._graph, self.config, self.mode)
+        self._target_out = _append_target_branch(self._graph)
 
     def init_params(self) -> ParameterSet:
         """init_model's set, all trainable (full), or with the weight matrices
@@ -146,32 +150,27 @@ class RetrievalModel:
         return ParameterSet(layers, trainable)
 
     def embed_queries(self, params: ParameterSet, refs: np.ndarray, mods: np.ndarray) -> np.ndarray:
-        ex = Executor(self._query_graph)
+        ex = Executor(self._graph)
         return ex.forward({"refs": refs, "mods": mods}, params, self._query_out)
 
     def embed_targets(self, params: ParameterSet, targets: np.ndarray) -> np.ndarray:
-        ex = Executor(self._target_graph)
+        ex = Executor(self._graph)
         return ex.forward({"targets": targets}, params, self._target_out)
 
-    def _loss_graph(self, tau: float) -> tuple[Graph, int]:
-        """Joint graph: both branches plus the contrastive loss, one backward pass."""
+    def _loss_node(self, tau: float) -> int:
+        """The loss head for tau over both branches, appended once."""
         key = float(tau)
-        if key not in self._loss_graphs:
-            g = Graph()
-            query = _append_query_branch(g, self.config, self.mode)
-            target = _append_target_branch(g)
-            self._loss_graphs[key] = g, attach_q2t_loss(g, query, target, key)
-        return self._loss_graphs[key]
+        if key not in self._losses:
+            self._losses[key] = attach_q2t_loss(self._graph, self._query_out, self._target_out, key)
+        return self._losses[key]
 
     def batch_loss(self, params: ParameterSet, refs, mods, targets, tau: float) -> float:
-        g, out = self._loss_graph(tau)
-        val = Executor(g).forward({"refs": refs, "mods": mods, "targets": targets}, params, out)
-        return float(val)
+        inputs = {"refs": refs, "mods": mods, "targets": targets}
+        return float(Executor(self._graph).forward(inputs, params, self._loss_node(tau)))
 
     def loss_and_grads(
         self, params: ParameterSet, refs, mods, targets, tau: float
     ) -> tuple[float, np.ndarray]:
-        g, out = self._loss_graph(tau)
-        ex = Executor(g)
-        val = ex.forward({"refs": refs, "mods": mods, "targets": targets}, params, out)
-        return float(val), ex.backward(out)
+        ex = Executor(self._graph)
+        inputs = {"refs": refs, "mods": mods, "targets": targets}
+        return float(ex.forward(inputs, params, self._loss_node(tau))), ex.backward()

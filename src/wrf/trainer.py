@@ -8,8 +8,9 @@ exactly). Baseline steps (warm-up epochs, or gamma=0 runs) do one pass.
 
 Optimizer moments see only the perturbed-pass gradient; decoupled
 weight decay acts on the unperturbed weights. A literal
-subtract-the-delta SGD variant is kept purely as a cross-check of the
-copy-on-apply implementation.
+subtract-the-delta SGD variant, wrf_step_literal_sgd, cross-checks the
+copy-on-apply implementation: `wrf selfcheck`'s dual-update-forms
+check runs both forms, and so does acceptance check 4.
 
 train() writes every run into an out_dir. Per-epoch Recall@K
 evaluation goes through worker.forked: submit(params) returns the call
@@ -289,7 +290,8 @@ def wrf_step_literal_sgd(
 
     Mathematically the same update as wrf_step under SGD; numerically it
     reintroduces delta round-off, which is why the production path
-    perturbs a copy instead. Exists only so tests can compare both.
+    perturbs a copy instead. `wrf selfcheck`'s dual-update-forms check
+    runs both forms and bounds their gap, and so does acceptance check 4.
     """
     if config.optimizer != "sgd":
         raise ConfigError("the literal update form is defined for sgd only")

@@ -167,18 +167,20 @@ def apply_per_layer(params: ParameterSet, deltas) -> ParameterSet:
 
 
 class NodeByNodeExecutor:
-    """Walks the graph's node list on every pass, kernels from ``diffcore._OPS``.
+    """Walks the graph's node list up to the output on every pass, kernels
+    from ``diffcore._OPS``.
 
     Same interface as ``Executor`` for forward and backward; it does no
-    pass counting, checks every node, and backpropagates through every
-    node, reachable from a trainable parameter or not.
+    pass counting, checks every node it walks, and backpropagates through
+    every node, reachable from a trainable parameter or not.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
 
     def forward(self, inputs, params, output):
-        nodes = self.graph.nodes
+        """Every node up to output, needed by it or not."""
+        nodes = self.graph.nodes[: output + 1]
         values: list = [None] * len(nodes)
         ctxs: list = [None] * len(nodes)
         for i, node in enumerate(nodes):
@@ -196,17 +198,17 @@ class NodeByNodeExecutor:
             if not np.all(np.isfinite(out)):
                 raise NumericError(f"node {i} ({node.op}) produced non-finite values")
             values[i], ctxs[i] = out, ctx
-        self._values, self._ctx, self._params = values, ctxs, params
+        self._values, self._ctx, self._params, self._output = values, ctxs, params, output
         return values[output]
 
-    def backward(self, loss_node):
-        """Per-layer gradient dict, every trainable layer present."""
+    def backward(self):
+        """Per-layer gradient dict of forward's output, every trainable layer present."""
         nodes = self.graph.nodes
-        adjoints: list = [None] * len(nodes)
-        adjoints[loss_node] = np.ones_like(self._values[loss_node])
+        adjoints: list = [None] * len(self._values)
+        adjoints[self._output] = np.ones_like(self._values[self._output])
         params = self._params
         grads = {}
-        for i in range(loss_node, -1, -1):
+        for i in range(self._output, -1, -1):
             g = adjoints[i]
             node = nodes[i]
             if g is None or node.op == "input":
@@ -286,9 +288,8 @@ def value_and_grad(
     """One forward plus one backward through the final (scalar) node; the
     gradient is laid out like params.flat."""
     ex = Executor(graph)
-    out = len(graph.nodes) - 1
-    loss = ex.forward(inputs, params, out)
-    return float(np.ravel(loss)[0]), ex.backward(out)
+    loss = ex.forward(inputs, params, len(graph.nodes) - 1)
+    return float(np.ravel(loss)[0]), ex.backward()
 
 
 def pack(params: ParameterSet, layers) -> np.ndarray:

@@ -485,6 +485,21 @@ def test_config_file_that_is_not_utf8_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: config file is not UTF-8\n"
 
 
+
+def test_a_key_set_twice_in_a_config_file_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(SMALL_CFG + f"out_dir={tmp_path / 'out'}\ngamma=0.1\n\n gamma =0.2\n",
+                   encoding="utf-8")
+    first = SMALL_CFG.count("\n") + 2
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:{first + 2}: gamma is already set on line {first}\n"
+    assert not (tmp_path / "out").exists()
+    # An override on the command line still wins over the file's one setting.
+    cfg.write_text(SMALL_CFG + "gamma=0.1\n", encoding="utf-8")
+    mapping = cli.apply_overrides(cli.read_config_file(cfg), ["gamma=0.2"])
+    assert cli.build_config(mapping).gamma == 0.2
+
 @pytest.mark.parametrize("error, code, prefix", [
     (ConfigError("bad value"), 2, "error: "),
     (DataError("bad file"), 2, "error: "),

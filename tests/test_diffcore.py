@@ -255,7 +255,7 @@ def test_backward_before_forward_raises():
     u = g.param("u")
     loss = g.softmax_xent(g.pairwise_dot(u, u))
     with pytest.raises(StateError):
-        Executor(g).backward(loss)
+        Executor(g).backward()
 
 
 def test_backward_on_nonscalar_raises():
@@ -265,7 +265,7 @@ def test_backward_on_nonscalar_raises():
     ex = Executor(g)
     ex.forward({}, ParameterSet({"u": rand((3, 4), 0)}), scores)
     with pytest.raises(ShapeError):
-        ex.backward(scores)
+        ex.backward()
 
 
 def test_shape_mismatch_names_node():
@@ -406,15 +406,14 @@ def _model_case(activation, mode, seed):
 def test_plan_matches_node_by_node_bit_for_bit(activation, mode):
     for seed in range(3):
         model, ps, batch = _model_case(activation, mode, seed)
-        g, out = model._loss_graph(5.0)
+        g, out = model._graph, model._loss_node(5.0)
         ex, ref = Executor(g), NodeByNodeExecutor(g)
-        for _ in range(2):  # the second pass reuses the cached backward steps
+        for _ in range(2):  # the second pass reuses the cached plan
             assert ex.forward(batch, ps, out) == ref.forward(batch, ps, out)
-            got, want = ex.backward(out), ref.backward(out)
+            got, want = ex.backward(), ref.backward()
             assert got.tobytes() == pack(ps, want).tobytes()
         queries = model.embed_queries(ps, batch["refs"], batch["mods"])
-        q_graph, q_out = model._query_graph, model._query_out
-        want_q = NodeByNodeExecutor(q_graph).forward(batch, ps, q_out)
+        want_q = NodeByNodeExecutor(g).forward(batch, ps, model._query_out)
         assert queries.tobytes() == want_q.tobytes()
 
 
@@ -425,7 +424,7 @@ def test_backward_gradients_are_fresh_arrays():
     ps = ParameterSet({"w": rand((3, 2), 1)})
     ex = Executor(g)
     ex.forward({"v": rand((3, 2), 2)}, ps, loss)
-    grad = ex.backward(loss)
+    grad = ex.backward()
     assert not np.shares_memory(grad, ps.flat)
     assert all(not np.shares_memory(grad, v) for v in ex._values if isinstance(v, np.ndarray))
 
@@ -442,19 +441,18 @@ def test_plan_follows_appended_nodes_and_trainable_sets():
         ex, ref = Executor(g), NodeByNodeExecutor(g)
         ex.forward(x, ps, loss_node)
         ref.forward(x, ps, loss_node)
-        got, want = ex.backward(loss_node), ref.backward(loss_node)
+        got, want = ex.backward(), ref.backward()
         assert got.tobytes() == pack(ps, want).tobytes()
         return got
 
     sets = [ParameterSet(layers, trainable) for trainable in (None, ["a"], ["b"])]
-    before = [
-        (g.backward_steps(loss, ps.trainable_names), both_backwards(ps, loss)) for ps in sets
-    ]
+    before = [(g.plan(loss, ps.trainable_names), both_backwards(ps, loss)) for ps in sets]
+    assert len({plan[1] for plan, _ in before}) == 3  # one backward per trainable set
     # A node depends only on lower ids, so appending nodes leaves the
-    # cached backward steps and the gradients of the old loss as they were.
+    # cached plan and the gradients of the old loss as they were.
     second = g.softmax_xent(g.scalar_mul(s, 2.0))
-    for ps, (steps, grad) in zip(sets, before):
-        assert g.backward_steps(loss, ps.trainable_names) == steps
+    for ps, (plan, grad) in zip(sets, before):
+        assert g.plan(loss, ps.trainable_names) is plan
         assert both_backwards(ps, loss).tobytes() == grad.tobytes()
         both_backwards(ps, second)
 
@@ -465,7 +463,7 @@ def test_overflow_names_the_same_node_as_node_by_node():
     g = Graph()
     h = g.relu(g.scalar_mul(g.scalar_mul(g.input("x"), -1e200), 1e200))
     loss = g.softmax_xent(g.pairwise_dot(h, g.param("w")))
-    assert g.donations(loss)[2] == 1  # node 2 overflows in node 1's buffer
+    assert _donations(g, loss)[2] == 1  # node 2 overflows in node 1's buffer
     args = ({"x": np.ones((2, 2))}, ParameterSet({"w": np.ones((2, 2))}), loss)
     messages = []
     for ex in (Executor(g), NodeByNodeExecutor(g)):
@@ -477,7 +475,7 @@ def test_overflow_names_the_same_node_as_node_by_node():
     model, ps, batch = _model_case("relu", "full", 0)
     batch["refs"] = np.full_like(batch["refs"], 1e200)
     ps["fusion.0.w"][...] = 1e200  # the first fusion matmul overflows
-    g, out = model._loss_graph(5.0)
+    g, out = model._graph, model._loss_node(5.0)
     messages = []
     for ex in (Executor(g), NodeByNodeExecutor(g)):
         with pytest.raises(NumericError) as err:
@@ -523,7 +521,7 @@ def _poison(op, value):
 @pytest.mark.parametrize("activation,mode", [("tanh", "lora"), ("relu", "full")])
 def test_a_nonfinite_value_at_any_node_names_that_node(monkeypatch, activation, mode, value):
     model, ps, batch = _model_case(activation, mode, 0)
-    g, out = model._loss_graph(5.0)
+    g, out = model._graph, model._loss_node(5.0)
     ops = {node.op for node in g.nodes if node.op in diffcore._OPS}
     assert len(ops) == (9 if mode == "lora" else 8)
     for op in sorted(ops):
@@ -575,14 +573,19 @@ def test_softmax_xent_matches_the_reference_kernel_bit_for_bit(n):
 @pytest.mark.parametrize("mode", ["full", "lora"])
 def test_backward_twice_on_one_tape_is_bit_identical(mode):
     model, ps, batch = _model_case("tanh", mode, 1)
-    g, out = model._loss_graph(5.0)
-    ex = Executor(g)
-    ex.forward(batch, ps, out)
-    first, second = ex.backward(out), ex.backward(out)
+    ex = Executor(model._graph)
+    ex.forward(batch, ps, model._loss_node(5.0))
+    first, second = ex.backward(), ex.backward()
     assert first.tobytes() == second.tobytes() and first is not second
 
 
 # ------------------------------------------------------- buffer donation
+
+
+def _donations(g, output, trainable=()):
+    """{node id: the input id whose buffer it overwrites} in a pass to output."""
+    forward, _ = g.plan(output, trainable)
+    return {i: j for i, _, _, _, j in forward if j is not None}
 
 
 def _full_size_case(activation, mode, rows):
@@ -613,8 +616,8 @@ def _same_pass(g, inputs, ps, output):
     return ex, ref
 
 
-def _same_grads(ex, ref, loss_node):
-    assert ex.backward(loss_node).tobytes() == pack(ex._params, ref.backward(loss_node)).tobytes()
+def _same_grads(ex, ref):
+    assert ex.backward().tobytes() == pack(ex._params, ref.backward()).tobytes()
 
 
 @pytest.mark.parametrize("rows", [64, 512])
@@ -622,27 +625,25 @@ def _same_grads(ex, ref, loss_node):
 @pytest.mark.parametrize("mode", ["full", "lora"])
 def test_donating_forward_matches_node_by_node_bit_for_bit(activation, mode, rows):
     model, ps, batch = _full_size_case(activation, mode, rows)
-    g, out = model._loss_graph(10.0)
-    plan = g.donations(out)
-    donated = {j for j in plan if j is not None}
+    g, out = model._graph, model._loss_node(10.0)
+    plan = _donations(g, out)
     # bias_add reuses the matmul products, scalar_mul the scores and
     # softmax_xent the logits; tanh reuses bias_add's outputs, relu does not.
-    producers = {g.nodes[j].op for j in donated}
+    producers = {g.nodes[j].op for j in plan.values()}
     assert {"matmul", "pairwise_dot", "scalar_mul"} <= producers
     assert ("bias_add" in producers) is (activation == "tanh")
     if mode == "lora":  # add writes over the adapter product, its second input
-        assert any(g.nodes[i].op == "add" and j == g.nodes[i].inputs[1]
-                   for i, j in enumerate(plan) if j is not None)
+        assert any(g.nodes[i].op == "add" and j == g.nodes[i].inputs[1] for i, j in plan.items())
     params_before = {name: ps[name].tobytes() for name in ps.names}
     inputs_before = {name: arr.tobytes() for name, arr in batch.items()}
     for _ in range(2):  # the second pass reuses the cached plan
         ex, ref = _same_pass(g, batch, ps, out)
-        assert all(ex._values[j] is None for j in donated)
-        _same_grads(ex, ref, out)
+        assert all(ex._values[j] is None for j in plan.values())
+        _same_grads(ex, ref)
     assert {name: ps[name].tobytes() for name in ps.names} == params_before
     assert {name: arr.tobytes() for name, arr in batch.items()} == inputs_before
     queries = model.embed_queries(ps, batch["refs"], batch["mods"])
-    want_q = NodeByNodeExecutor(model._query_graph).forward(batch, ps, model._query_out)
+    want_q = NodeByNodeExecutor(g).forward(batch, ps, model._query_out)
     assert queries.tobytes() == want_q.tobytes()
 
 
@@ -677,46 +678,82 @@ def _donation_graph():
 def test_donation_plan_follows_the_four_rules():
     g, ids, expected, inputs, ps = _donation_graph()
     last = len(g.nodes) - 1
-    plan = g.donations(last)
-    assert {i: j for i, j in enumerate(plan) if j is not None} == expected
-    _same_grads(*_same_pass(g, inputs, ps, last), last)
-    # The requested output keeps its buffer, and the plan is cached per output.
-    assert g.donations(ids["scores"])[ids["logits"]] is None
-    assert g.donations(last) is plan
+    plan = g.plan(last, ps.trainable_names)
+    assert _donations(g, last, ps.trainable_names) == expected
+    _same_grads(*_same_pass(g, inputs, ps, last))
+    # The pass to an intermediate ends at it, so nothing writes over its
+    # buffer, and the plan is cached per output.
+    assert max(step[0] for step in g.plan(ids["scores"], ())[0]) == ids["scores"]
+    assert g.plan(last, ps.trainable_names) is plan
     for name in ("scores", "mm", "d", "adapter"):
         _same_pass(g, inputs, ps, ids[name])
 
 
 def test_forward_to_an_intermediate_returns_its_bytes():
     model, ps, batch = _full_size_case("tanh", "full", 64)
-    g, out = model._loss_graph(10.0)
-    plan = g.donations(out)
-    loss = NodeByNodeExecutor(g).forward(batch, ps, out)
-    for k in sorted({j for j in plan if j is not None}):  # each buffer a full pass donates
-        assert g.donations(k)[plan.index(k)] is None
-        ex, _ = _same_pass(g, batch, ps, k)
-        assert ex._values[out] == loss
+    g, out = model._graph, model._loss_node(10.0)
+    for k in sorted(_donations(g, out).values()):  # each buffer a full pass donates
+        assert max(step[0] for step in g.plan(k, ps.trainable_names)[0]) == k
+        _same_pass(g, batch, ps, k)
 
 
-def test_backward_from_a_donated_node_is_a_state_error():
-    g, ids, _, inputs, ps = _donation_graph()
-    ex = Executor(g)
-    ex.forward(inputs, ps, len(g.nodes) - 1)
-    with pytest.raises(StateError, match=f"node {ids['scores']}"):
-        ex.backward(ids["scores"])
+def test_a_forward_to_an_intermediate_leaves_later_nodes_unrun():
+    g = Graph()
+    mid = g.scalar_mul(g.input("x"), 2.0)
+    g.scalar_mul(mid, 1e308)  # overflows for any entry above 0.5 in magnitude
+    x = {"x": np.array([[1.0, -3.0]])}
+    ps = ParameterSet({"w": np.ones(1)})
+    ex, _ = _same_pass(g, x, ps, mid)
+    assert ex._values[mid].tobytes() == (2.0 * x["x"]).tobytes()
+    with pytest.raises(NumericError, match="node 2 \\(scalar_mul\\)"):
+        ex.forward(x, ps, len(g.nodes) - 1)
 
 
 def test_a_second_consumer_appended_after_a_pass_turns_donation_off():
     g, ids, _, inputs, ps = _donation_graph()
     loss = ids["loss"]
-    _same_grads(*_same_pass(g, inputs, ps, loss), loss)
-    assert g.donations(loss)[ids["logits"]] == ids["scores"]
-    # Two more readers of the scores: none of them may write over them now,
-    # also in a pass to the same requested output.
+    _same_grads(*_same_pass(g, inputs, ps, loss))
+    # Two more readers of the scores: a pass that runs them may not write
+    # over the scores.
     flipped = g.scalar_mul(ids["scores"], -1.0)
     last = g.softmax_xent(g.add(ids["scores"], flipped))
-    for output in (loss, last):
-        plan = g.donations(output)
-        assert plan[ids["logits"]] is None and plan[flipped] is None
-        _same_pass(g, inputs, ps, output)
-    _same_grads(*_same_pass(g, inputs, ps, last), last)
+    plan = _donations(g, last)
+    assert flipped not in plan and plan[flipped + 1] == flipped
+    _same_grads(*_same_pass(g, inputs, ps, last))
+
+
+def test_appending_consumers_leaves_an_existing_plan_and_its_bytes():
+    g, ids, _, inputs, ps = _donation_graph()
+    loss = ids["loss"]
+    plan = g.plan(loss, ps.trainable_names)
+    ex, ref = _same_pass(g, inputs, ps, loss)
+    values = [None if v is None else np.asarray(v).tobytes() for v in ex._values]
+    grad = ex.backward().tobytes()
+    flipped = g.scalar_mul(ids["scores"], -1.0)  # the scores gain two consumers
+    g.softmax_xent(g.add(ids["scores"], flipped))
+    assert g.plan(loss, ps.trainable_names) is plan
+    assert _donations(g, loss, ps.trainable_names)[ids["logits"]] == ids["scores"]
+    ex, ref = _same_pass(g, inputs, ps, loss)
+    assert [None if v is None else np.asarray(v).tobytes() for v in ex._values[: loss + 1]] \
+        == values[: loss + 1]
+    assert ex.backward().tobytes() == grad
+
+
+def test_embedding_one_branch_runs_only_its_ops(monkeypatch):
+    model, ps, batch = _model_case("tanh", "lora", 0)
+    model.batch_loss(ps, **batch, tau=5.0)  # a loss head after both branches
+    g, q, t = model._graph, model._query_out, model._target_out
+    want_q = NodeByNodeExecutor(g).forward(batch, ps, q)
+    calls = []
+    for op, entry in list(diffcore._OPS.items()):
+        def counted(i, *args, _forward=entry.forward, **kwargs):
+            calls.append(i)
+            return _forward(i, *args, **kwargs)
+
+        monkeypatch.setitem(diffcore._OPS, op, entry._replace(forward=counted))
+    queries = model.embed_queries(ps, batch["refs"], batch["mods"])
+    assert queries.tobytes() == want_q.tobytes()
+    assert calls == [i for i in range(q + 1) if g.nodes[i].op in diffcore._OPS]
+    calls.clear()
+    model.embed_targets(ps, batch["targets"])
+    assert calls == [i for i in range(q + 1, t + 1) if g.nodes[i].op in diffcore._OPS]

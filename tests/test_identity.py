@@ -47,8 +47,9 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
     assert inprocess["runs/diverged/metrics.csv"].count(b"\n") == 1  # the header only
     assert "runs/diverged/config.echo" in inprocess
     assert b"subset_size=41\n" in inprocess["runs/wide_subsets/config.echo"]
+    assert b"hidden=\n" in inprocess["runs/one_layer/config.echo"]
     for name in ("runs/default/best.ckpt", "runs/relu_lora/epoch_7.ckpt",
-                 "runs/wide_subsets/metrics.csv",
+                 "runs/wide_subsets/metrics.csv", "runs/one_layer/landscape.csv",
                  "runs/relu_lora/landscape.csv", "runs/lora/landscape.csv",
                  "sweep/fraction_0.25_seed1/epoch_8.ckpt", "sweep/sweep_summary.csv",
                  "rank_sweep/lora_rank_2_seed0/epoch_8.ckpt", "rank_sweep/sweep_summary.csv"):

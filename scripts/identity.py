@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that this checkout writes what a parent revision writes, byte for byte.
 
-Runs one fixed set of wrf jobs (seven training configs, four landscape
+Runs one fixed set of wrf jobs (seven training configs, five landscape
 probes, a fraction and a lora_rank sweep, selfcheck clean and with an
 injected fault, and three jobs that end in an error exit) on this
 checkout's working tree and on a parent revision, which is checked out
@@ -63,6 +63,9 @@ JOBS = (
     *(["landscape", "--checkpoint", f"runs/{name}/best.ckpt"] for name in ("ablation", "relu_lora")),
     ["landscape", "--checkpoint", "runs/lora/best.ckpt", "--directions", "1"],
     ["landscape", "--checkpoint", "runs/one_layer/best.ckpt", "--directions", "2"],
+    # An uneven split (two directions here, one in the worker) on a grid
+    # without 0.05, so no flatness line.
+    ["landscape", "--checkpoint", "runs/sgd/best.ckpt", "--directions", "3", "--alpha-steps", "3"],
     ["sweep", "--config", "sweep.cfg", "--param", "fraction", "--values", "0.25,0.5",
      "--seeds", "0,1"],
     ["sweep", "--config", "rank_sweep.cfg", "--param", "lora_rank", "--values", "0,2",

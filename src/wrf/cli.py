@@ -87,8 +87,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be one line of UTF-8 text, got {value!r}")
         if self.run_name in ("", ".", "..") or "/" in self.run_name:
             raise ConfigError(f"run_name must be a plain directory name, got {self.run_name!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.fraction <= 1.0):
             raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
         # Building every component config and the model validates all
@@ -337,12 +335,12 @@ def cmd_landscape(args) -> int:
         return objective.loss(ps, batch)
 
     alphas = default_alpha_grid(args.alpha_max, args.alpha_steps)
-    curves = landscape_probe(loss_fn, params, args.directions, alphas, seed=config.seed)
+    landscape = landscape_probe(loss_fn, params, args.directions, alphas, seed=config.seed)
     out = Path(args.out) if args.out else run_dir / "landscape.csv"
-    landscape_to_csv(curves, out)
-    print(f"landscape: {out} ({len(curves)} directions x {len(alphas)} alphas)")
+    landscape_to_csv(landscape, out)
+    print(f"landscape: {out} ({len(landscape.losses)} directions x {len(alphas)} alphas)")
     try:
-        print(f"flatness at alpha=0.05: {flatness_score(curves, 0.05):.6f}")
+        print(f"flatness at alpha=0.05: {flatness_score(landscape, 0.05):.6f}")
     except ConfigError:
         pass  # 0.05 not on the requested grid
     return 0

@@ -14,7 +14,8 @@ reference ranking.
 A landscape direction is a random perturbation at budget 1: standard
 normal entries per trainable layer, rescaled to that layer's weight
 norm, drawn from a stream seeded per direction. A probe point at alpha
-is apply_perturbation of the direction scaled by alpha.
+is apply_perturbation of the direction scaled by alpha. A Landscape
+holds the alpha grid once and one row of losses per direction.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ _DIR_TAG = 0x51
 class MetricReport:
     recall_at: dict[int, float]  # K -> Recall@K, in %
     rmean: float  # mean of recall_at
-    recall_subset_at: dict[int, float]  # {1: Recall_subset@1}, in %
+    rsubset_at_1: float  # Recall_subset@1, in %
 
 
 def _check_embeddings(queries: np.ndarray, gallery: np.ndarray) -> None:
@@ -117,15 +118,13 @@ def recall_report(
     """Recall@K for each K in ks, their mean, and Recall_subset@1."""
     if not ks:
         raise ConfigError("need at least one K value")
-    _check_embeddings(query_embs, gallery_embs)
     for k in ks:
         if not (1 <= int(k) <= gallery_embs.shape[0]):
             raise ConfigError(f"K={int(k)} outside [1, gallery size]")
     ranks, sub_ranks = target_ranks(query_embs, gallery_embs, targets, subsets)
-    recall_subset_at = {1: float(100.0 * (sub_ranks <= 1).mean())}
     recall_at = {int(k): float(100.0 * (ranks <= k).mean()) for k in ks}
     rmean = float(np.mean(list(recall_at.values())))
-    return MetricReport(recall_at, rmean, recall_subset_at)
+    return MetricReport(recall_at, rmean, float(100.0 * (sub_ranks <= 1).mean()))
 
 
 def generalization_gap(train_report: MetricReport, val_report: MetricReport) -> float:
@@ -135,11 +134,9 @@ def generalization_gap(train_report: MetricReport, val_report: MetricReport) -> 
     return train_report.rmean - val_report.rmean
 
 
-@dataclass(frozen=True)
-class LandscapeCurve:
-    direction_id: int
-    alphas: np.ndarray
-    losses: np.ndarray  # may contain nan/inf where the loss blew up
+class Landscape(NamedTuple):
+    alphas: np.ndarray  # the probe grid: strictly increasing, through 0
+    losses: np.ndarray  # (directions, alphas); nan where the loss blew up
 
 
 def default_alpha_grid(alpha_max: float = 0.1, half_steps: int = 10) -> np.ndarray:
@@ -166,68 +163,64 @@ def landscape_probe(
     n_directions: int,
     alphas: Iterable[float],
     seed: int = 0,
-) -> list[LandscapeCurve]:
-    """Loss slices along seeded random directions, one curve per direction.
+) -> Landscape:
+    """Loss slices along seeded random directions, one row per direction.
 
     Directions are rescaled per trainable layer to match that layer's
     weight norm, so slices are comparable across checkpoints. A
-    non-finite loss is recorded as nan in the curve rather than raised,
-    but non-finite params raise NumericError: every curve would be nan.
+    non-finite loss is recorded as nan in its row rather than raised,
+    but non-finite params raise NumericError: every row would be nan.
     The input params are never modified.
 
     With two or more directions and worker.available(), the directions
     from ceil(n/2) on run in a forked worker while this process runs the
     rest, so loss_fn may run in a forked child: its side effects, and
     the diffcore.pass_counts() of its passes, stay there. Each direction
-    has its own stream, so the curves are the same on either path.
+    has its own stream, so the rows are the same on either path.
     """
     if n_directions < 1:
         raise ConfigError("n_directions must be >= 1")
     alphas = _check_alphas(alphas)
     params.require_finite()
 
-    def curves(d_ids: range) -> list[LandscapeCurve]:
-        out = []
-        for d_id in d_ids:
+    def rows(d_ids: range) -> np.ndarray:
+        losses = np.empty((len(d_ids), len(alphas)))
+        for row, d_id in zip(losses, d_ids):
             direction = random_perturbation(params, 1.0, np.random.default_rng([_DIR_TAG, seed, d_id]))
-            losses = np.empty(len(alphas))
             for j, alpha in enumerate(alphas):
-                probe = params  # the alpha=0 row is the exact base loss
+                probe = params  # the alpha=0 entry is the exact base loss
                 if alpha != 0.0:
                     probe = apply_perturbation(params, alpha * direction)
                 try:
                     val = float(loss_fn(probe))
                 except NumericError:
                     val = float("nan")
-                losses[j] = val if np.isfinite(val) else float("nan")
-            out.append(LandscapeCurve(d_id, alphas.copy(), losses))
-        return out
+                row[j] = val if np.isfinite(val) else float("nan")
+        return losses
 
     half = (n_directions + 1) // 2
     if half == n_directions:
-        return curves(range(n_directions))
-    with worker.forked(curves, "landscape worker") as submit:
+        return Landscape(alphas, rows(range(n_directions)))
+    with worker.forked(rows, "landscape worker") as submit:
         rest = submit(range(half, n_directions))
-        return curves(range(half)) + rest()
+        return Landscape(alphas, np.concatenate([rows(range(half)), rest()]))
 
 
-def flatness_score(curves: Sequence[LandscapeCurve], alpha: float = 0.05) -> float:
+def flatness_score(landscape: Landscape, alpha: float = 0.05) -> float:
     """Mean over directions of loss(alpha) - loss(0)."""
-    if not curves:
-        raise ConfigError("need at least one curve")
-    increases = []
-    for curve in curves:
-        at = int(np.argmin(np.abs(curve.alphas - alpha)))
-        if abs(curve.alphas[at] - alpha) > 1e-9:
-            raise ConfigError(f"alpha={alpha} not on the probe grid")
-        zero = int(np.argmin(np.abs(curve.alphas)))
-        increases.append(curve.losses[at] - curve.losses[zero])
-    return float(np.mean(increases))
+    alphas, losses = landscape
+    if len(losses) == 0:
+        raise ConfigError("need at least one direction")
+    at = int(np.argmin(np.abs(alphas - alpha)))
+    if abs(alphas[at] - alpha) > 1e-9:
+        raise ConfigError(f"alpha={alpha} not on the probe grid")
+    zero = int(np.argmin(np.abs(alphas)))
+    return float(np.mean(losses[:, at] - losses[:, zero]))
 
 
-def landscape_to_csv(curves: Sequence[LandscapeCurve], path: str | os.PathLike) -> None:
+def landscape_to_csv(landscape: Landscape, path: str | os.PathLike) -> None:
+    alphas = [repr(float(alpha)) for alpha in landscape.alphas]
     lines = ["direction_id,alpha,loss"]
-    for curve in curves:
-        for alpha, val in zip(curve.alphas, curve.losses):
-            lines.append(f"{curve.direction_id},{repr(float(alpha))},{repr(float(val))}")
+    for d_id, losses in enumerate(landscape.losses):
+        lines += (f"{d_id},{alpha},{repr(float(val))}" for alpha, val in zip(alphas, losses))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

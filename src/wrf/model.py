@@ -57,6 +57,8 @@ class ModelConfig:
             raise ConfigError(f"init_scale must be positive, got {self.init_scale}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def fusion_dims(config: ModelConfig) -> list[int]:

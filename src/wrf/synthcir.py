@@ -62,6 +62,8 @@ class DatasetConfig:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not (2 <= self.subset_size <= self.gallery_size):
             raise ConfigError("subset_size must lie in [2, gallery_size]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

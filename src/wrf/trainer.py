@@ -69,10 +69,10 @@ EVAL_KS = (1, 5, 10, 50)
 # this many queries, so per-epoch curves stay comparable and cheap.
 TRAIN_EVAL_CAP = 2000
 
-METRICS_HEADER = (
-    "epoch,split,loss,r_at_1,r_at_5,r_at_10,r_at_50,rmean,rsubset_at_1,"
-    "gap,lr,seconds,adv_steps,rand_steps"
-)
+METRICS_HEADER = ",".join([
+    "epoch", "split", "loss", *(f"r_at_{k}" for k in EVAL_KS), "rmean", "rsubset_at_1",
+    "gap", "lr", "seconds", "adv_steps", "rand_steps",
+])
 
 
 class TripletBatch(NamedTuple):
@@ -162,6 +162,8 @@ class TrainConfig:
             raise ConfigError(f"finetune_mode must be one of {MODES}, got {self.finetune_mode!r}")
         if self.lora_rank < 0:
             raise ConfigError(f"lora_rank must be >= 0, got {self.lora_rank}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.finetune_mode == "lora" and self.lora_rank < 1:
             raise ConfigError("lora mode needs lora_rank >= 1")
 
@@ -339,11 +341,10 @@ def _cell(value) -> str:
 
 
 def _recall_cells(report: "evalkit.MetricReport | None") -> list:
-    """r_at_1 .. r_at_50, rmean and rsubset_at_1 of a report; all absent without one."""
+    """r_at_K for each of EVAL_KS, rmean and rsubset_at_1 of a report; all absent without one."""
     if report is None:
-        return [None] * 6
-    return [*(report.recall_at.get(k) for k in EVAL_KS), report.rmean,
-            report.recall_subset_at.get(1)]
+        return [None] * (len(EVAL_KS) + 2)
+    return [*(report.recall_at.get(k) for k in EVAL_KS), report.rmean, report.rsubset_at_1]
 
 
 def metrics_rows(row: EpochRow) -> list[str]:

@@ -319,9 +319,7 @@ def cirr_avg(report: MetricReport) -> float:
     """Mean of Recall@5 and Recall_subset@1."""
     if 5 not in report.recall_at:
         raise ConfigError("report lacks Recall@5")
-    if 1 not in report.recall_subset_at:
-        raise ConfigError("report lacks Recall_subset@1")
-    return (report.recall_at[5] + report.recall_subset_at[1]) / 2.0
+    return (report.recall_at[5] + report.rsubset_at_1) / 2.0
 
 
 def landscape_direction_by_loop(params: ParameterSet, seed: int, d_id: int) -> dict[str, np.ndarray]:

@@ -28,7 +28,7 @@ import gamma_sweep
 from wrf import cli, diffcore
 from wrf.checkpoint import load_checkpoint
 from wrf.cli import ExperimentConfig, build_dataset
-from wrf.evalkit import LandscapeCurve, MetricReport, flatness_score
+from wrf.evalkit import Landscape, MetricReport, flatness_score
 from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet, carve
 from wrf.perturb import adversarial_perturbation
@@ -240,7 +240,7 @@ def test_05_loss_anchors(capsys):
 
 
 def test_06_metric_anchors(capsys):
-    report = MetricReport(recall_at={5: 82.12}, rmean=82.12, recall_subset_at={1: 80.65})
+    report = MetricReport(recall_at={5: 82.12}, rmean=82.12, rsubset_at_1=80.65)
     avg = cirr_avg(report)
     assert abs(avg - (82.12 + 80.65) / 2.0) <= ANCHOR_EXACT
     anchor, tol = CIRR_ANCHOR
@@ -456,19 +456,16 @@ def test_11_fraction_trends(data_fractions_out, capsys):
 
 
 def _flatness(run_dir, csv_path) -> float:
-    """Flatness of run_dir's best.ckpt from the curves `wrf landscape --out` writes."""
+    """Flatness of run_dir's best.ckpt from the rows `wrf landscape --out` writes."""
     argv = ["landscape", "--checkpoint", str(run_dir / "best.ckpt"),
             "--directions", str(N_DIRECTIONS), "--out", str(csv_path)]
     assert cli.main(argv) == 0
     with csv_path.open(encoding="utf-8") as fh:
-        rows = [(int(r["direction_id"]), float(r["alpha"]), float(r["loss"]))
-                for r in csv.DictReader(fh)]
-    curves = [
-        LandscapeCurve(d_id, np.array([r[1] for r in rows if r[0] == d_id]),
-                       np.array([r[2] for r in rows if r[0] == d_id]))
-        for d_id in range(N_DIRECTIONS)
-    ]
-    return flatness_score(curves, FLATNESS_ALPHA)
+        table = np.array([[float(r[c]) for c in ("direction_id", "alpha", "loss")]
+                          for r in csv.DictReader(fh)])
+    ids, alphas, losses = table.T.reshape(3, N_DIRECTIONS, -1)  # direction by direction
+    assert (ids == np.arange(N_DIRECTIONS)[:, None]).all()
+    return flatness_score(Landscape(alphas[0], losses), FLATNESS_ALPHA)
 
 
 def test_12_landscape_flatness(gamma_sweep_out, tmp_path, capsys):

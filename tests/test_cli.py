@@ -429,6 +429,14 @@ def test_default_config_echo_is_pinned():
     assert cli.config_echo_text(config).splitlines()[-1] == "config_hash=921955767115b6e8"
 
 
+@pytest.mark.parametrize("component", [cli.DatasetConfig, cli.ModelConfig, cli.TrainConfig])
+def test_each_component_config_rejects_a_negative_seed(component):
+    # Not numpy's bare ValueError at the config's first draw.
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        component(seed=-1)
+    assert component(seed=0).seed == 0
+
+
 def test_negative_seed_is_rejected_before_any_run_dir(cfg_file, tmp_path, capsys):
     message = "error: seed must be >= 0, got -1\n"
     assert cli.main(["train", "--config", str(cfg_file), "--set", "seed=-1"]) == 2

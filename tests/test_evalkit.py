@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wrf import worker
 from wrf.errors import ConfigError, DataError, NumericError, ShapeError
 from wrf.evalkit import (
+    Landscape,
     MetricReport,
     default_alpha_grid,
     flatness_score,
@@ -168,7 +169,7 @@ def test_ranks_with_ties_before_and_after_the_target():
     assert np.flatnonzero(tied).tolist() == [0, 2, 5, 7, 10]
     report = recall_report(queries, gallery, targets, subsets, (1, 5))
     assert report.recall_at[5] == 100.0 * np.mean(want <= 5)
-    assert report.recall_subset_at == {1: 100.0 * np.mean(want_sub <= 1)}
+    assert report.rsubset_at_1 == 100.0 * np.mean(want_sub <= 1)
 
 
 def test_ranks_past_the_uint16_count_range():
@@ -244,31 +245,29 @@ def test_recall_report_matches_reference_path():
     rankings = rank_gallery(queries, gallery)
     for k in (1, 5, 10):
         assert report.recall_at[k] == recall_at_k(rankings, targets, k)
-    assert report.recall_subset_at[1] == recall_subset_at_k(rankings, subsets, targets, 1)
+    assert report.rsubset_at_1 == recall_subset_at_k(rankings, subsets, targets, 1)
     assert report.rmean == pytest.approx(np.mean(list(report.recall_at.values())))
 
 
 def test_cirr_avg_arithmetic():
-    report = MetricReport({5: 82.12}, 82.12, {1: 80.65})
+    report = MetricReport({5: 82.12}, 82.12, 80.65)
     value = cirr_avg(report)
     assert value == pytest.approx(81.385, abs=1e-12)
     assert abs(value - 81.39) <= 0.005
-    assert cirr_avg(MetricReport({5: 100.0}, 100.0, {1: 100.0})) == 100.0
-    assert cirr_avg(MetricReport({5: 0.0}, 0.0, {1: 0.0})) == 0.0
+    assert cirr_avg(MetricReport({5: 100.0}, 100.0, 100.0)) == 100.0
+    assert cirr_avg(MetricReport({5: 0.0}, 0.0, 0.0)) == 0.0
     with pytest.raises(ConfigError):
-        cirr_avg(MetricReport({10: 50.0}, 50.0, {1: 50.0}))
-    with pytest.raises(ConfigError):
-        cirr_avg(MetricReport({5: 50.0}, 50.0, {}))
+        cirr_avg(MetricReport({10: 50.0}, 50.0, 50.0))
 
 
 def test_generalization_gap():
-    tr = MetricReport({1: 90.0, 5: 90.0}, 90.0, {1: 95.0})
-    va = MetricReport({1: 50.0, 5: 50.0}, 50.0, {1: 60.0})
+    tr = MetricReport({1: 90.0, 5: 90.0}, 90.0, 95.0)
+    va = MetricReport({1: 50.0, 5: 50.0}, 50.0, 60.0)
     assert generalization_gap(tr, va) == 40.0
     assert generalization_gap(tr, tr) == 0.0
     assert generalization_gap(va, tr) == -generalization_gap(tr, va)
     with pytest.raises(ConfigError):
-        generalization_gap(tr, MetricReport({1: 50.0}, 50.0, {1: 60.0}))
+        generalization_gap(tr, MetricReport({1: 50.0}, 50.0, 60.0))
 
 
 def quad_loss(ps):
@@ -318,15 +317,12 @@ def test_landscape_probe_base_row_and_determinism(monkeypatch, path):
     ps = ParameterSet({"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)})
     before = {n: ps[n].copy() for n in ps.names}
     alphas = default_alpha_grid(0.1, 5)
-    curves = landscape_probe(quad_loss, ps, 3, alphas, seed=4)
-    assert len(curves) == 3
-    base = quad_loss(ps)
-    for curve in curves:
-        assert curve.losses[5] == base  # exact at alpha=0
-        assert len(curve.losses) == len(alphas)
+    landscape = landscape_probe(quad_loss, ps, 3, alphas, seed=4)
+    assert landscape.alphas.tobytes() == alphas.tobytes()
+    assert landscape.losses.shape == (3, len(alphas)) and landscape.losses.dtype == np.float64
+    assert (landscape.losses[:, 5] == quad_loss(ps)).all()  # exact at alpha=0
     again = landscape_probe(quad_loss, ps, 3, alphas, seed=4)
-    for c1, c2 in zip(curves, again):
-        assert np.array_equal(c1.losses, c2.losses)
+    assert np.array_equal(landscape.losses, again.losses)
     for n in ps.names:  # probing never mutates the input
         assert np.array_equal(ps[n], before[n])
 
@@ -377,12 +373,10 @@ def test_landscape_records_nonfinite_instead_of_raising(monkeypatch, path):
         return float(p["w"][0])
 
     # Two directions, so that on the worker path the second one raises there.
-    curves = landscape_probe(exploding, ps, 2, default_alpha_grid(0.1, 2), seed=0)
-    assert [c.direction_id for c in curves] == [0, 1]
-    for curve in curves:
-        losses = curve.losses
-        assert np.isnan(losses[0]) and np.isnan(losses[-1])
-        assert np.isfinite(losses[2])
+    losses = landscape_probe(exploding, ps, 2, default_alpha_grid(0.1, 2), seed=0).losses
+    assert losses.shape == (2, 5)
+    assert np.isnan(losses[:, 0]).all() and np.isnan(losses[:, -1]).all()
+    assert np.isfinite(losses[:, 2]).all()
 
 
 def test_landscape_rejects_a_nonfinite_base_set_before_any_loss():
@@ -414,16 +408,26 @@ def test_flatness_score_cross_checks_against_sharpness():
     rng = np.random.default_rng(11)
     ps = ParameterSet({"w": rng.normal(size=(3, 2))})
     alphas = default_alpha_grid(0.1, 10)
-    curves = landscape_probe(quad_loss, ps, 1, alphas, seed=13)
-    score = flatness_score(curves, alpha=0.05)
+    landscape = landscape_probe(quad_loss, ps, 1, alphas, seed=13)
+    score = flatness_score(landscape, alpha=0.05)
     # Rebuild the probe direction and hand it to sharpness directly.
     dir_rng = np.random.default_rng([0x51, 13, 0])
     raw = dir_rng.standard_normal(ps["w"].shape)
     w_norm = np.linalg.norm(ps["w"])
     delta = raw * (w_norm / np.linalg.norm(raw)) * 0.05
     assert score == pytest.approx(sharpness(quad_loss, ps, delta.ravel()), abs=1e-12)
-    with pytest.raises(ConfigError):
-        flatness_score(curves, alpha=0.037)
+    with pytest.raises(ConfigError, match="not on the probe grid"):
+        flatness_score(landscape, alpha=0.037)
+    with pytest.raises(ConfigError, match="^need at least one direction$"):
+        flatness_score(Landscape(alphas, np.empty((0, len(alphas)))))
+
+
+def test_flatness_score_is_the_mean_of_one_column_difference():
+    alphas = np.array([-0.05, 0.0, 0.05])
+    losses = np.array([[3.0, 1.0, 2.0], [0.5, 1.5, 4.5], [1.0, 1.0, 1.0]])
+    want = np.mean([2.0 - 1.0, 4.5 - 1.5, 1.0 - 1.0])
+    assert flatness_score(Landscape(alphas, losses), 0.05) == want == 4.0 / 3.0
+    assert flatness_score(Landscape(alphas, losses), -0.05) == np.mean([2.0, -1.0, 0.0])
 
 
 @pytest.mark.parametrize("path", LANDSCAPE_PATHS)
@@ -431,14 +435,18 @@ def test_landscape_csv_layout(tmp_path, monkeypatch, path):
     use_landscape_path(monkeypatch, path)
     ps = ParameterSet({"w": np.ones(2)})
     alphas = default_alpha_grid(0.1, 10)
-    curves = landscape_probe(quad_loss, ps, 2, alphas, seed=0)
+    landscape = landscape_probe(quad_loss, ps, 2, alphas, seed=0)
     path = tmp_path / "landscape.csv"
-    landscape_to_csv(curves, path)
+    landscape_to_csv(landscape, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "direction_id,alpha,loss"
     assert len(lines) == 1 + 2 * 21
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == -0.1
+    # Direction d's row, alpha by alpha, as the repr of each float.
+    want = [f"{d},{float(alpha)!r},{float(loss)!r}"
+            for d, row in enumerate(landscape.losses) for alpha, loss in zip(alphas, row)]
+    assert lines[1:] == want
 
 
 def _model_loss(mode: str):
@@ -456,8 +464,9 @@ def _model_loss(mode: str):
     return (lambda p: model.batch_loss(p, refs, mods, targets, 10.0)), ps
 
 
+@pytest.mark.parametrize("n_directions", [2, 3, 4])
 @pytest.mark.parametrize("mode", ["full", "lora"])
-def test_landscape_curves_are_the_same_on_both_paths(monkeypatch, mode):
+def test_landscape_curves_are_the_same_on_both_paths(monkeypatch, mode, n_directions):
     loss, ps = _model_loss(mode)
     alphas = default_alpha_grid(0.1, 3)
     calls = {}
@@ -471,15 +480,16 @@ def test_landscape_curves_are_the_same_on_both_paths(monkeypatch, mode):
 
         with monkeypatch.context() as patch:
             use_landscape_path(patch, path)
-            got[path] = landscape_probe(counting, ps, 3, alphas, seed=5)
-    # The parent ran directions 0 and 1; the worker ran direction 2.
-    assert calls == {"worker": 2 * len(alphas), "in-process": 3 * len(alphas)}
-    for path, curves in got.items():
-        assert [c.direction_id for c in curves] == [0, 1, 2], path
-    for a, b in zip(got["worker"], got["in-process"]):
-        assert a.alphas.tobytes() == b.alphas.tobytes()
-        assert a.losses.tobytes() == b.losses.tobytes(), a.direction_id
-        assert np.isfinite(a.losses).all()
+            got[path] = landscape_probe(counting, ps, n_directions, alphas, seed=5)
+    # The parent ran directions [0, ceil(n/2)); the worker ran the rest,
+    # and its rows follow the parent's.
+    half = (n_directions + 1) // 2
+    assert calls == {"worker": half * len(alphas), "in-process": n_directions * len(alphas)}
+    a, b = got["worker"], got["in-process"]
+    assert a.alphas.tobytes() == b.alphas.tobytes() == alphas.tobytes()
+    assert a.losses.shape == (n_directions, len(alphas))
+    assert a.losses.tobytes() == b.losses.tobytes()
+    assert np.isfinite(a.losses).all()
 
 
 def test_an_error_in_the_worker_half_reaches_the_caller(monkeypatch):
@@ -523,5 +533,5 @@ def test_one_direction_forks_nothing(monkeypatch):
     calls = []
     ps = ParameterSet({"w": np.ones(3)})
     alphas = default_alpha_grid(0.1, 2)
-    curves = landscape_probe(lambda p: calls.append(1) or quad_loss(p), ps, 1, alphas, seed=0)
-    assert len(curves) == 1 and len(calls) == len(alphas)
+    landscape = landscape_probe(lambda p: calls.append(1) or quad_loss(p), ps, 1, alphas, seed=0)
+    assert landscape.losses.shape == (1, len(alphas)) and len(calls) == len(alphas)

@@ -55,6 +55,9 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
                  "rank_sweep/lora_rank_2_seed0/epoch_8.ckpt", "rank_sweep/sweep_summary.csv"):
         assert name in inprocess, name
     assert not any(name.endswith(".rng.json") for name in inprocess)
+    uneven = inprocess["<wrf landscape --checkpoint runs/sgd/best.ckpt --directions 3 --alpha-steps 3>"]
+    assert uneven.endswith(b"(3 directions x 7 alphas)\n") and b"flatness" not in uneven
+    assert inprocess["runs/sgd/landscape.csv"].count(b"\n") == 1 + 3 * 7
 
 
 def test_comparison_masks_only_the_wall_clock_columns(tmp_path):

@@ -316,8 +316,8 @@ def test_metrics_rows_layout():
 
     from wrf.evalkit import MetricReport
 
-    row.train_report = MetricReport({1: 50.0, 5: 75.0}, 62.5, {1: 80.0})
-    row.val_report = MetricReport({1: 30.0, 5: 55.0}, 42.5, {1: 60.0})
+    row.train_report = MetricReport({1: 50.0, 5: 75.0}, 62.5, 80.0)
+    row.val_report = MetricReport({1: 30.0, 5: 55.0}, 42.5, 60.0)
     row.gap = 20.0
     lines = metrics_rows(row)
     assert len(lines) == 2

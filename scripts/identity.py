@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that this checkout writes what a parent revision writes, byte for byte.
 
-Runs one fixed set of wrf jobs (seven training configs, five landscape
+Runs one fixed set of wrf jobs (eight training configs, five landscape
 probes, a fraction and a lora_rank sweep, selfcheck clean and with an
 injected fault, and three jobs that end in an error exit) on this
 checkout's working tree and on a parent revision, which is checked out
@@ -52,6 +52,8 @@ CONFIGS = {
     # No hidden layer: no activation between the fusion matmul and l2norm_rows.
     "one_layer": {"hidden": "", "gamma": "0.01", "rho": "0.5", "total_epochs": "2",
                   "warmup_epochs": "1"},
+    # n_train % batch_size == 1: every epoch drops a one-triplet remainder batch.
+    "odd_batch": {"n_train": "65", "total_epochs": "2", "warmup_epochs": "1"},
     "sweep": {"out_dir": "sweep"},
     "rank_sweep": {"out_dir": "rank_sweep"},
 }
@@ -59,7 +61,8 @@ CONFIGS = {
 # wrf arguments, in run order; each probe reads a best.ckpt trained before it.
 JOBS = (
     *(["train", "--config", f"{name}.cfg"] for name in (
-        "default", "ablation", "lora", "relu_lora", "sgd", "wide_subsets", "one_layer")),
+        "default", "ablation", "lora", "relu_lora", "sgd", "wide_subsets", "one_layer",
+        "odd_batch")),
     *(["landscape", "--checkpoint", f"runs/{name}/best.ckpt"] for name in ("ablation", "relu_lora")),
     ["landscape", "--checkpoint", "runs/lora/best.ckpt", "--directions", "1"],
     ["landscape", "--checkpoint", "runs/one_layer/best.ckpt", "--directions", "2"],

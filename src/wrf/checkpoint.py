@@ -21,6 +21,14 @@ from .params import ParameterSet
 MAGIC = "WRFCKPT v1"
 
 
+def write_whole(path: str | os.PathLike, data: bytes) -> None:
+    """Write data to <path>.tmp beside path, then rename it over path: a kill
+    leaves the old file or the new one, never a part of either."""
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(path: str | os.PathLike, params: ParameterSet) -> None:
     lines = [MAGIC]
     for name, arr in params.items():
@@ -29,7 +37,7 @@ def save_checkpoint(path: str | os.PathLike, params: ParameterSet) -> None:
         lines.append(" ".join([name, *(str(d) for d in arr.shape)]))
     header = "\n".join(lines) + "\n\n"
     blobs = [arr.astype("<f8", copy=False).tobytes(order="C") for _, arr in params.items()]
-    Path(path).write_bytes(header.encode("utf-8") + b"".join(blobs))
+    write_whole(path, header.encode("utf-8") + b"".join(blobs))
 
 
 def load_checkpoint(

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericError, WrfError
 from .evalkit import default_alpha_grid, flatness_score, landscape_probe, landscape_to_csv
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, write_whole
 from .model import ModelConfig, RetrievalModel
 from .selfcheck import run_selfcheck
 from .synthcir import DatasetConfig, generate, subsample_dataset
@@ -203,8 +203,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Path]:
     check_train_split(dataset)  # before the run directory exists
     run_dir = Path(config.out_dir) / config.run_name
     run_dir.mkdir(parents=True, exist_ok=True)
-    echo = config_echo_text(config)
-    (run_dir / "config.echo").write_text(echo, encoding="utf-8")
+    write_whole(run_dir / "config.echo", config_echo_text(config).encode("utf-8"))
     record = train(config.train_config(), config.model_config(), dataset, out_dir=run_dir)
     return record, run_dir
 
@@ -293,7 +292,7 @@ def cmd_sweep(args) -> int:
     summary = out_root / "sweep_summary.csv"
     try:
         out_root.mkdir(parents=True, exist_ok=True)
-        summary.write_text("\n".join([SWEEP_HEADER, *rows]) + "\n", encoding="utf-8")
+        write_whole(summary, ("\n".join([SWEEP_HEADER, *rows]) + "\n").encode("utf-8"))
     except OSError as exc:
         raise OSError(f"cannot write {summary}: {exc}") from exc
     print_sweep_table(args.param, finished)

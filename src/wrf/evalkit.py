@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import worker
+from .checkpoint import write_whole
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .params import ParameterSet
 from .perturb import apply_perturbation, random_perturbation
@@ -223,4 +223,4 @@ def landscape_to_csv(landscape: Landscape, path: str | os.PathLike) -> None:
     lines = ["direction_id,alpha,loss"]
     for d_id, losses in enumerate(landscape.losses):
         lines += (f"{d_id},{alpha},{repr(float(val))}" for alpha, val in zip(alphas, losses))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_whole(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -22,10 +22,13 @@ e it commits epoch e-1, copies the parameters once and, if epoch e is
 evaluated, submits the copy. Committing an evaluated epoch first makes
 its call, at the end of the next epoch. It then writes what depends on
 the reports (gap, best-so-far with the RunRecord's gap_at_best,
-best.ckpt, metrics.csv rows, checkpoints) with that epoch's
+best.ckpt, checkpoints, then metrics.csv) with that epoch's
 parameters, so artifacts are the same on both paths and as in a
-sequential loop; metrics.csv trails training by one epoch. Worker
-passes do not reach this process's diffcore.pass_counts().
+sequential loop; metrics.csv trails training by one epoch. Every file
+is written whole by checkpoint.write_whole, so a kill leaves no
+half-written file, and a row reaches disk after the files it
+describes. Worker passes do not reach this process's
+diffcore.pass_counts().
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Callable, NamedTuple, Protocol
 import numpy as np
 
 from . import evalkit, worker
-from .checkpoint import save_checkpoint
+from .checkpoint import save_checkpoint, write_whole
 from .errors import ConfigError, NumericError
 from .model import MODES, ModelConfig, RetrievalModel
 from .params import ParameterSet
@@ -395,9 +398,10 @@ def train(
 ) -> RunRecord:
     """Run the full loop, write its artifacts into out_dir and return the RunRecord.
 
-    out_dir holds one run: the checkpoints and landscape.csv of an
-    earlier run there are removed first, and metrics.csv is rewritten.
-    metrics.csv is flushed row by row (partial results survive a numeric
+    out_dir holds one run: the checkpoints, landscape.csv and *.tmp
+    files of an earlier run there are removed first. metrics.csv holds
+    the header before epoch 1 and is rewritten whole after each
+    committed epoch's checkpoints (partial results survive a numeric
     abort), best.ckpt tracks the highest val rmean, and epoch_<n>.ckpt is
     written per checkpoint_every and for the final epoch. Per-epoch
     seconds cover the step loop only, so perturbation overhead is
@@ -405,8 +409,7 @@ def train(
 
     Evaluation goes through worker.forked, in a forked worker when
     worker.available() and in-process otherwise (see the module
-    docstring); the worker forks before metrics.csv opens, and
-    only this process writes files. Failures keep the order of a
+    docstring); only this process writes files. Failures keep the order of a
     sequential loop: an evaluation error is raised after the rows of the
     epochs before it; an exception or Ctrl-C in a step first commits
     the previous epoch. The worker is stopped before train() returns or raises.
@@ -425,10 +428,12 @@ def train(
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    # *.ckpt.rng.json: the rng sidecars that older versions wrote.
-    for pattern in ("best.ckpt", "epoch_*.ckpt", "*.ckpt.rng.json", "landscape.csv"):
+    # *.ckpt.rng.json: the rng sidecars that older versions wrote; *.tmp: writes a kill cut short.
+    for pattern in ("best.ckpt", "epoch_*.ckpt", "*.ckpt.rng.json", "landscape.csv", "*.tmp"):
         for stale in out_path.glob(pattern):
             stale.unlink()
+    metrics = [METRICS_HEADER]  # the header and the rows of the committed epochs
+    write_whole(out_path / "metrics.csv", f"{METRICS_HEADER}\n".encode("utf-8"))
     # The last epoch trained and not yet committed: (row, epoch-end params
     # copy, the call that returns its reports or None).
     pending: tuple[EpochRow, ParameterSet, Callable | None] | None = None
@@ -449,28 +454,21 @@ def train(
                 record.gap_at_best = row.gap
                 save_checkpoint(out_path / "best.ckpt", params)
             record.final_val_rmean = row.val_report.rmean
-        record.rows.append(row)
-        for line in metrics_rows(row):
-            metrics_fh.write(line + "\n")
-        metrics_fh.flush()
         if row.epoch == config.total_epochs or (
             config.checkpoint_every and row.epoch % config.checkpoint_every == 0
         ):
             save_checkpoint(out_path / f"epoch_{row.epoch}.ckpt", params)
+        record.rows.append(row)
+        metrics.extend(metrics_rows(row))
+        write_whole(out_path / "metrics.csv", ("\n".join(metrics) + "\n").encode("utf-8"))
 
     evaluate = functools.partial(_evaluate, model, dataset, train_eval_table, ks)
-    # Entered in order: the worker forks before this process opens any file of the run.
-    with worker.forked(evaluate, "eval worker") as submit, (out_path / "metrics.csv").open(
-        "w", encoding="utf-8"
-    ) as metrics_fh:
-        metrics_fh.write(METRICS_HEADER + "\n")
-        metrics_fh.flush()
+    with worker.forked(evaluate, "eval worker") as submit:
         try:
             for epoch in range(config.total_epochs):
                 state.epoch = epoch
-                step_fn = baseline_step
-                if config.gamma > 0.0 and epoch >= config.warmup_epochs:
-                    step_fn = wrf_step
+                two_pass = config.gamma > 0.0 and epoch >= config.warmup_epochs
+                step_fn = wrf_step if two_pass else baseline_step
                 order = state.rng_shuffle.permutation(len(dataset.train))
                 losses, kinds = [], []
                 tick = time.perf_counter()
@@ -486,14 +484,10 @@ def train(
                 seconds = time.perf_counter() - tick
 
                 epoch_no = epoch + 1
-                row = EpochRow(
-                    epoch=epoch_no,
-                    train_loss=float(np.mean(losses)),
-                    lr=current_lr(config, epoch),
-                    seconds=seconds,
-                    adv_steps=kinds.count("adversarial"),
-                    rand_steps=kinds.count("random"),
-                )
+                row = EpochRow(epoch=epoch_no, train_loss=float(np.mean(losses)),
+                               lr=current_lr(config, epoch), seconds=seconds,
+                               adv_steps=kinds.count("adversarial"),
+                               rand_steps=kinds.count("random"))
                 commit()  # one evaluation in flight at a time
                 params = state.params.copy()  # the next epoch updates state.params in place
                 reports = None

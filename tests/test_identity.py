@@ -48,13 +48,15 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
     assert "runs/diverged/config.echo" in inprocess
     assert b"subset_size=41\n" in inprocess["runs/wide_subsets/config.echo"]
     assert b"hidden=\n" in inprocess["runs/one_layer/config.echo"]
+    assert b"n_train=65\n" in inprocess["runs/odd_batch/config.echo"]
     for name in ("runs/default/best.ckpt", "runs/relu_lora/epoch_7.ckpt",
-                 "runs/wide_subsets/metrics.csv", "runs/one_layer/landscape.csv",
-                 "runs/relu_lora/landscape.csv", "runs/lora/landscape.csv",
+                 "runs/odd_batch/epoch_8.ckpt", "runs/wide_subsets/metrics.csv",
+                 "runs/one_layer/landscape.csv", "runs/relu_lora/landscape.csv",
+                 "runs/lora/landscape.csv",
                  "sweep/fraction_0.25_seed1/epoch_8.ckpt", "sweep/sweep_summary.csv",
                  "rank_sweep/lora_rank_2_seed0/epoch_8.ckpt", "rank_sweep/sweep_summary.csv"):
         assert name in inprocess, name
-    assert not any(name.endswith(".rng.json") for name in inprocess)
+    assert not any(name.endswith((".rng.json", ".tmp")) for name in inprocess)
     uneven = inprocess["<wrf landscape --checkpoint runs/sgd/best.ckpt --directions 3 --alpha-steps 3>"]
     assert uneven.endswith(b"(3 directions x 7 alphas)\n") and b"flatness" not in uneven
     assert inprocess["runs/sgd/landscape.csv"].count(b"\n") == 1 + 3 * 7

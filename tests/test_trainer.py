@@ -1,8 +1,11 @@
 """Step semantics, optimizer math, schedules, and the full loop."""
 
 import collections
+import contextlib
+import dataclasses
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -13,7 +16,9 @@ import numpy as np
 import pytest
 
 from wrf import cli, diffcore, evalkit, trainer, worker
+from wrf.checkpoint import load_checkpoint
 from wrf.errors import ConfigError, NumericError
+from wrf.evalkit import MetricReport
 from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet
 from wrf.synthcir import DatasetConfig, generate
@@ -328,6 +333,23 @@ def test_metrics_rows_layout():
     assert va[10] == "" and va[12] == ""
 
 
+def test_metrics_cells_are_float_reprs():
+    # Every float cell round-trips: 17 significant digits where the value
+    # needs them, numpy floats included; absent values are empty cells.
+    point_three = np.float64(0.1) + np.float64(0.2)
+    row = trainer.EpochRow(
+        epoch=2, train_loss=0.1 + 0.2, lr=1 / 3, seconds=2 / 3, adv_steps=1, rand_steps=0,
+        train_report=MetricReport({1: np.float64(100) / 3}, point_three, 0.7 + 0.1),
+        val_report=MetricReport({1: 200 / 7}, 1 / 7, 0.1 * 3), gap=point_three,
+    )
+    assert metrics_rows(row) == [
+        "2,train,0.30000000000000004,33.333333333333336,,,,0.30000000000000004,"
+        "0.7999999999999999,,0.3333333333333333,0.6666666666666666,1,0",
+        "2,val,,28.571428571428573,,,,0.14285714285714285,0.30000000000000004,"
+        "0.30000000000000004,,,,",
+    ]
+
+
 def metrics_lines(run_dir: Path) -> list[str]:
     """metrics.csv lines with the wall-clock column blanked."""
     out = []
@@ -384,12 +406,12 @@ def test_train_integration(tmp_path):
 
 
 def test_a_reused_run_directory_holds_one_run(tmp_path):
-    # The second run keeps no checkpoint, sidecar or landscape.csv of the
-    # first, and leaves files it does not own alone.
+    # The second run keeps no checkpoint, sidecar, landscape.csv or
+    # temp file of the first, and leaves files it does not own alone.
     dataset = generate(DATA_CFG)
     out = tmp_path / "run"
     train(small_run_config(total_epochs=4, checkpoint_every=2), MODEL_CFG, dataset, out_dir=out)
-    for name in ("epoch_2.ckpt.rng.json", "landscape.csv", "notes.txt"):
+    for name in ("epoch_2.ckpt.rng.json", "landscape.csv", "notes.txt", "epoch_2.ckpt.tmp"):
         (out / name).write_text("{}")
     train(small_run_config(total_epochs=3, checkpoint_every=0), MODEL_CFG, dataset, out_dir=out)
     assert sorted(p.name for p in out.iterdir()) == [
@@ -432,6 +454,63 @@ def test_train_gamma_zero_never_perturbs(tmp_path):
     assert all(r.adv_steps == 0 and r.rand_steps == 0 for r in record.rows)
     assert (tmp_path / "r" / "epoch_4.ckpt").exists()  # final epoch always saved
     assert not (tmp_path / "r" / "epoch_2.ckpt").exists()
+
+
+def test_a_singleton_remainder_batch_is_dropped(tmp_path):
+    # 65 triplets in batches of 64: one step per epoch, and the epoch's
+    # loss is the 64-row batch's, not its mean with a one-row batch.
+    dataset = generate(dataclasses.replace(DATA_CFG, n_train=65))
+    cfg = small_run_config(gamma=0.0, total_epochs=1, warmup_epochs=0, batch_size=64)
+    before = diffcore.pass_counts()
+    record = train(cfg, MODEL_CFG, dataset, out_dir=tmp_path / "r")
+    assert pass_count_delta(before)["backward"] == 1
+    order = np.random.default_rng([trainer._SHUFFLE_TAG, cfg.seed]).permutation(65)
+    model = RetrievalModel(MODEL_CFG)
+    objective = RetrievalObjective(model, tau=cfg.tau)
+    loss, _ = objective.loss_and_grads(model.init_params(), make_batch(dataset, order[:64]))
+    assert record.rows[0].train_loss == loss
+
+
+def test_train_recall_above_the_cap_is_taken_on_a_seeded_subset(tmp_path, monkeypatch):
+    use_eval_path(monkeypatch, "in-process")
+    dataset = generate(DATA_CFG)
+    cfg = small_run_config(total_epochs=2, eval_every=2, checkpoint_every=0)
+    full = train(cfg, MODEL_CFG, dataset, out_dir=tmp_path / "full")
+    monkeypatch.setattr(trainer, "TRAIN_EVAL_CAP", 25)
+    capped = train(cfg, MODEL_CFG, dataset, out_dir=tmp_path / "capped")
+
+    rng = np.random.default_rng([trainer._EVAL_SUBSET_TAG, cfg.seed])
+    table = dataset.train.take(np.sort(rng.permutation(DATA_CFG.n_train)[:25]))
+    params = load_checkpoint(tmp_path / "capped" / "epoch_2.ckpt")
+    model = RetrievalModel(MODEL_CFG)
+    want = evalkit.recall_report(
+        model.embed_queries(params, table.refs, dataset.mod_embeddings[table.mod_codes]),
+        model.embed_targets(params, dataset.gallery), table.target_indices, table.subsets,
+        trainer.EVAL_KS,
+    )
+    assert capped.rows[-1].train_report == want
+    assert want != full.rows[-1].train_report  # the cap took effect
+    assert capped.rows[-1].val_report == full.rows[-1].val_report
+    # The val row's recall cells; its gap follows the train rmean.
+    assert metrics_lines(tmp_path / "capped")[-1].split(",")[:9] == \
+        metrics_lines(tmp_path / "full")[-1].split(",")[:9]
+
+
+def test_a_tie_in_val_rmean_keeps_the_earlier_best_epoch(tmp_path, monkeypatch):
+    use_eval_path(monkeypatch, "in-process")
+    # (train rmean, val rmean) per epoch: epochs 2 and 3 tie at 30 with different gaps.
+    rmeans = iter([(15.0, 10.0), (40.0, 30.0), (45.0, 30.0), (30.0, 20.0)])
+
+    def stub(model, dataset, table, ks, params):
+        return tuple(MetricReport({1: r}, r, r) for r in next(rmeans))
+
+    monkeypatch.setattr(trainer, "_evaluate", stub)
+    out = tmp_path / "r"
+    record = train(small_run_config(eval_every=1, checkpoint_every=1), MODEL_CFG,
+                   generate(DATA_CFG), out_dir=out)
+    assert (record.best_epoch, record.best_val_rmean, record.gap_at_best) == (2, 30.0, 10.0)
+    assert (out / "best.ckpt").read_bytes() == (out / "epoch_2.ckpt").read_bytes()
+    assert (out / "epoch_2.ckpt").read_bytes() != (out / "epoch_3.ckpt").read_bytes()
 
 
 EVAL_PATHS = ("worker", "in-process")
@@ -631,6 +710,122 @@ def test_worker_and_in_process_evaluation_write_the_same_files(tmp_path, monkeyp
             assert metrics_lines(worker_dir) == metrics_lines(run_dir)
         else:
             assert (worker_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+# `wrf train` whose kill_at-th Path.write_bytes writes half its data and
+# then SIGKILLs the process; it logs each write's file name to stderr,
+# and the eval worker pids alive at the kill (0 never kills).
+KILLED_TRAIN = """
+import multiprocessing, os, pathlib, signal, sys
+from wrf import cli
+
+config, kill_at = sys.argv[1], int(sys.argv[2])
+calls, real = [], pathlib.Path.write_bytes
+
+def write_bytes(self, data):
+    calls.append(self.name)
+    print(f"write {self.name}", file=sys.stderr, flush=True)
+    if len(calls) == kill_at:
+        real(self, data[: len(data) // 2])
+        workers = [proc.pid for proc in multiprocessing.active_children()]
+        print(f"workers {workers}", file=sys.stderr, flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(self, data)
+
+pathlib.Path.write_bytes = write_bytes
+sys.exit(cli.main(["train", "--config", config]))
+"""
+
+
+def run_killed_train(workdir: Path, path: str, kill_at: int) -> tuple[list[str], str]:
+    """KILLED_TRAIN in its own session in workdir, on the given eval path:
+    (the names of the files it wrote, in order, the stderr line of its workers)."""
+    workdir.mkdir()
+    (workdir / "run.cfg").write_text(
+        "d_ref=8\nd_mod=4\nn_mods=3\nn_train=40\nn_val=30\ngallery_size=120\n"
+        "noise_sigma=0.05\nsubset_size=4\nhidden=16\nd_out=8\ntotal_epochs=6\n"
+        "warmup_epochs=1\nbatch_size=16\neval_every=1\ncheckpoint_every=1\n"
+        "gamma=0.01\nrho=0.5\nrun_name=r\nout_dir=runs\n",
+        encoding="utf-8",
+    )
+    env = {k: v for k, v in os.environ.items() if k not in worker._BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    cpu = min(os.sched_getaffinity(0))
+    if path == "worker":
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", KILLED_TRAIN, "run.cfg", str(kill_at)], cwd=workdir, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        preexec_fn=None if path == "worker" else lambda: os.sched_setaffinity(0, {cpu}),
+    )
+    try:
+        _, err = proc.communicate(timeout=120)
+        # The killed process leads its own process group; its eval worker
+        # is the only other member.
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the killed run outlived it"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # whatever is left of the run
+        proc.wait()
+    assert proc.returncode == (-signal.SIGKILL if kill_at else 0), err
+    lines = err.splitlines()
+    writes = [line[len("write "):].removesuffix(".tmp") for line in lines
+              if line.startswith("write ")]
+    return writes, next((line for line in lines if line.startswith("workers ")), "")
+
+
+@pytest.mark.parametrize("path", EVAL_PATHS)
+def test_a_killed_run_leaves_only_whole_files(tmp_path, path):
+    """SIGKILL halfway through a write leaves each file of the run whole:
+    old or new, never a part, and never a metrics.csv row before the
+    files it describes."""
+    if path == "worker" and (len(os.sched_getaffinity(0)) < 2
+                             or "fork" not in multiprocessing.get_all_start_methods()):
+        pytest.skip("the eval worker needs two CPUs and the fork start method")
+    writes, _ = run_killed_train(tmp_path / "clean", path, 0)
+    clean = tmp_path / "clean" / "runs" / "r"
+    clean_rows = metrics_lines(clean)
+    val_rmean = {int(cells[0]): float(cells[7])
+                 for cells in (line.split(",") for line in clean_rows[1:]) if cells[1] == "val"}
+    numbered = list(enumerate(writes, start=1))
+    best = [k for k, name in numbered if name == "best.ckpt"]
+    metrics = [k for k, name in numbered if name == "metrics.csv"]
+    kill_points = {
+        "a best.ckpt after the first": best[1] if len(best) > 1 else None,
+        "the final epoch_6.ckpt": writes.index("epoch_6.ckpt") + 1,
+        "a mid-run metrics.csv": metrics[len(metrics) // 2] if len(metrics) > 2 else None,
+    }
+    for what, kill_at in kill_points.items():
+        assert kill_at, f"the uninterrupted run writes no {what}: {writes}"
+        workdir = tmp_path / f"kill_{kill_at}"
+        done, workers = run_killed_train(workdir, path, kill_at)
+        assert done == writes[:kill_at], what
+        assert (workers != "workers []") == (path == "worker"), (what, workers)
+        out = workdir / "runs" / "r"
+        rows = metrics_lines(out)
+        assert rows == clean_rows[: len(rows)], what
+        assert (out / "config.echo").read_bytes() == (clean / "config.echo").read_bytes()
+        files = sorted(p.name for p in out.iterdir())
+        for name in files:
+            if name.startswith("epoch_") and name.endswith(".ckpt"):
+                assert (out / name).read_bytes() == (clean / name).read_bytes(), (what, name)
+        # The kill cut the commit of epoch `cut`, which writes best.ckpt (if
+        # the epoch beats the ones before it), epoch_<cut>.ckpt and then
+        # metrics.csv: the files done before the killed write are whole.
+        killed, cut = writes[kill_at - 1], sum(line.split(",")[1] == "train" for line in rows) + 1
+        seen = [e for e in range(1, cut + (killed != "best.ckpt")) if e in val_rmean]
+        b = max(seen, key=lambda e: (val_rmean[e], -e))  # the first argmax
+        assert (out / "best.ckpt").read_bytes() == (clean / f"epoch_{b}.ckpt").read_bytes(), what
+        epochs = range(1, cut + (killed == "metrics.csv"))
+        assert files == sorted(["config.echo", "metrics.csv", "best.ckpt", f"{killed}.tmp",
+                                *(f"epoch_{e}.ckpt" for e in epochs)]), what
 
 
 @pytest.mark.parametrize("cpus, env, want", [

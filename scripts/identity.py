@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that this checkout writes what a parent revision writes, byte for byte.
 
-Runs one fixed set of wrf jobs (eight training configs, five landscape
+Runs one fixed set of wrf jobs (nine training configs, five landscape
 probes, a fraction and a lora_rank sweep, selfcheck clean and with an
 injected fault, and three jobs that end in an error exit) on this
 checkout's working tree and on a parent revision, which is checked out
@@ -24,16 +24,27 @@ figures masked. Prints one line per difference and a total, and exits 1
 on any difference.
 
     python scripts/identity.py --parent HEAD~1 --checklist
+
+--unreached instead runs this checkout's side of the jobs under
+`python -m trace --count` on the worker and in-process paths and prints,
+by module, every src/wrf line that trace can count and no job reached,
+then the total. Lines of a raise statement and the UNREACHED_ALLOWED
+entries are left out. It compares nothing and exits 0.
+
+    python scripts/identity.py --unreached
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import os
+import pickle
 import re
 import subprocess
 import sys
 import tempfile
+import trace
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -54,6 +65,10 @@ CONFIGS = {
                   "warmup_epochs": "1"},
     # n_train % batch_size == 1: every epoch drops a one-triplet remainder batch.
     "odd_batch": {"n_train": "65", "total_epochs": "2", "warmup_epochs": "1"},
+    # Dataset dims off every default, so a shape-dependent change to generate shows.
+    "small_data": {"d_ref": "12", "n_mods": "5", "n_train": "90", "n_val": "60",
+                   "gallery_size": "301", "gamma": "0.01", "rho": "0.5",
+                   "total_epochs": "2", "warmup_epochs": "1"},
     "sweep": {"out_dir": "sweep"},
     "rank_sweep": {"out_dir": "rank_sweep"},
 }
@@ -62,7 +77,7 @@ CONFIGS = {
 JOBS = (
     *(["train", "--config", f"{name}.cfg"] for name in (
         "default", "ablation", "lora", "relu_lora", "sgd", "wide_subsets", "one_layer",
-        "odd_batch")),
+        "odd_batch", "small_data")),
     *(["landscape", "--checkpoint", f"runs/{name}/best.ckpt"] for name in ("ablation", "relu_lora")),
     ["landscape", "--checkpoint", "runs/lora/best.ckpt", "--directions", "1"],
     ["landscape", "--checkpoint", "runs/one_layer/best.ckpt", "--directions", "2"],
@@ -100,6 +115,14 @@ CHECKLIST_MASKS = {
     10: ((r"ratio [\d.]+", "ratio <x>"), (r"\([\d.]+ -> [\d.]+ ms\)", "(<ms> -> <ms> ms)")),
 }
 CHECK_LINE = re.compile(r"\[(?:PASS|FAIL)\] check +(\d+)/13: .*")
+
+# src/wrf lines --unreached leaves out: a module file name, or
+# "<module file>:<function name>" for that function's lines -> why no job reaches them.
+UNREACHED_ALLOWED = {
+    "__init__.py": "trace --module imports the package before it starts counting",
+    "__main__.py": "only python -m wrf runs it, a path --unreached does not trace",
+    "worker.py:_worker_loop": "the forked worker's body: trace loses a forked child's counts",
+}
 
 
 def write_configs(workdir: Path, epochs: int | None = None) -> None:
@@ -218,12 +241,81 @@ def compare(parent_tree: Path, scratch: Path, with_checklist: bool) -> int:
     return total
 
 
+def trace_counts(tree: Path, workdir: Path) -> dict:
+    """{(file name, line): count} of JOBS run with tree's package under python -m trace,
+    on the worker and in-process paths."""
+    counts = workdir / "counts.pickle"
+    ignore = os.pathsep.join(sorted({sys.prefix, sys.base_prefix}))  # stdlib and numpy
+    for path in ("worker", "inprocess"):
+        module, blas, pinned = PATHS[path]
+        jobdir = workdir / path
+        jobdir.mkdir(parents=True)
+        write_configs(jobdir)
+        for argv in JOBS:
+            subprocess.run(
+                [sys.executable, "-m", "trace", "--count", "--file", str(counts),
+                 "--coverdir", str(workdir / "cover"), "--ignore-dir", ignore,
+                 "--module", module, *argv],
+                cwd=jobdir, env=_env(tree / "src", blas), capture_output=True,
+                preexec_fn=_pin_to_one_cpu if pinned else None,
+            )
+    with counts.open("rb") as f:
+        return pickle.load(f)[0]
+
+
+def unreached(package: Path, counts: dict, allowed=UNREACHED_ALLOWED) -> dict[str, list[int]]:
+    """Module file name -> the lines of package that trace can count and no count reached.
+
+    Lines of a raise statement (an error path) and allowed entries are
+    left out; modules with no such line are left out too.
+    """
+    reached = {(Path(name).resolve(), line) for name, line in counts}
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name in allowed:
+            continue
+        skip = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) or (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and f"{path.name}:{node.name}" in allowed
+            ):
+                skip.update(range(node.lineno, node.end_lineno + 1))
+        # trace's own table of countable lines (its code objects' line starts,
+        # docstrings left out); line 0 is a module's start, no source line.
+        lines = set(trace._find_executable_linenos(str(path))) - skip - {0}
+        missing = sorted(n for n in lines if (path.resolve(), n) not in reached)
+        if missing:
+            out[path.name] = missing
+    return out
+
+
+def report_unreached(scratch: Path) -> None:
+    package = REPO / "src" / "wrf"
+    missing = unreached(package, trace_counts(REPO, scratch))
+    for name, lines in missing.items():
+        print(f"{name}: {len(lines)} unreached")
+        source = (package / name).read_text(encoding="utf-8").splitlines()
+        for n in lines:
+            print(f"  {n}: {source[n - 1].strip()}")
+    for entry, why in UNREACHED_ALLOWED.items():
+        print(f"allowed: {entry}: {why}")
+    print(f"total: {sum(map(len, missing.values()))} unreached lines")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="git revision to compare with")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--parent", help="git revision to compare with")
+    mode.add_argument("--unreached", action="store_true",
+                      help="report the src/wrf lines no job reaches, under python -m trace")
     ap.add_argument("--checklist", action="store_true",
                     help="also compare the acceptance checklist (about two minutes a side)")
     args = ap.parse_args(argv)
+    if args.unreached:
+        with tempfile.TemporaryDirectory(prefix="wrf-unreached-") as scratch:
+            report_unreached(Path(scratch))
+        return 0
     rev = subprocess.run(
         ["git", "-C", str(REPO), "rev-parse", "--verify", f"{args.parent}^{{commit}}"],
         capture_output=True, text=True,

@@ -23,10 +23,15 @@ MAGIC = "WRFCKPT v1"
 
 def write_whole(path: str | os.PathLike, data: bytes) -> None:
     """Write data to <path>.tmp beside path, then rename it over path: a kill
-    leaves the old file or the new one, never a part of either."""
+    leaves the old file or the new one, never a part of either. A write or
+    rename that raises removes <path>.tmp first."""
     tmp = Path(f"{path}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path: str | os.PathLike, params: ParameterSet) -> None:

@@ -4,11 +4,14 @@ Each modification code m owns a fixed random linear edit map A_m
 (columns normalized), the first draw of the dataset's seeded stream.
 A triplet is a reference vector drawn uniformly on the sphere, a code,
 and the normalized image of the reference under that code's map plus
-isotropic noise. The maps are not kept, since neither training nor
-evaluation reads them; the tests redraw them to check the noise-free
-targets. The gallery holds every train and val target plus distractor
-targets built the same way from held-out references, so distractors
-live on the same manifold and retrieval is not trivially easy.
+isotropic noise. Targets are edited one code group at a time through
+that code's map, with no per-row copy of the maps; each row's
+contraction, and so each byte, is what such a copy gives. The maps are
+not kept, since neither training nor evaluation reads them; the tests
+redraw them to check the noise-free targets. The gallery holds every
+train and val target plus distractor targets built the same way from
+held-out references, so distractors live on the same manifold and
+retrieval is not trivially easy.
 
 Per-query candidate subsets (for subset recall) are the target plus its
 nearest gallery neighbors by dot product, ties by ascending index,
@@ -162,7 +165,11 @@ def generate(config: DatasetConfig) -> SynthDataset:
     refs = _unit_rows(rng.standard_normal((total, d)), "reference")
     codes = rng.integers(0, m, size=total).astype(np.uint32)
     noise = rng.standard_normal((total, d))
-    raw = np.einsum("nij,nj->ni", maps[codes], refs) + config.noise_sigma * noise
+    raw = np.empty((total, d))
+    for c in range(m):  # one map per code group: no per-row copy of the maps
+        rows = np.flatnonzero(codes == c)
+        raw[rows] = np.einsum("ij,nj->ni", maps[c], refs[rows])
+    raw += config.noise_sigma * noise
     gallery = _unit_rows(raw, "target")
 
     n_tr, n_va = config.n_train, config.n_val

@@ -4,7 +4,8 @@ Each function here is the plain, full-materialization version of
 something the package computes a cheaper way: a full gallery sort for
 the rank-of-target counting in ``wrf.evalkit`` and for the nearest
 neighbour subsets in ``wrf.synthcir``, a redraw of the edit maps that
-``wrf.synthcir.generate`` does not keep, the contrastive loss on plain
+``wrf.synthcir.generate`` does not keep, a replay of its gallery through
+one per-row gather of those maps, the contrastive loss on plain
 arrays for the graph form in ``wrf.loss``, a node-by-node executor
 without backward pruning for ``wrf.diffcore.Executor``, the softmax
 cross-entropy kernel pair that forms the probabilities in forward, the
@@ -64,6 +65,27 @@ def edit_maps(config: DatasetConfig) -> np.ndarray:
     rng = np.random.default_rng([0x41, config.seed])
     maps = rng.standard_normal((config.n_mods, config.d_ref, config.d_ref))
     return maps / np.linalg.norm(maps, axis=1, keepdims=True)
+
+
+def gallery_by_gather(config: DatasetConfig) -> np.ndarray:
+    """The gallery of generate(config), its targets edited through maps[codes].
+
+    Replays the dataset's [0x41, seed] stream (edit maps, mod embeddings,
+    references, codes, noise), applies each row's map from one
+    (gallery_size, d_ref, d_ref) gather of the maps, adds the noise and
+    normalizes the rows.
+    """
+    rng = np.random.default_rng([0x41, config.seed])
+    total, d, m = config.gallery_size, config.d_ref, config.n_mods
+    maps = rng.standard_normal((m, d, d))
+    maps = maps / np.linalg.norm(maps, axis=1, keepdims=True)
+    rng.standard_normal((m, config.d_mod))  # the mod embeddings
+    refs = rng.standard_normal((total, d))
+    refs = refs / np.linalg.norm(refs, axis=1, keepdims=True)
+    codes = rng.integers(0, m, size=total)
+    noise = rng.standard_normal((total, d))
+    raw = np.einsum("nij,nj->ni", maps[codes], refs) + config.noise_sigma * noise
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 def nearest_subsets_by_sort(gallery: np.ndarray, targets: np.ndarray, subset_size: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Checkpoint serialization: byte-exact round trips and corruption handling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wrf.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from wrf.checkpoint import MAGIC, load_checkpoint, save_checkpoint, write_whole
 from wrf.errors import DataError
 from wrf.model import ModelConfig, init_model
 from wrf.params import ParameterSet
@@ -103,3 +105,27 @@ def test_name_with_whitespace_is_rejected(tmp_path):
     ps = ParameterSet({"bad name": np.ones(1)})
     with pytest.raises(DataError):
         save_checkpoint(tmp_path / "x.ckpt", ps)
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "run"
+    target.mkdir()  # os.replace cannot move a file over a directory
+    with pytest.raises(IsADirectoryError):
+        write_whole(target, b"data")
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+
+
+def test_a_failed_write_leaves_no_temp_file_and_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "metrics.csv"
+    target.write_bytes(b"old\n")
+    real_write = Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        real_write(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    with pytest.raises(OSError, match="no space"):
+        write_whole(target, b"new contents\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+    assert target.read_bytes() == b"old\n"

@@ -342,6 +342,21 @@ def test_landscape_out_in_a_missing_directory_is_exit_2(cfg_file, tmp_path, caps
     assert not out.parent.exists()
 
 
+def test_landscape_out_that_is_a_directory_is_exit_2_and_leaves_no_temp_file(
+    cfg_file, tmp_path, capsys
+):
+    cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
+    capsys.readouterr()
+    run_dir = tmp_path / "out" / "a"
+    code = cli.main([
+        "landscape", "--checkpoint", str(run_dir / "best.ckpt"),
+        "--directions", "1", "--alpha-steps", "1", "--out", str(run_dir),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["a"]  # no a.tmp beside it
+
+
 @pytest.mark.parametrize("key, value", [("d_ref", "10"), ("hidden", "12")])
 def test_landscape_rejects_checkpoint_that_does_not_fit_its_echo(
     cfg_file, tmp_path, capsys, key, value

@@ -49,8 +49,11 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
     assert b"subset_size=41\n" in inprocess["runs/wide_subsets/config.echo"]
     assert b"hidden=\n" in inprocess["runs/one_layer/config.echo"]
     assert b"n_train=65\n" in inprocess["runs/odd_batch/config.echo"]
+    assert b"d_ref=12\n" in inprocess["runs/small_data/config.echo"]
+    assert b"gallery_size=301\n" in inprocess["runs/small_data/config.echo"]
     for name in ("runs/default/best.ckpt", "runs/relu_lora/epoch_7.ckpt",
-                 "runs/odd_batch/epoch_8.ckpt", "runs/wide_subsets/metrics.csv",
+                 "runs/odd_batch/epoch_8.ckpt", "runs/small_data/epoch_8.ckpt",
+                 "runs/small_data/metrics.csv", "runs/wide_subsets/metrics.csv",
                  "runs/one_layer/landscape.csv", "runs/relu_lora/landscape.csv",
                  "runs/lora/landscape.csv",
                  "sweep/fraction_0.25_seed1/epoch_8.ckpt", "sweep/sweep_summary.csv",
@@ -79,3 +82,29 @@ def test_comparison_masks_only_the_wall_clock_columns(tmp_path):
         "only in change: <wrf train>", "only in change: extra.ckpt.rng.json",
         "differs: other.csv",
     ]
+
+
+def test_unreached_leaves_out_raise_lines_and_allowed_entries(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        '"""A module."""\n'                  # 1  docstring: not countable
+        "def f(x):\n"                        # 2
+        "    if x < 0:\n"                    # 3
+        "        raise ValueError(\n"        # 4  raise, over two lines
+        "            f'bad {x}')\n"          # 5
+        "    y = x + 1\n"                    # 6
+        "    return y\n"                     # 7
+        "def g():\n"                         # 8
+        "    return 2\n"                     # 9  allowed function
+        "def h():\n"                         # 10
+        "    return 3\n"                     # 11 unreached
+    )
+    (package / "skipped.py").write_text("x = 1\n")  # allowed module
+    mod = str(package / "mod.py")
+    counts = {(mod, n): 1 for n in (2, 3, 8, 10)}
+    allowed = {"skipped.py": "why", "mod.py:g": "why"}
+    assert identity.unreached(package, counts, allowed) == {"mod.py": [6, 7, 11]}
+    counts.update({(mod, 6): 1, (mod, 7): 2, (mod, 11): 1})
+    assert identity.unreached(package, counts, allowed) == {}
+    assert identity.unreached(package, counts, {}) == {"mod.py": [9], "skipped.py": [1]}

@@ -13,7 +13,7 @@ from wrf.synthcir import (
     subsample_dataset,
 )
 
-from oracles import edit_maps, nearest_subsets_by_sort
+from oracles import edit_maps, gallery_by_gather, nearest_subsets_by_sort
 
 SMALL = DatasetConfig(
     d_ref=8, d_mod=4, n_mods=3, n_train=40, n_val=30, gallery_size=120,
@@ -101,6 +101,23 @@ def test_noise_free_targets_are_normalized_edits_of_their_references():
         np.testing.assert_allclose(
             ds.gallery[table.target_indices], _edited(NOISE_FREE, table), atol=1e-15, rtol=0
         )
+
+
+@pytest.mark.parametrize("n_mods", [2, 8, 40])
+@pytest.mark.parametrize("d_ref", [1, 3, 32, 33])
+def test_gallery_bytes_equal_the_gather_form(d_ref, n_mods):
+    # 40 codes over a 29-row gallery leave some code groups empty; 301
+    # rows are not a multiple of 8.
+    for gallery_size in (29, 301):
+        for noise_sigma in (0.0, 0.1):
+            for seed in (0, 9):
+                cfg = DatasetConfig(
+                    d_ref=d_ref, d_mod=3, n_mods=n_mods, n_train=12, n_val=17,
+                    gallery_size=gallery_size, noise_sigma=noise_sigma, subset_size=3,
+                    seed=seed,
+                )
+                want = gallery_by_gather(cfg)
+                assert generate(cfg).gallery.tobytes() == want.tobytes(), cfg
 
 
 def test_bayes_oracle_is_perfect_without_noise():

@@ -24,14 +24,18 @@ MAGIC = "WRFCKPT v1"
 def write_whole(path: str | os.PathLike, data: bytes) -> None:
     """Write data to <path>.tmp beside path, then rename it over path: a kill
     leaves the old file or the new one, never a part of either. A write or
-    rename that raises removes <path>.tmp first."""
+    rename that raises removes <path>.tmp if made; an OSError is raised
+    again, of its class, as "cannot write <path>: <reason>", never its .tmp."""
     tmp = Path(f"{path}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except BaseException as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        if not isinstance(exc, OSError):
+            raise
+        raise type(exc)(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def save_checkpoint(path: str | os.PathLike, params: ParameterSet) -> None:

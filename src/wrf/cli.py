@@ -28,7 +28,7 @@ from .checkpoint import load_checkpoint, write_whole
 from .model import ModelConfig, RetrievalModel
 from .selfcheck import run_selfcheck
 from .synthcir import DatasetConfig, generate, subsample_dataset
-from .trainer import RetrievalObjective, RunRecord, TrainConfig, TripletBatch, train
+from .trainer import RetrievalObjective, RunRecord, TrainConfig, train
 from .trainer import check_train_split
 
 SWEEP_PARAMS = ("gamma", "rho", "fraction", "lora_rank")
@@ -292,9 +292,9 @@ def cmd_sweep(args) -> int:
     summary = out_root / "sweep_summary.csv"
     try:
         out_root.mkdir(parents=True, exist_ok=True)
-        write_whole(summary, ("\n".join([SWEEP_HEADER, *rows]) + "\n").encode("utf-8"))
     except OSError as exc:
         raise OSError(f"cannot write {summary}: {exc}") from exc
+    write_whole(summary, ("\n".join([SWEEP_HEADER, *rows]) + "\n").encode("utf-8"))
     print_sweep_table(args.param, finished)
     print(f"summary: {summary} ({len(rows)} rows, {failures} failed)")
     return 4 if failures else 0
@@ -321,13 +321,7 @@ def cmd_landscape(args) -> int:
             f"config.echo, which builds {expected.shapes()}"
         )
     dataset = build_dataset(config)
-    table = dataset.train
-    n = min(len(table), LANDSCAPE_BATCH_CAP)
-    batch = TripletBatch(
-        refs=table.refs[:n],
-        mods=dataset.mod_embeddings[table.mod_codes[:n]],
-        targets=dataset.gallery[table.target_indices[:n]],
-    )
+    batch = dataset.batch(dataset.train, slice(LANDSCAPE_BATCH_CAP))
     objective = RetrievalObjective(model, tau=config.tau)
 
     def loss_fn(ps):

@@ -10,6 +10,8 @@ Each RetrievalModel holds one graph: the query branch, then the target
 branch, then one contrastive loss head per temperature, appended on
 first use. An embedding pass runs the graph to its branch's output and
 so needs only that branch's inputs; a loss pass runs it to the head.
+The loss head is the mean cross-entropy of each query's own target
+among the batch's targets, with logits tau * <u_i, v_j> and a fixed tau.
 
 An optional low-rank adapter mode freezes every weight matrix and
 trains factor pairs on the fusion layers instead: the effective weight
@@ -26,7 +28,6 @@ import numpy as np
 
 from .diffcore import Executor, Graph
 from .errors import ConfigError
-from .loss import attach_q2t_loss
 from .params import ParameterSet
 
 # Seed stream tags, distinct across modules so an equal integer seed
@@ -102,6 +103,16 @@ def _append_query_branch(g: Graph, config: ModelConfig, mode: str) -> int:
 def _append_target_branch(g: Graph) -> int:
     x = g.bias_add(g.matmul(g.input("targets"), g.param("target.w")), g.param("target.b"))
     return g.l2norm_rows(x)
+
+
+def attach_q2t_loss(graph: Graph, query_node: int, target_node: int, tau: float) -> int:
+    """Append the contrastive loss over two row-normalized embedding nodes;
+    returns the scalar loss node. softmax_xent stabilizes itself."""
+    tau = float(tau)
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ConfigError(f"temperature must be positive and finite, got {tau}")
+    scores = graph.pairwise_dot(query_node, target_node)
+    return graph.softmax_xent(graph.scalar_mul(scores, tau))
 
 
 @dataclass

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +110,12 @@ class TripletTable:
         )
 
 
+class TripletBatch(NamedTuple):
+    refs: np.ndarray
+    mods: np.ndarray
+    targets: np.ndarray
+
+
 @dataclass(frozen=True)
 class SynthDataset:
     train: TripletTable
@@ -119,6 +126,14 @@ class SynthDataset:
     def __post_init__(self):
         self.gallery.flags.writeable = False
         self.mod_embeddings.flags.writeable = False
+
+    def batch(self, table: TripletTable, rows) -> TripletBatch:
+        """The model inputs of table's rows (an index array or a slice)."""
+        return TripletBatch(
+            table.refs[rows],
+            self.mod_embeddings[table.mod_codes[rows]],
+            self.gallery[table.target_indices[rows]],
+        )
 
 
 def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:

@@ -38,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .perturb import (
     choose_kind,
     random_perturbation,
 )
-from .synthcir import SynthDataset
+from .synthcir import SynthDataset, TripletBatch
 
 # Seed stream tags (see model.py note on cross-module aliasing).
 _SHUFFLE_TAG = 0x21
@@ -76,12 +76,6 @@ METRICS_HEADER = ",".join([
     "epoch", "split", "loss", *(f"r_at_{k}" for k in EVAL_KS), "rmean", "rsubset_at_1",
     "gap", "lr", "seconds", "adv_steps", "rand_steps",
 ])
-
-
-class TripletBatch(NamedTuple):
-    refs: np.ndarray
-    mods: np.ndarray
-    targets: np.ndarray
 
 
 class Objective(Protocol):
@@ -420,11 +414,11 @@ def train(
     state = new_train_state(config, model.init_params())
     record = RunRecord()
     ks = [k for k in EVAL_KS if k <= dataset.gallery.shape[0]]
-    train_eval_idx = np.arange(len(dataset.train))
-    if len(train_eval_idx) > TRAIN_EVAL_CAP:
+    train_eval_table = dataset.train  # read-only, so shared rather than copied
+    if len(dataset.train) > TRAIN_EVAL_CAP:
         rng = np.random.default_rng([_EVAL_SUBSET_TAG, config.seed])
-        train_eval_idx = np.sort(rng.permutation(len(train_eval_idx))[:TRAIN_EVAL_CAP])
-    train_eval_table = dataset.train.take(train_eval_idx)
+        train_eval_table = dataset.train.take(
+            np.sort(rng.permutation(len(dataset.train))[:TRAIN_EVAL_CAP]))
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -473,12 +467,7 @@ def train(
                 losses, kinds = [], []
                 tick = time.perf_counter()
                 for idx in _epoch_batches(order, config.batch_size):
-                    batch = TripletBatch(
-                        refs=dataset.train.refs[idx],
-                        mods=dataset.mod_embeddings[dataset.train.mod_codes[idx]],
-                        targets=dataset.gallery[dataset.train.target_indices[idx]],
-                    )
-                    info = step_fn(state, batch, config, objective)
+                    info = step_fn(state, dataset.batch(dataset.train, idx), config, objective)
                     losses.append(info.loss)
                     kinds.append(info.kind)
                 seconds = time.perf_counter() - tick

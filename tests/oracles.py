@@ -6,7 +6,7 @@ the rank-of-target counting in ``wrf.evalkit`` and for the nearest
 neighbour subsets in ``wrf.synthcir``, a redraw of the edit maps that
 ``wrf.synthcir.generate`` does not keep, a replay of its gallery through
 one per-row gather of those maps, the contrastive loss on plain
-arrays for the graph form in ``wrf.loss``, a node-by-node executor
+arrays for the graph form in ``wrf.model``, a node-by-node executor
 without backward pruning for ``wrf.diffcore.Executor``, the softmax
 cross-entropy kernel pair that forms the probabilities in forward, the
 l2norm_rows pair in its np.where form only, and one forward plus one

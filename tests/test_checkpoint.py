@@ -115,6 +115,23 @@ def test_a_failed_rename_leaves_no_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
 
+def test_a_failed_write_names_its_target_and_chains_the_original_error(tmp_path):
+    (tmp_path / "run").mkdir()  # os.replace cannot move a file over a directory
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n", encoding="utf-8")
+    for target, kind, reason in (
+        (tmp_path / "run", IsADirectoryError, "Is a directory"),
+        (tmp_path / "missing" / "x.csv", FileNotFoundError, "No such file or directory"),
+        (blocker / "x.csv", NotADirectoryError, "Not a directory"),
+    ):
+        with pytest.raises(kind) as caught:
+            write_whole(target, b"data")
+        assert str(caught.value) == f"cannot write {target}: {reason}"
+        assert type(caught.value.__cause__) is kind
+        assert caught.value.__cause__.strerror == reason
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "run"]
+
+
 def test_a_failed_write_leaves_no_temp_file_and_the_old_file(tmp_path, monkeypatch):
     target = tmp_path / "metrics.csv"
     target.write_bytes(b"old\n")

@@ -155,6 +155,20 @@ def test_sweep_into_an_out_dir_that_is_a_file_is_an_error_line(tmp_path, capsys)
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
+def test_a_failed_summary_write_names_the_summary_once(cfg_file, tmp_path, capsys):
+    # The run finishes; only the summary write fails, with one error line.
+    summary = tmp_path / "out" / "sweep_summary.csv"
+    summary.mkdir(parents=True)
+    code = cli.main(["sweep", "--config", str(cfg_file), "--param", "fraction",
+                     "--values", "0.5", "--seeds", "0"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: cannot write {summary}: Is a directory\n"
+    assert "summary:" not in out
+    assert sorted(p.name for p in summary.parent.iterdir()) == [
+        "fraction_0.5_seed0", "sweep_summary.csv"]
+
+
 def test_sweep_continues_past_failing_run(cfg_file, tmp_path, capsys):
     # fraction 0.01 leaves one of the 40 training triplets: those runs fail
     # once their dataset is built, the others must still complete, and the
@@ -275,9 +289,10 @@ def test_lora_rank_zero_means_full_mode(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_landscape_csv(cfg_file, tmp_path, capsys):
+def test_landscape_csv(cfg_file, tmp_path, capsys, monkeypatch):
     cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
     ckpt = tmp_path / "out" / "a" / "best.ckpt"
+    monkeypatch.setattr(cli, "LANDSCAPE_BATCH_CAP", 25)  # under the 40 train rows
     code = cli.main([
         "landscape", "--checkpoint", str(ckpt),
         "--directions", "3", "--alpha-steps", "2",
@@ -288,6 +303,14 @@ def test_landscape_csv(cfg_file, tmp_path, capsys):
     assert len(lines) == 1 + 3 * 5
     base_losses = {l.split(",")[2] for l in lines[1:] if float(l.split(",")[1]) == 0.0}
     assert len(base_losses) == 1  # alpha=0 rows share the exact base loss
+    # The base loss is the checkpoint's loss on the first 25 train rows.
+    config = cli.load_config_echo(ckpt.parent / "config.echo")
+    dataset, rows = cli.build_dataset(config), slice(25)
+    want = cli.RetrievalModel(config.model_config()).batch_loss(
+        cli.load_checkpoint(ckpt), dataset.train.refs[rows],
+        dataset.mod_embeddings[dataset.train.mod_codes[rows]],
+        dataset.gallery[dataset.train.target_indices[rows]], config.tau)
+    assert float(base_losses.pop()) == want
     capsys.readouterr()
 
 
@@ -338,7 +361,7 @@ def test_landscape_out_in_a_missing_directory_is_exit_2(cfg_file, tmp_path, caps
         "--directions", "1", "--alpha-steps", "1", "--out", str(out),
     ])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
     assert not out.parent.exists()
 
 
@@ -348,13 +371,19 @@ def test_landscape_out_that_is_a_directory_is_exit_2_and_leaves_no_temp_file(
     cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
     capsys.readouterr()
     run_dir = tmp_path / "out" / "a"
-    code = cli.main([
-        "landscape", "--checkpoint", str(run_dir / "best.ckpt"),
-        "--directions", "1", "--alpha-steps", "1", "--out", str(run_dir),
-    ])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    # The run directory itself, then a path under a file: each error names --out, not its .tmp.
+    for out, reason in ((run_dir, "Is a directory"), (blocker / "x.csv", "Not a directory")):
+        code = cli.main([
+            "landscape", "--checkpoint", str(run_dir / "best.ckpt"),
+            "--directions", "1", "--alpha-steps", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["a"]  # no a.tmp beside it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base.cfg", "blocker", "out"]
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
 @pytest.mark.parametrize("key, value", [("d_ref", "10"), ("hidden", "12")])

@@ -38,6 +38,8 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
     for name, code, prefix in (
         ("<wrf train --config default.cfg --set gamma=-1>", b"exit 2", b"error: "),
         ("<wrf landscape --checkpoint runs/missing/best.ckpt>", b"exit 2", b"error: "),
+        ("<wrf landscape --checkpoint runs/sgd/best.ckpt --directions 1 --alpha-steps 1 "
+         "--out runs/sgd>", b"exit 2", b"error: cannot write runs/sgd: Is a directory"),
         ("<wrf train --config default.cfg --set eta0=1e300 --set run_name=diverged>",
          b"exit 3", b"error: numeric abort: "),
     ):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from wrf.diffcore import Executor, Graph, finite_diff_gradient
 from wrf.errors import ConfigError, ShapeError
-from wrf.loss import attach_q2t_loss
+from wrf.model import attach_q2t_loss
 from wrf.params import ParameterSet
 from wrf.trainer import TrainConfig
 

@@ -145,6 +145,19 @@ def test_tables_are_read_only(small_ds):
         small_ds.train.refs[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("rows", [
+    np.array([5, 0, 29, 5, 17]), slice(12), slice(40), slice(512)],
+    ids=["index-array", "slice-12", "slice-40", "slice-512"])
+def test_batch_gathers_the_model_inputs_of_table_rows(small_ds, rows):
+    # slice(40) runs past the 30-row val table, slice(512) past both, as the landscape cap may.
+    for table in (small_ds.train, small_ds.val):
+        batch = small_ds.batch(table, rows)
+        want = (table.refs[rows], small_ds.mod_embeddings[table.mod_codes[rows]],
+                small_ds.gallery[table.target_indices[rows]])
+        got = (batch.refs, batch.mods, batch.targets)
+        assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
+
+
 def test_subsample_counts_and_membership(small_ds):
     sub = subsample_dataset(small_ds, 0.5, seed=0).train
     assert len(sub) == 20

@@ -3,7 +3,7 @@
 
 Runs one fixed set of wrf jobs (nine training configs, five landscape
 probes, a fraction and a lora_rank sweep, selfcheck clean and with an
-injected fault, and four jobs that end in an error exit) on this
+injected fault, and five jobs that end in an error exit) on this
 checkout's working tree and on a parent revision, which is checked out
 with `git worktree add` into a temporary directory and removed
 afterwards. Both sides run from the same relative out_dir, on three
@@ -91,6 +91,8 @@ JOBS = (
     ["selfcheck"],  # its table holds no timings
     ["selfcheck", "--inject", "grad-sign"],  # exit 1, compared like any other job
     ["train", "--config", "default.cfg", "--set", "gamma=-1"],  # exit 2: config
+    # exit 2: a LoRA rank without finetune_mode=lora, before its run directory exists
+    ["train", "--config", "default.cfg", "--set", "lora_rank=4", "--set", "run_name=full_rank"],
     ["landscape", "--checkpoint", "runs/missing/best.ckpt"],  # exit 2: IO
     # exit 2: a failed write, --out naming a directory; the error names it, not its .tmp
     ["landscape", "--checkpoint", "runs/sgd/best.ckpt", "--directions", "1", "--alpha-steps",

@@ -4,12 +4,15 @@ Layout: a UTF-8 header starting with the magic line `WRFCKPT v1`, one
 line per layer of the form `name dim0 dim1 ...`, a single blank line
 terminating the header, then each layer's values as raw little-endian
 64-bit floats in header order. Round-trips are byte-exact.
+
+Every run file reaches disk through value_text, write_whole and writing.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
@@ -21,21 +24,38 @@ from .params import ParameterSet
 MAGIC = "WRFCKPT v1"
 
 
+def value_text(value) -> str:
+    """A value's text in a run file: empty for None, a tuple's items joined by
+    commas, text and counts by str, any other number the repr of its float."""
+    if isinstance(value, tuple):
+        return ",".join(map(value_text, value))
+    if isinstance(value, (str, int)):
+        return str(value)
+    return "" if value is None else repr(float(value))
+
+
+@contextmanager
+def writing(path: str | os.PathLike):
+    """Raise the block's OSError again, of its class, as "cannot write <path>: <reason>"."""
+    try:
+        yield
+    except OSError as exc:
+        raise type(exc)(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_whole(path: str | os.PathLike, data: bytes) -> None:
     """Write data to <path>.tmp beside path, then rename it over path: a kill
     leaves the old file or the new one, never a part of either. A write or
-    rename that raises removes <path>.tmp if made; an OSError is raised
-    again, of its class, as "cannot write <path>: <reason>", never its .tmp."""
+    rename that raises removes <path>.tmp if made; an OSError names path."""
     tmp = Path(f"{path}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp.is_file():
-            tmp.unlink()
-        if not isinstance(exc, OSError):
+    with writing(path):
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if tmp.is_file():
+                tmp.unlink()
             raise
-        raise type(exc)(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def save_checkpoint(path: str | os.PathLike, params: ParameterSet) -> None:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericError, WrfError
 from .evalkit import default_alpha_grid, flatness_score, landscape_probe, landscape_to_csv
-from .checkpoint import load_checkpoint, write_whole
+from .checkpoint import load_checkpoint, value_text, write_whole, writing
 from .model import ModelConfig, RetrievalModel
 from .selfcheck import run_selfcheck
 from .synthcir import DatasetConfig, generate, subsample_dataset
@@ -89,12 +89,13 @@ class ExperimentConfig:
             raise ConfigError(f"run_name must be a plain directory name, got {self.run_name!r}")
         if not (0.0 < self.fraction <= 1.0):
             raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
-        # Building every component config and the model validates all
-        # their invariants, the LoRA rank against the layer shapes included.
+        # Building every component config, then the model, checks all their
+        # invariants in this order (so the first error reported is fixed); the
+        # model alone checks finetune_mode and lora_rank.
         self.dataset_config()
         self.model_config()
         self.train_config()
-        RetrievalModel(self.model_config(), mode=self.finetune_mode, lora_rank=self.lora_rank)
+        self.model()
 
     def _project(self, component):
         return component(**{f.name: getattr(self, f.name) for f in dataclasses.fields(component)})
@@ -107,6 +108,9 @@ class ExperimentConfig:
 
     def train_config(self) -> TrainConfig:
         return self._project(TrainConfig)
+
+    def model(self) -> RetrievalModel:
+        return RetrievalModel(self.model_config(), self.finetune_mode, self.lora_rank)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -127,14 +131,6 @@ def _parse_value(key: str, text: str):
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
     return text
-
-
-def _format_value(key: str, value) -> str:
-    if key == "hidden":
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def parse_config_lines(lines, source: str = "<config>") -> dict:
@@ -171,10 +167,7 @@ def build_config(mapping: dict) -> ExperimentConfig:
 
 
 def config_echo_text(config: ExperimentConfig) -> str:
-    lines = [
-        f"{f.name}={_format_value(f.name, getattr(config, f.name))}"
-        for f in dataclasses.fields(ExperimentConfig)
-    ]
+    lines = [f"{f.name}={value_text(getattr(config, f.name))}" for f in dataclasses.fields(config)]
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
     return body + f"config_hash={digest}\n"
@@ -202,7 +195,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Path]:
     dataset = build_dataset(config)
     check_train_split(dataset)  # before the run directory exists
     run_dir = Path(config.out_dir) / config.run_name
-    run_dir.mkdir(parents=True, exist_ok=True)
+    with writing(run_dir):
+        run_dir.mkdir(parents=True, exist_ok=True)
     write_whole(run_dir / "config.echo", config_echo_text(config).encode("utf-8"))
     record = train(config.train_config(), config.model_config(), dataset, out_dir=run_dir)
     return record, run_dir
@@ -255,7 +249,7 @@ def print_sweep_table(param: str, finished: dict) -> None:
             base_rmean, base_gap = rmean, gap
             print(f"{param:>9} {'runs':>4} {'val rmean':>10} {'drm':>8} {'gap':>8} {'cut %':>7}")
         cut = 100 * (1 - gap / base_gap) if base_gap else float("nan")
-        print(f"{_format_value(param, value):>9} {len(records):>4} {rmean:10.3f} "
+        print(f"{value_text(value):>9} {len(records):>4} {rmean:10.3f} "
               f"{rmean - base_rmean:+8.3f} {gap:8.3f} {cut:7.1f}")
 
 
@@ -282,18 +276,14 @@ def cmd_sweep(args) -> int:
             continue
         finished.setdefault(value, []).append(record)
         warm = config.warmup_epochs
-        rows.append(
-            f"{args.param},{_format_value(args.param, value)},{seed},"
-            f"{record.best_val_rmean!r},{record.final_val_rmean!r},"
-            f"{record.gap_at_best!r},{record.best_epoch},"
-            f"{record.seconds_per_epoch(skip_warmup=warm)!r}"
-        )
+        rows.append(",".join(map(value_text, (
+            args.param, value, seed, record.best_val_rmean, record.final_val_rmean,
+            record.gap_at_best, record.best_epoch, record.seconds_per_epoch(skip_warmup=warm),
+        ))))
         print(f"{config.run_name}: best val rmean {record.best_val_rmean:.4f}")
     summary = out_root / "sweep_summary.csv"
-    try:
+    with writing(summary):
         out_root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot write {summary}: {exc}") from exc
     write_whole(summary, ("\n".join([SWEEP_HEADER, *rows]) + "\n").encode("utf-8"))
     print_sweep_table(args.param, finished)
     print(f"summary: {summary} ({len(rows)} rows, {failures} failed)")
@@ -310,9 +300,7 @@ def cmd_landscape(args) -> int:
     ckpt_path = Path(args.checkpoint)
     run_dir = ckpt_path.parent
     config = load_config_echo(run_dir / "config.echo")
-    model = RetrievalModel(
-        config.model_config(), mode=config.finetune_mode, lora_rank=config.lora_rank
-    )
+    model = config.model()
     expected = model.init_params()
     params = load_checkpoint(ckpt_path, trainable=expected.trainable_names)
     if params.shapes() != expected.shapes():

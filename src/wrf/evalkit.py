@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import worker
-from .checkpoint import write_whole
+from .checkpoint import value_text, write_whole
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .params import ParameterSet
 from .perturb import apply_perturbation, random_perturbation
@@ -219,8 +219,8 @@ def flatness_score(landscape: Landscape, alpha: float = 0.05) -> float:
 
 
 def landscape_to_csv(landscape: Landscape, path: str | os.PathLike) -> None:
-    alphas = [repr(float(alpha)) for alpha in landscape.alphas]
     lines = ["direction_id,alpha,loss"]
     for d_id, losses in enumerate(landscape.losses):
-        lines += (f"{d_id},{alpha},{repr(float(val))}" for alpha, val in zip(alphas, losses))
+        lines += (",".join(map(value_text, (d_id, alpha, val)))
+                  for alpha, val in zip(landscape.alphas, losses))
     write_whole(path, ("\n".join(lines) + "\n").encode("utf-8"))

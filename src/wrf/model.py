@@ -9,7 +9,8 @@ retrieval is by dot product.
 Each RetrievalModel holds one graph: the query branch, then the target
 branch, then one contrastive loss head per temperature, appended on
 first use. An embedding pass runs the graph to its branch's output and
-so needs only that branch's inputs; a loss pass runs it to the head.
+so needs only that branch's inputs; a loss pass takes one TripletBatch,
+whose field names are the graph's input leaves, and runs it to the head.
 The loss head is the mean cross-entropy of each query's own target
 among the batch's targets, with logits tau * <u_i, v_j> and a fixed tau.
 
@@ -18,6 +19,8 @@ trains factor pairs on the fusion layers instead: the effective weight
 is W + A·B with A seeded-random (in x rank) and B zero-initialized
 (rank x out), so at step zero the adapted model equals the base model.
 RetrievalModel.init_params adds the adapters to init_model's weights.
+RetrievalModel alone checks finetune_mode and lora_rank: lora needs a
+rank of 1 up to each fusion layer's smaller dim, full a rank of 0 or None.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from .diffcore import Executor, Graph
 from .errors import ConfigError
 from .params import ParameterSet
+from .synthcir import TripletBatch
 
 # Seed stream tags, distinct across modules so an equal integer seed
 # never aliases two different random draws.
@@ -124,16 +128,20 @@ class RetrievalModel:
     lora_rank: int | None = None
 
     def __post_init__(self):
+        rank = self.lora_rank or 0  # errors name the config keys, as the CLI shows them
         if self.mode not in MODES:
-            raise ConfigError(f"fine-tune mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "lora":
-            if self.lora_rank is None or self.lora_rank < 1:
-                raise ConfigError("lora mode needs a positive lora_rank")
-            dims = fusion_dims(self.config)
-            for i, shape in enumerate(zip(dims[:-1], dims[1:])):
-                if self.lora_rank > min(shape):
-                    raise ConfigError(f"rank {self.lora_rank} exceeds min dim of "
-                                      f"'fusion.{i}.w' with shape {shape}")
+            raise ConfigError(f"finetune_mode must be one of {MODES}, got {self.mode!r}")
+        if rank < 0:
+            raise ConfigError(f"lora_rank must be >= 0, got {rank}")
+        if self.mode == "full" and rank:
+            raise ConfigError(f"lora_rank must be 0 unless finetune_mode=lora, got {rank}")
+        if self.mode == "lora" and rank < 1:
+            raise ConfigError("lora mode needs lora_rank >= 1")
+        dims = fusion_dims(self.config)
+        for i, shape in enumerate(zip(dims[:-1], dims[1:])):
+            if rank > min(shape):  # never in full mode, whose rank is 0
+                raise ConfigError(f"rank {rank} exceeds min dim of "
+                                  f"'fusion.{i}.w' with shape {shape}")
         self._graph, self._losses = Graph(), {}
         self._query_out = _append_query_branch(self._graph, self.config, self.mode)
         self._target_out = _append_target_branch(self._graph)
@@ -163,12 +171,10 @@ class RetrievalModel:
         return ParameterSet(layers, trainable)
 
     def embed_queries(self, params: ParameterSet, refs: np.ndarray, mods: np.ndarray) -> np.ndarray:
-        ex = Executor(self._graph)
-        return ex.forward({"refs": refs, "mods": mods}, params, self._query_out)
+        return Executor(self._graph).forward(dict(refs=refs, mods=mods), params, self._query_out)
 
     def embed_targets(self, params: ParameterSet, targets: np.ndarray) -> np.ndarray:
-        ex = Executor(self._graph)
-        return ex.forward({"targets": targets}, params, self._target_out)
+        return Executor(self._graph).forward({"targets": targets}, params, self._target_out)
 
     def _loss_node(self, tau: float) -> int:
         """The loss head for tau over both branches, appended once."""
@@ -177,13 +183,11 @@ class RetrievalModel:
             self._losses[key] = attach_q2t_loss(self._graph, self._query_out, self._target_out, key)
         return self._losses[key]
 
-    def batch_loss(self, params: ParameterSet, refs, mods, targets, tau: float) -> float:
-        inputs = {"refs": refs, "mods": mods, "targets": targets}
-        return float(Executor(self._graph).forward(inputs, params, self._loss_node(tau)))
+    def batch_loss(self, params: ParameterSet, batch: TripletBatch, tau: float) -> float:
+        return float(Executor(self._graph).forward(batch._asdict(), params, self._loss_node(tau)))
 
     def loss_and_grads(
-        self, params: ParameterSet, refs, mods, targets, tau: float
+        self, params: ParameterSet, batch: TripletBatch, tau: float
     ) -> tuple[float, np.ndarray]:
         ex = Executor(self._graph)
-        inputs = {"refs": refs, "mods": mods, "targets": targets}
-        return float(ex.forward(inputs, params, self._loss_node(tau))), ex.backward()
+        return float(ex.forward(batch._asdict(), params, self._loss_node(tau))), ex.backward()

@@ -63,18 +63,14 @@ def check_gradient_oracle(n_seeds: int = 25) -> CheckResult:
         config = ModelConfig(d_ref=6, d_mod=3, hidden=(8,), d_out=4, activation=activation, seed=seed)
         model = RetrievalModel(config, mode=mode, lora_rank=2 if mode == "lora" else None)
         rng = np.random.default_rng([0x5C, seed])
-        refs = rng.normal(size=(5, 6))
-        mods = rng.normal(size=(5, 3))
-        raw = rng.normal(size=(5, 6))
-        targets = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        refs, mods, raw = (rng.normal(size=(5, d)) for d in (6, 3, 6))
+        batch = TripletBatch(refs, mods, raw / np.linalg.norm(raw, axis=1, keepdims=True))
         params = model.init_params()
         for name in params.trainable_names:
             if name.endswith(".lora_b"):  # zero at init, which leaves lora_a no gradient
                 params[name][...] = rng.normal(size=params[name].shape)
-        _, grad = model.loss_and_grads(params, refs, mods, targets, tau=5.0)
-        want = finite_diff_gradient(
-            lambda p: model.batch_loss(p, refs, mods, targets, tau=5.0), params
-        )
+        _, grad = model.loss_and_grads(params, batch, tau=5.0)
+        want = finite_diff_gradient(lambda p: model.batch_loss(p, batch, tau=5.0), params)
         allowed = np.maximum(GRAD_RTOL * np.abs(want), GRAD_ATOL)
         worst = max(worst, float((np.abs(grad - want) / allowed).max()))
     ok = worst <= 1.0

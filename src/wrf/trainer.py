@@ -43,9 +43,9 @@ from typing import Callable, Protocol
 import numpy as np
 
 from . import evalkit, worker
-from .checkpoint import save_checkpoint, write_whole
+from .checkpoint import save_checkpoint, value_text, write_whole
 from .errors import ConfigError, NumericError
-from .model import MODES, ModelConfig, RetrievalModel
+from .model import ModelConfig, RetrievalModel
 from .params import ParameterSet
 from .perturb import (
     adversarial_perturbation,
@@ -90,14 +90,10 @@ class RetrievalObjective:
     tau: float
 
     def loss_and_grads(self, params, batch):
-        return self.model.loss_and_grads(
-            params, batch.refs, batch.mods, batch.targets, self.tau
-        )
+        return self.model.loss_and_grads(params, batch, self.tau)
 
     def loss(self, params, batch):
-        return self.model.batch_loss(
-            params, batch.refs, batch.mods, batch.targets, self.tau
-        )
+        return self.model.batch_loss(params, batch, self.tau)
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ class TrainConfig:
     eval_every: int = 1
     checkpoint_every: int = 0  # extra epoch_<n>.ckpt cadence; final epoch always saved
     seed: int = 0
-    finetune_mode: str = "full"
+    finetune_mode: str = "full"  # with lora_rank, checked by the RetrievalModel train() builds
     lora_rank: int = 0
 
     def __post_init__(self):
@@ -155,14 +151,8 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 1")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
-        if self.finetune_mode not in MODES:
-            raise ConfigError(f"finetune_mode must be one of {MODES}, got {self.finetune_mode!r}")
-        if self.lora_rank < 0:
-            raise ConfigError(f"lora_rank must be >= 0, got {self.lora_rank}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.finetune_mode == "lora" and self.lora_rank < 1:
-            raise ConfigError("lora mode needs lora_rank >= 1")
 
 
 @dataclass
@@ -327,16 +317,6 @@ class RunRecord:
         return float(np.mean([r.seconds for r in rows])) if rows else float("nan")
 
 
-def _cell(value) -> str:
-    """One metrics.csv cell: empty for None, text and counts as they are,
-    any other number as the repr of its float."""
-    if value is None:
-        return ""
-    if isinstance(value, (str, int)):
-        return str(value)
-    return repr(float(value))
-
-
 def _recall_cells(report: "evalkit.MetricReport | None") -> list:
     """r_at_K for each of EVAL_KS, rmean and rsubset_at_1 of a report; all absent without one."""
     if report is None:
@@ -356,7 +336,7 @@ def metrics_rows(row: EpochRow) -> list[str]:
     if row.val_report is not None:
         rows.append([row.epoch, "val", None, *_recall_cells(row.val_report), row.gap,
                      None, None, None, None])
-    return [",".join(map(_cell, values)) for values in rows]
+    return [",".join(map(value_text, values)) for values in rows]
 
 
 def _epoch_batches(order: np.ndarray, batch_size: int):

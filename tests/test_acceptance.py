@@ -108,7 +108,7 @@ def test_01_gradient_oracle(capsys):
             arr = params[name]
             arr[...] = rng.normal(0.0, 0.5, size=arr.shape)
         batch = _rand_batch(rng, 6, 3, 5)
-        _, grad = model.loss_and_grads(params, batch.refs, batch.mods, batch.targets, tau)
+        _, grad = model.loss_and_grads(params, batch, tau)
         grads = carve(grad, params.spans)
         for name in params.names:
             arr = params[name]
@@ -117,9 +117,9 @@ def test_01_gradient_oracle(capsys):
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + FD_STEP
-                up = model.batch_loss(params, batch.refs, batch.mods, batch.targets, tau)
+                up = model.batch_loss(params, batch, tau)
                 flat[i] = keep - FD_STEP
-                down = model.batch_loss(params, batch.refs, batch.mods, batch.targets, tau)
+                down = model.batch_loss(params, batch, tau)
                 flat[i] = keep
                 fd = (up - down) / (2.0 * FD_STEP)
                 err = abs(g[i] - fd)

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrf.checkpoint import MAGIC, load_checkpoint, save_checkpoint, write_whole
+from wrf.checkpoint import (
+    MAGIC, load_checkpoint, save_checkpoint, value_text, write_whole, writing,
+)
 from wrf.errors import DataError
 from wrf.model import ModelConfig, init_model
 from wrf.params import ParameterSet
@@ -146,3 +148,31 @@ def test_a_failed_write_leaves_no_temp_file_and_the_old_file(tmp_path, monkeypat
         write_whole(target, b"new contents\n")
     assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
     assert target.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, ""),
+    ((), ""),
+    ((64, 64), "64,64"),
+    ("relu", "relu"),
+    (7, "7"),
+    (0.1, "0.1"),
+    (np.float64("nan"), "nan"),
+    (np.float64(1e-17), "1e-17"),
+])
+def test_value_text_is_the_one_text_rule_of_run_files(value, text):
+    assert value_text(value) == text
+
+
+def test_writing_names_its_path_once_and_passes_other_errors_through(tmp_path):
+    blocker = tmp_path / "out"
+    blocker.write_text("a file\n", encoding="utf-8")
+    target = blocker / "summary.csv"
+    with pytest.raises(NotADirectoryError) as caught:
+        with writing(target):
+            (blocker / "sub").mkdir(parents=True, exist_ok=True)
+    assert str(caught.value) == f"cannot write {target}: Not a directory"
+    assert type(caught.value.__cause__) is NotADirectoryError
+    with pytest.raises(KeyError):
+        with writing(target):
+            raise KeyError("not an OSError")

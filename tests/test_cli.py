@@ -12,6 +12,7 @@ import pytest
 
 from wrf import cli
 from wrf.errors import ConfigError, DataError, NumericError
+from wrf.synthcir import TripletBatch
 from wrf.trainer import RunRecord
 
 REPO = Path(__file__).resolve().parent.parent
@@ -147,12 +148,26 @@ def test_sweep_into_an_out_dir_that_is_a_file_is_an_error_line(tmp_path, capsys)
                      "--values", "0.5", "--seeds", "0,1"])
     assert code == 2
     out, err = capsys.readouterr()
-    lines = err.splitlines()
-    assert [line.split(" failed: ")[0] for line in lines[:2]] == [
-        "error: run fraction_0.5_seed0", "error: run fraction_0.5_seed1"]
-    assert lines[2].startswith(f"error: cannot write {blocker / 'sweep_summary.csv'}: ")
-    assert len(lines) == 3 and "summary:" not in out
+    assert err.splitlines() == [
+        f"error: run fraction_0.5_seed{seed} failed: "
+        f"cannot write {blocker / f'fraction_0.5_seed{seed}'}: Not a directory"
+        for seed in (0, 1)
+    ] + [f"error: cannot write {blocker / 'sweep_summary.csv'}: File exists"]
+    assert "summary:" not in out
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_train_under_an_out_dir_that_is_a_file_is_one_error_line(tmp_path, capsys):
+    # The run directory cannot be made: the error names it once, with the
+    # reason and no errno.
+    blocker = tmp_path / "out"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(SMALL_CFG + f"out_dir={blocker / 'sub'}\n", encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: cannot write {blocker / 'sub' / 'run'}: Not a directory\n"
+    assert out == ""
 
 
 def test_a_failed_summary_write_names_the_summary_once(cfg_file, tmp_path, capsys):
@@ -306,10 +321,11 @@ def test_landscape_csv(cfg_file, tmp_path, capsys, monkeypatch):
     # The base loss is the checkpoint's loss on the first 25 train rows.
     config = cli.load_config_echo(ckpt.parent / "config.echo")
     dataset, rows = cli.build_dataset(config), slice(25)
+    batch = TripletBatch(dataset.train.refs[rows],
+                         dataset.mod_embeddings[dataset.train.mod_codes[rows]],
+                         dataset.gallery[dataset.train.target_indices[rows]])
     want = cli.RetrievalModel(config.model_config()).batch_loss(
-        cli.load_checkpoint(ckpt), dataset.train.refs[rows],
-        dataset.mod_embeddings[dataset.train.mod_codes[rows]],
-        dataset.gallery[dataset.train.target_indices[rows]], config.tau)
+        cli.load_checkpoint(ckpt), batch, config.tau)
     assert float(base_losses.pop()) == want
     capsys.readouterr()
 
@@ -585,13 +601,37 @@ def test_main_maps_each_error_to_its_exit_code(
     assert out.out == ""
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"finetune_mode": "lora", "lora_rank": "0"}, "lora mode needs lora_rank >= 1"),
+    ({"lora_rank": "-3"}, "lora_rank must be >= 0, got -3"),
+    ({"finetune_mode": "lora", "lora_rank": "-1"}, "lora_rank must be >= 0, got -1"),
+])
+def test_build_config_rejects_bad_adapter_settings(settings, message):
+    # TrainConfig holds these keys; the model the config builds checks them.
+    with pytest.raises(ConfigError) as info:
+        cli.build_config(settings)
+    assert str(info.value) == message
+
+
 def test_negative_lora_rank_is_rejected_in_every_mode(cfg_file, tmp_path, capsys):
-    for mode in ("full", "lora"):
-        with pytest.raises(ConfigError, match="lora_rank must be >= 0"):
-            cli.build_config({"lora_rank": "-3", "finetune_mode": mode})
-    code = cli.main(["train", "--config", str(cfg_file), "--set", "lora_rank=-3"])
+    for rank in ("-1", "-3"):
+        for mode in ("full", "lora"):
+            with pytest.raises(ConfigError, match="lora_rank must be >= 0"):
+                cli.build_config({"lora_rank": rank, "finetune_mode": mode})
+        code = cli.main(["train", "--config", str(cfg_file), "--set", f"lora_rank={rank}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: lora_rank must be >= 0, got {rank}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_lora_rank_in_full_mode_is_exit_2_before_any_run_dir(cfg_file, tmp_path, capsys):
+    # A rank has no effect without finetune_mode=lora, so config.echo must not record one.
+    with pytest.raises(ConfigError, match="lora_rank must be 0 unless finetune_mode=lora"):
+        cli.build_config({"lora_rank": "4"})
+    code = cli.main(["train", "--config", str(cfg_file), "--set", "lora_rank=4"])
     assert code == 2
-    assert "lora_rank" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: lora_rank must be 0 unless finetune_mode=lora, got 4\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -15,6 +15,7 @@ from wrf.diffcore import Executor, Graph, finite_diff_gradient
 from wrf.errors import ConfigError, NumericError, ShapeError, StateError
 from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet, carve
+from wrf.synthcir import TripletBatch
 
 from oracles import (
     NodeByNodeExecutor,
@@ -741,7 +742,7 @@ def test_appending_consumers_leaves_an_existing_plan_and_its_bytes():
 
 def test_embedding_one_branch_runs_only_its_ops(monkeypatch):
     model, ps, batch = _model_case("tanh", "lora", 0)
-    model.batch_loss(ps, **batch, tau=5.0)  # a loss head after both branches
+    model.batch_loss(ps, TripletBatch(**batch), tau=5.0)  # a loss head after both branches
     g, q, t = model._graph, model._query_out, model._target_out
     want_q = NodeByNodeExecutor(g).forward(batch, ps, q)
     calls = []

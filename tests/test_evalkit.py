@@ -25,6 +25,7 @@ from wrf.evalkit import (
 )
 from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import ParameterSet, carve
+from wrf.synthcir import TripletBatch
 from wrf.perturb import adversarial_perturbation, random_perturbation
 
 from oracles import (
@@ -460,8 +461,8 @@ def _model_loss(mode: str):
     for name in ps.trainable_names:  # lora_b off zero, so its layers get directions too
         arr = ps[name]
         arr += 0.1 * rng.standard_normal(arr.shape)
-    refs, mods, targets = (rng.standard_normal((16, d)) for d in (6, 3, 6))
-    return (lambda p: model.batch_loss(p, refs, mods, targets, 10.0)), ps
+    batch = TripletBatch(*(rng.standard_normal((16, d)) for d in (6, 3, 6)))
+    return (lambda p: model.batch_loss(p, batch, 10.0)), ps
 
 
 @pytest.mark.parametrize("n_directions", [2, 3, 4])

@@ -14,6 +14,7 @@ from wrf.model import (
     init_model,
 )
 from wrf.params import ParameterSet
+from wrf.synthcir import TripletBatch
 
 from oracles import equal_bits
 
@@ -141,10 +142,23 @@ def test_lora_rank_validation():
         RetrievalModel(ModelConfig(), "lora", 50)
     assert str(info.value) == "rank 50 exceeds min dim of 'fusion.0.w' with shape (40, 64)"
     RetrievalModel(SMALL, mode="lora", lora_rank=4)
-    with pytest.raises(ConfigError):
-        RetrievalModel(SMALL, mode="lora", lora_rank=0)
-    with pytest.raises(ConfigError):
-        RetrievalModel(SMALL, mode="nope")
+
+
+@pytest.mark.parametrize("mode, rank, message", [
+    ("nope", None, "finetune_mode must be one of ('full', 'lora'), got 'nope'"),
+    ("lora", 0, "lora mode needs lora_rank >= 1"),
+    ("lora", None, "lora mode needs lora_rank >= 1"),
+    ("lora", -1, "lora_rank must be >= 0, got -1"),
+    ("full", -1, "lora_rank must be >= 0, got -1"),
+    ("full", -3, "lora_rank must be >= 0, got -3"),
+    ("full", 1, "lora_rank must be 0 unless finetune_mode=lora, got 1"),
+    ("full", 4, "lora_rank must be 0 unless finetune_mode=lora, got 4"),
+])
+def test_adapter_settings_are_checked_once_by_the_model(mode, rank, message):
+    # The model alone checks finetune_mode and lora_rank, in the words of the config keys.
+    with pytest.raises(ConfigError) as info:
+        RetrievalModel(SMALL, mode=mode, lora_rank=rank)
+    assert str(info.value) == message
 
 
 def test_lora_gradients_only_touch_trainable():
@@ -153,7 +167,7 @@ def test_lora_gradients_only_touch_trainable():
     rng = np.random.default_rng(6)
     refs, mods = rng.normal(size=(4, 6)), rng.normal(size=(4, 3))
     targets = rng.normal(size=(4, 6))
-    _, grad = model.loss_and_grads(ps, refs, mods, targets, tau=5.0)
+    _, grad = model.loss_and_grads(ps, TripletBatch(refs, mods, targets), tau=5.0)
     assert grad.shape == ps.flat.shape  # the trainable layers only
     assert not any(n.endswith(".w") for n in ps.trainable_names)
 
@@ -163,11 +177,9 @@ def test_full_model_gradient_check():
     ps = model.init_params()
     rng = np.random.default_rng(7)
     refs, mods = rng.normal(size=(4, 6)), rng.normal(size=(4, 3))
-    targets = rng.normal(size=(4, 6))
-    _, analytic = model.loss_and_grads(ps, refs, mods, targets, tau=5.0)
-    oracle = finite_diff_gradient(
-        lambda p: model.batch_loss(p, refs, mods, targets, tau=5.0), ps, h=1e-5
-    )
+    batch = TripletBatch(refs, mods, rng.normal(size=(4, 6)))
+    _, analytic = model.loss_and_grads(ps, batch, tau=5.0)
+    oracle = finite_diff_gradient(lambda p: model.batch_loss(p, batch, tau=5.0), ps, h=1e-5)
     for name, a, b, _ in ps.spans:
         err = np.abs(analytic[a:b] - oracle[a:b])
         tol = np.maximum(1e-6 * np.abs(oracle[a:b]), 1e-8)

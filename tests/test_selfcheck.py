@@ -8,6 +8,7 @@ import pytest
 from wrf import diffcore, selfcheck
 from wrf.model import ModelConfig, RetrievalModel
 from wrf.params import carve
+from wrf.synthcir import TripletBatch
 
 
 def test_clean_build_passes_all_checks():
@@ -58,11 +59,11 @@ def test_fault_injected_after_the_plan_exists_still_breaks_gradients():
     model = RetrievalModel(ModelConfig(d_ref=6, d_mod=3, hidden=(8,), d_out=4, seed=2))
     ps = model.init_params()
     rng = np.random.default_rng(4)
-    batch = (rng.normal(size=(5, 6)), rng.normal(size=(5, 3)), rng.normal(size=(5, 6)))
-    _, clean = model.loss_and_grads(ps, *batch, tau=5.0)  # compiles and caches the plan
+    batch = TripletBatch(rng.normal(size=(5, 6)), rng.normal(size=(5, 3)), rng.normal(size=(5, 6)))
+    _, clean = model.loss_and_grads(ps, batch, tau=5.0)  # compiles and caches the plan
     with selfcheck.inject_fault("grad-sign"):
-        _, broken = model.loss_and_grads(ps, *batch, tau=5.0)
-    _, again = model.loss_and_grads(ps, *batch, tau=5.0)
+        _, broken = model.loss_and_grads(ps, batch, tau=5.0)
+    _, again = model.loss_and_grads(ps, batch, tau=5.0)
     layer = "fusion.0.w"
     assert not np.allclose(carve(broken, ps.spans)[layer], carve(clean, ps.spans)[layer])
     assert np.array_equal(again, clean)

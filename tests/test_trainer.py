@@ -295,9 +295,6 @@ def test_config_validation():
         dict(ok, tau=0.0),
         dict(ok, eval_every=0),
         dict(ok, checkpoint_every=-1),
-        dict(ok, finetune_mode="lora", lora_rank=0),
-        dict(ok, lora_rank=-3),
-        dict(ok, finetune_mode="lora", lora_rank=-1),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

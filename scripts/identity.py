@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that this checkout writes what a parent revision writes, byte for byte.
 
-Runs one fixed set of wrf jobs (nine training configs, five landscape
+Runs one fixed set of wrf jobs (ten training configs, five landscape
 probes, a fraction and a lora_rank sweep, selfcheck clean and with an
 injected fault, and five jobs that end in an error exit) on this
 checkout's working tree and on a parent revision, which is checked out
@@ -69,6 +69,9 @@ CONFIGS = {
     "small_data": {"d_ref": "12", "n_mods": "5", "n_train": "90", "n_val": "60",
                    "gallery_size": "301", "gamma": "0.01", "rho": "0.5",
                    "total_epochs": "2", "warmup_epochs": "1"},
+    # n_train above TRAIN_EVAL_CAP (2000): train recall on a seeded subset of the train table.
+    "eval_cap": {"n_train": "2001", "n_val": "8", "gallery_size": "2009", "total_epochs": "2",
+                 "warmup_epochs": "1"},
     "sweep": {"out_dir": "sweep"},
     "rank_sweep": {"out_dir": "rank_sweep"},
 }
@@ -77,7 +80,7 @@ CONFIGS = {
 JOBS = (
     *(["train", "--config", f"{name}.cfg"] for name in (
         "default", "ablation", "lora", "relu_lora", "sgd", "wide_subsets", "one_layer",
-        "odd_batch", "small_data")),
+        "odd_batch", "small_data", "eval_cap")),
     *(["landscape", "--checkpoint", f"runs/{name}/best.ckpt"] for name in ("ablation", "relu_lora")),
     ["landscape", "--checkpoint", "runs/lora/best.ckpt", "--directions", "1"],
     ["landscape", "--checkpoint", "runs/one_layer/best.ckpt", "--directions", "2"],

@@ -13,16 +13,19 @@ train and val target plus distractor targets built the same way from
 held-out references, so distractors live on the same manifold and
 retrieval is not trivially easy.
 
-Per-query candidate subsets (for subset recall) are the target plus its
-nearest gallery neighbors by dot product, ties by ascending index,
-picked by subset_size - 1 rounds of row argmax rather than a full sort
-of each row; the tests check them against the full stable sort.
+Candidate subsets (for subset recall) are built on first read, by one
+neighbor search over all train and val targets, so wrf landscape never
+builds them: each target plus its nearest gallery neighbors by dot
+product, ties by ascending index, picked by subset_size - 1 rounds of
+row argmax rather than a full sort of each row; the tests check them
+against the full stable sort.
 Fractional subsampling takes a prefix of one seeded permutation, so the
 fractions used in data-size sweeps are nested.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -72,16 +75,11 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class TripletTable:
-    """Column-wise triplet storage; one row per query.
-
-    subsets[i] is query i's candidate list for subset recall: its
-    target first, then the nearest gallery neighbors of that target.
-    """
+    """Column-wise triplet storage; one row per query."""
 
     refs: np.ndarray  # (n, d_ref) float64, unit rows
     mod_codes: np.ndarray  # (n,) uint32
     target_indices: np.ndarray  # (n,) uint32
-    subsets: np.ndarray  # (n, subset_size) uint32
 
     def __post_init__(self):
         n = self.refs.shape[0]
@@ -91,11 +89,7 @@ class TripletTable:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise DataError(f"{name} must have shape ({n},), got {arr.shape}")
-        if self.subsets.ndim != 2 or self.subsets.shape[0] != n:
-            raise DataError("subsets must be (n, subset_size)")
-        if n and not (self.subsets == self.target_indices[:, None]).any(axis=1).all():
-            raise DataError("every subset must contain its query's target index")
-        for arr in (self.refs, self.mod_codes, self.target_indices, self.subsets):
+        for arr in (self.refs, self.mod_codes, self.target_indices):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -106,7 +100,6 @@ class TripletTable:
             self.refs[idx].copy(),
             self.mod_codes[idx].copy(),
             self.target_indices[idx].copy(),
-            self.subsets[idx].copy(),
         )
 
 
@@ -122,10 +115,20 @@ class SynthDataset:
     val: TripletTable
     gallery: np.ndarray  # (gallery_size, d_ref), unit rows
     mod_embeddings: np.ndarray  # (n_mods, d_mod), unit rows
+    subset_size: int
+    n_queries: int  # n_train + n_val: gallery rows 0..n_queries-1 are their targets
 
     def __post_init__(self):
         self.gallery.flags.writeable = False
         self.mod_embeddings.flags.writeable = False
+
+    @functools.cached_property
+    def candidates(self) -> np.ndarray:
+        """Row t is target t's candidate subset; a table reads candidates[table.target_indices]."""
+        subsets = _nearest_subsets(
+            self.gallery, np.arange(self.n_queries, dtype=np.uint32), self.subset_size)
+        subsets.flags.writeable = False
+        return subsets
 
     def batch(self, table: TripletTable, rows) -> TripletBatch:
         """The model inputs of table's rows (an index array or a slice)."""
@@ -138,6 +141,8 @@ class SynthDataset:
 
 def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms)):
+        raise DataError(f"degenerate {what}: non-finite row norm while normalizing")
     if np.any(norms < 1e-12):
         raise DataError(f"degenerate {what}: zero-norm row while normalizing")
     return arr / norms
@@ -168,6 +173,9 @@ def _nearest_subsets(gallery: np.ndarray, targets: np.ndarray, subset_size: int)
     return subsets
 
 
+# Overflow is not a warning here: _unit_rows rejects a non-finite row
+# norm with a DataError.
+@np.errstate(over="ignore")
 def generate(config: DatasetConfig) -> SynthDataset:
     """Build the full dataset from the config seed."""
     rng = np.random.default_rng([_GEN_TAG, config.seed])
@@ -189,17 +197,13 @@ def generate(config: DatasetConfig) -> SynthDataset:
 
     n_tr, n_va = config.n_train, config.n_val
     all_idx = np.arange(total, dtype=np.uint32)
-    subsets = _nearest_subsets(gallery, all_idx[: n_tr + n_va], config.subset_size)
-    train = TripletTable(
-        refs[:n_tr].copy(), codes[:n_tr].copy(), all_idx[:n_tr].copy(), subsets[:n_tr]
-    )
+    train = TripletTable(refs[:n_tr].copy(), codes[:n_tr].copy(), all_idx[:n_tr].copy())
     val = TripletTable(
         refs[n_tr : n_tr + n_va].copy(),
         codes[n_tr : n_tr + n_va].copy(),
         all_idx[n_tr : n_tr + n_va].copy(),
-        subsets[n_tr:],
     )
-    return SynthDataset(train, val, gallery, mod_embeddings)
+    return SynthDataset(train, val, gallery, mod_embeddings, config.subset_size, n_tr + n_va)
 
 
 def subsample_dataset(dataset: SynthDataset, fraction: float, seed: int) -> SynthDataset:

@@ -43,7 +43,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from . import evalkit, worker
-from .checkpoint import save_checkpoint, value_text, write_whole
+from .checkpoint import save_checkpoint, value_text, write_whole, writing
 from .errors import ConfigError, NumericError
 from .model import ModelConfig, RetrievalModel
 from .params import ParameterSet
@@ -231,8 +231,9 @@ def _pass(objective: Objective, params: ParameterSet, batch: TripletBatch,
     try:
         return objective.loss_and_grads(params, batch)
     except NumericError as exc:
-        norms = {n: round(float(np.linalg.norm(state.params[n])), 6)
-                 for n in state.params.trainable_names}
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = {n: round(float(np.linalg.norm(state.params[n])), 6)
+                     for n in state.params.trainable_names}
         raise NumericError(f"{name} failed: {exc} [gamma={gamma}, layer norms={norms}]") from exc
 
 
@@ -347,12 +348,13 @@ def _epoch_batches(order: np.ndarray, batch_size: int):
 
 
 def _evaluate(model, dataset, train_eval_table, ks, params):
-    """(train report, val report) of one epoch's parameters."""
+    """(train report, val report) of one epoch's parameters. The first call
+    builds dataset.candidates, in the eval worker when there is one."""
     gallery_embs = model.embed_targets(params, dataset.gallery)
     return tuple(
         evalkit.recall_report(
             model.embed_queries(params, table.refs, dataset.mod_embeddings[table.mod_codes]),
-            gallery_embs, table.target_indices, table.subsets, ks,
+            gallery_embs, table.target_indices, dataset.candidates[table.target_indices], ks,
         )
         for table in (train_eval_table, dataset.val)
     )
@@ -401,7 +403,8 @@ def train(
             np.sort(rng.permutation(len(dataset.train))[:TRAIN_EVAL_CAP]))
 
     out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
+    with writing(out_path):
+        out_path.mkdir(parents=True, exist_ok=True)
     # *.ckpt.rng.json: the rng sidecars that older versions wrote; *.tmp: writes a kill cut short.
     for pattern in ("best.ckpt", "epoch_*.ckpt", "*.ckpt.rng.json", "landscape.csv", "*.tmp"):
         for stale in out_path.glob(pattern):

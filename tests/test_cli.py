@@ -5,12 +5,13 @@ import importlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wrf import cli
+from wrf import cli, synthcir
 from wrf.errors import ConfigError, DataError, NumericError
 from wrf.synthcir import TripletBatch
 from wrf.trainer import RunRecord
@@ -327,6 +328,20 @@ def test_landscape_csv(cfg_file, tmp_path, capsys, monkeypatch):
     want = cli.RetrievalModel(config.model_config()).batch_loss(
         cli.load_checkpoint(ckpt), batch, config.tau)
     assert float(base_losses.pop()) == want
+    capsys.readouterr()
+
+
+def test_landscape_never_searches_the_neighbours(cfg_file, tmp_path, capsys, monkeypatch):
+    # Only an evaluation reads candidate subsets, and a probe evaluates nothing.
+    cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
+
+    def no_search(*args):
+        raise AssertionError("wrf landscape searched for candidate subsets")
+
+    monkeypatch.setattr(synthcir, "_nearest_subsets", no_search)
+    code = cli.main(["landscape", "--checkpoint", str(tmp_path / "out" / "a" / "best.ckpt"),
+                     "--directions", "2", "--alpha-steps", "1"])
+    assert code == 0
     capsys.readouterr()
 
 
@@ -702,6 +717,29 @@ def test_wrf_command_defaults_to_one_blas_thread():
 def test_wrf_command_keeps_a_blas_setting_it_is_given():
     # OpenBLAS reads OPENBLAS_NUM_THREADS first; setting it would override OMP's 4.
     assert run_entry_probe(OMP_NUM_THREADS="4") == ["None 4 None", "False False"]
+
+
+def test_an_overflowing_layer_norm_prints_only_the_abort_line(cfg_file):
+    # The abort message's layer norms overflow too: no RuntimeWarning before it.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wrf.cli", "train", "--config", str(cfg_file),
+         "--set", "weight_decay=1e300"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: numeric abort: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_a_non_finite_target_norm_is_exit_2_before_any_run_dir(cfg_file, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["train", "--config", str(cfg_file), "--set", "noise_sigma=1e300"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: degenerate target: non-finite row norm while normalizing\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_importing_the_wrf_command_loads_no_numpy():

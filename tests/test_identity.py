@@ -56,9 +56,11 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
     assert b"n_train=65\n" in inprocess["runs/odd_batch/config.echo"]
     assert b"d_ref=12\n" in inprocess["runs/small_data/config.echo"]
     assert b"gallery_size=301\n" in inprocess["runs/small_data/config.echo"]
+    assert b"n_train=2001\n" in inprocess["runs/eval_cap/config.echo"]
     for name in ("runs/default/best.ckpt", "runs/relu_lora/epoch_7.ckpt",
                  "runs/odd_batch/epoch_8.ckpt", "runs/small_data/epoch_8.ckpt",
                  "runs/small_data/metrics.csv", "runs/wide_subsets/metrics.csv",
+                 "runs/eval_cap/epoch_8.ckpt",
                  "runs/one_layer/landscape.csv", "runs/relu_lora/landscape.csv",
                  "runs/lora/landscape.csv",
                  "sweep/fraction_0.25_seed1/epoch_8.ckpt", "sweep/sweep_summary.csv",

@@ -1,11 +1,13 @@
 """Dataset generation and nested train subsampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrf.errors import ConfigError
+from wrf.errors import ConfigError, DataError
 from wrf.synthcir import (
     DatasetConfig,
     _nearest_subsets,
@@ -51,11 +53,21 @@ def test_rows_are_unit_norm(small_ds):
         np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("noise_sigma", [1e300, 1e308])
+def test_a_non_finite_target_norm_is_a_data_error_without_a_warning(noise_sigma):
+    cfg = DatasetConfig(**{**SMALL.__dict__, "noise_sigma": noise_sigma})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="degenerate target: non-finite row norm"):
+            generate(cfg)
+
+
 def test_subsets_contain_target_first(small_ds):
     for table in (small_ds.train, small_ds.val):
-        assert table.subsets.shape[1] == SMALL.subset_size
-        assert np.array_equal(table.subsets[:, 0], table.target_indices)
-        assert len(set(map(tuple, table.subsets))) == len(table)  # rows distinct
+        subsets = small_ds.candidates[table.target_indices]
+        assert subsets.shape[1] == SMALL.subset_size
+        assert np.array_equal(subsets[:, 0], table.target_indices)
+        assert len(set(map(tuple, subsets))) == len(table)  # rows distinct
 
 
 @pytest.mark.parametrize("subset_size", [2, 4, 6, 120])
@@ -64,7 +76,7 @@ def test_generated_subsets_equal_a_full_stable_sort(subset_size):
     ds = generate(cfg)
     targets = np.arange(70, dtype=np.uint32)
     want = nearest_subsets_by_sort(ds.gallery, targets, subset_size)
-    got = np.concatenate([ds.train.subsets, ds.val.subsets])
+    got = np.concatenate([ds.candidates[t.target_indices] for t in (ds.train, ds.val)])
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

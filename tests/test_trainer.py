@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrf import cli, diffcore, evalkit, trainer, worker
+from wrf import cli, diffcore, evalkit, synthcir, trainer, worker
 from wrf.checkpoint import load_checkpoint
 from wrf.errors import ConfigError, NumericError
 from wrf.evalkit import MetricReport
@@ -482,8 +482,8 @@ def test_train_recall_above_the_cap_is_taken_on_a_seeded_subset(tmp_path, monkey
     model = RetrievalModel(MODEL_CFG)
     want = evalkit.recall_report(
         model.embed_queries(params, table.refs, dataset.mod_embeddings[table.mod_codes]),
-        model.embed_targets(params, dataset.gallery), table.target_indices, table.subsets,
-        trainer.EVAL_KS,
+        model.embed_targets(params, dataset.gallery), table.target_indices,
+        dataset.candidates[table.target_indices], trainer.EVAL_KS,
     )
     assert capped.rows[-1].train_report == want
     assert want != full.rows[-1].train_report  # the cap took effect
@@ -491,6 +491,55 @@ def test_train_recall_above_the_cap_is_taken_on_a_seeded_subset(tmp_path, monkey
     # The val row's recall cells; its gap follows the train rmean.
     assert metrics_lines(tmp_path / "capped")[-1].split(",")[:9] == \
         metrics_lines(tmp_path / "full")[-1].split(",")[:9]
+
+
+def test_an_in_process_run_searches_the_neighbours_once(tmp_path, monkeypatch):
+    # Four evaluated epochs, each over a train and a val table: one search, at the first.
+    use_eval_path(monkeypatch, "in-process")
+    calls = []
+    search = synthcir._nearest_subsets
+    monkeypatch.setattr(synthcir, "_nearest_subsets",
+                        lambda *args: calls.append(args) or search(*args))
+    dataset = generate(DATA_CFG)
+    assert calls == []
+    train(small_run_config(eval_every=1), MODEL_CFG, dataset, out_dir=tmp_path / "r")
+    assert len(calls) == 1
+
+
+def test_subsampled_and_capped_tables_read_the_rows_of_the_one_full_search(
+    tmp_path, monkeypatch
+):
+    # 301 gallery rows (not a multiple of 8), as in the small_data identity job,
+    # where a search over other query rows may give other score bits.
+    use_eval_path(monkeypatch, "in-process")
+    data_cfg = dataclasses.replace(DATA_CFG, n_train=90, n_val=60, gallery_size=301)
+    dataset = synthcir.subsample_dataset(generate(data_cfg), 0.5, seed=3)
+    monkeypatch.setattr(trainer, "TRAIN_EVAL_CAP", 25)
+    seen = []
+    report = evalkit.recall_report
+    monkeypatch.setattr(evalkit, "recall_report",
+                        lambda q, g, targets, subsets, ks:
+                        seen.append((targets, subsets)) or report(q, g, targets, subsets, ks))
+    train(small_run_config(total_epochs=1, warmup_epochs=0), MODEL_CFG, dataset,
+          out_dir=tmp_path / "r")
+
+    full = synthcir._nearest_subsets(
+        dataset.gallery, np.arange(150, dtype=np.uint32), data_cfg.subset_size)
+    sampled = dataset.train.target_indices
+    assert len(sampled) == 45
+    assert dataset.candidates[sampled].tobytes() == full[sampled].tobytes()
+    assert [len(targets) for targets, _ in seen] == [25, 60]
+    for targets, subsets in seen:
+        assert subsets.dtype == full.dtype and subsets.tobytes() == full[targets].tobytes()
+
+
+def test_an_out_dir_under_a_file_is_one_cannot_write_error(tmp_path):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    with pytest.raises(NotADirectoryError) as info:
+        train(small_run_config(total_epochs=1, warmup_epochs=0), MODEL_CFG, generate(DATA_CFG),
+              out_dir=blocker / "sub")
+    assert str(info.value) == f"cannot write {blocker / 'sub'}: Not a directory"
 
 
 def test_a_tie_in_val_rmean_keeps_the_earlier_best_epoch(tmp_path, monkeypatch):

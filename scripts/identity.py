@@ -3,7 +3,7 @@
 
 Runs one fixed set of wrf jobs (ten training configs, five landscape
 probes, a fraction and a lora_rank sweep, selfcheck clean and with an
-injected fault, and five jobs that end in an error exit) on this
+injected fault, and nine jobs that end in an error exit) on this
 checkout's working tree and on a parent revision, which is checked out
 with `git worktree add` into a temporary directory and removed
 afterwards. Both sides run from the same relative out_dir, on three
@@ -96,6 +96,12 @@ JOBS = (
     ["train", "--config", "default.cfg", "--set", "gamma=-1"],  # exit 2: config
     # exit 2: a LoRA rank without finetune_mode=lora, before its run directory exists
     ["train", "--config", "default.cfg", "--set", "lora_rank=4", "--set", "run_name=full_rank"],
+    ["train", "--config", "default.cfg", "--set", "tau=0"],  # exit 2: TrainConfig's tau rule
+    # exit 2: one training triplet, rejected before its run directory exists
+    ["train", "--config", "default.cfg", "--set", "fraction=0.001", "--set", "run_name=tiny_split"],
+    ["landscape", "--checkpoint", "runs/sgd/best.ckpt", "--directions", "0"],  # exit 2: the flag
+    # exit 2: 5e-324 / 10 rounds to 0, so the probe's own grid check fires after the run is read
+    ["landscape", "--checkpoint", "runs/sgd/best.ckpt", "--alpha-max", "5e-324"],
     ["landscape", "--checkpoint", "runs/missing/best.ckpt"],  # exit 2: IO
     # exit 2: a failed write, --out naming a directory; the error names it, not its .tmp
     ["landscape", "--checkpoint", "runs/sgd/best.ckpt", "--directions", "1", "--alpha-steps",

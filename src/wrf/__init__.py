@@ -15,6 +15,9 @@ The package is organized bottom-up:
 - worker: the forked worker that evaluates epochs and probes directions
 - cli: train / sweep / landscape / selfcheck commands; __main__ runs it
   with one BLAS thread unless the environment sets one
+
+A value is checked once, where it enters (a config, a CLI flag or a file
+it reads), and the functions below trust their callers.
 """
 
 __version__ = "0.1.0"

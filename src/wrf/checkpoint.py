@@ -72,7 +72,10 @@ def save_checkpoint(path: str | os.PathLike, params: ParameterSet) -> None:
 def load_checkpoint(
     path: str | os.PathLike, trainable: Iterable[str] | None = None
 ) -> ParameterSet:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     split = raw.find(b"\n\n")
     if split < 0:
         raise DataError(f"{path}: missing header terminator")

@@ -29,7 +29,6 @@ from .model import ModelConfig, RetrievalModel
 from .selfcheck import run_selfcheck
 from .synthcir import DatasetConfig, generate, subsample_dataset
 from .trainer import RetrievalObjective, RunRecord, TrainConfig, train
-from .trainer import check_train_split
 
 SWEEP_PARAMS = ("gamma", "rho", "fraction", "lora_rank")
 
@@ -193,7 +192,8 @@ def build_dataset(config: ExperimentConfig):
 
 def run_experiment(config: ExperimentConfig) -> tuple[RunRecord, Path]:
     dataset = build_dataset(config)
-    check_train_split(dataset)  # before the run directory exists
+    if len(dataset.train) < 2:  # a batch needs a negative; checked before the run directory exists
+        raise ConfigError("training split needs at least two triplets")
     run_dir = Path(config.out_dir) / config.run_name
     with writing(run_dir):
         run_dir.mkdir(parents=True, exist_ok=True)

@@ -298,10 +298,7 @@ class Graph:
         return self._push(Node("pairwise_dot", (self._check_id(u), self._check_id(v))))
 
     def scalar_mul(self, x: int, c: float) -> int:
-        c = float(c)
-        if not np.isfinite(c):
-            raise ConfigError(f"scalar_mul coefficient must be finite, got {c}")
-        return self._push(Node("scalar_mul", (self._check_id(x),), c))
+        return self._push(Node("scalar_mul", (self._check_id(x),), float(c)))
 
     def softmax_xent(self, logits: int) -> int:
         return self._push(Node("softmax_xent", (self._check_id(logits),)))

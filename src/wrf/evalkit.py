@@ -116,11 +116,6 @@ def recall_report(
     ks: Sequence[int],
 ) -> MetricReport:
     """Recall@K for each K in ks, their mean, and Recall_subset@1."""
-    if not ks:
-        raise ConfigError("need at least one K value")
-    for k in ks:
-        if not (1 <= int(k) <= gallery_embs.shape[0]):
-            raise ConfigError(f"K={int(k)} outside [1, gallery size]")
     ranks, sub_ranks = target_ranks(query_embs, gallery_embs, targets, subsets)
     recall_at = {int(k): float(100.0 * (ranks <= k).mean()) for k in ks}
     rmean = float(np.mean(list(recall_at.values())))
@@ -128,9 +123,7 @@ def recall_report(
 
 
 def generalization_gap(train_report: MetricReport, val_report: MetricReport) -> float:
-    """Train rmean minus val rmean; both reports must use the same K set."""
-    if set(train_report.recall_at) != set(val_report.recall_at):
-        raise ConfigError("reports use different K sets")
+    """Train rmean minus val rmean, of two reports over one K set."""
     return train_report.rmean - val_report.rmean
 
 
@@ -141,8 +134,6 @@ class Landscape(NamedTuple):
 
 def default_alpha_grid(alpha_max: float = 0.1, half_steps: int = 10) -> np.ndarray:
     """Symmetric grid with an exact 0 at the center (21 points by default)."""
-    if not (alpha_max > 0 and half_steps >= 1):
-        raise ConfigError("need alpha_max > 0 and half_steps >= 1")
     return np.arange(-half_steps, half_steps + 1) * (alpha_max / half_steps)
 
 
@@ -168,8 +159,7 @@ def landscape_probe(
 
     Directions are rescaled per trainable layer to match that layer's
     weight norm, so slices are comparable across checkpoints. A
-    non-finite loss is recorded as nan in its row rather than raised,
-    but non-finite params raise NumericError: every row would be nan.
+    non-finite loss is recorded as nan in its row rather than raised.
     The input params are never modified.
 
     With two or more directions and worker.available(), the directions
@@ -178,10 +168,7 @@ def landscape_probe(
     the diffcore.pass_counts() of its passes, stay there. Each direction
     has its own stream, so the rows are the same on either path.
     """
-    if n_directions < 1:
-        raise ConfigError("n_directions must be >= 1")
     alphas = _check_alphas(alphas)
-    params.require_finite()
 
     def rows(d_ids: range) -> np.ndarray:
         losses = np.empty((len(d_ids), len(alphas)))
@@ -209,8 +196,6 @@ def landscape_probe(
 def flatness_score(landscape: Landscape, alpha: float = 0.05) -> float:
     """Mean over directions of loss(alpha) - loss(0)."""
     alphas, losses = landscape
-    if len(losses) == 0:
-        raise ConfigError("need at least one direction")
     at = int(np.argmin(np.abs(alphas - alpha)))
     if abs(alphas[at] - alpha) > 1e-9:
         raise ConfigError(f"alpha={alpha} not on the probe grid")

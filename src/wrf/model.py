@@ -112,9 +112,6 @@ def _append_target_branch(g: Graph) -> int:
 def attach_q2t_loss(graph: Graph, query_node: int, target_node: int, tau: float) -> int:
     """Append the contrastive loss over two row-normalized embedding nodes;
     returns the scalar loss node. softmax_xent stabilizes itself."""
-    tau = float(tau)
-    if not (np.isfinite(tau) and tau > 0.0):
-        raise ConfigError(f"temperature must be positive and finite, got {tau}")
     scores = graph.pairwise_dot(query_node, target_node)
     return graph.softmax_xent(graph.scalar_mul(scores, tau))
 

@@ -23,18 +23,11 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .params import ParameterSet
 
 # Below this, a norm counts as zero and the layer is left unperturbed.
 ZERO_NORM_EPS = 1e-12
-
-
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not (np.isfinite(gamma) and gamma >= 0.0):
-        raise ConfigError(f"gamma must be finite and >= 0, got {gamma}")
-    return gamma
 
 
 # Overflow is not a warning here: the pass at theta + delta rejects a
@@ -54,7 +47,6 @@ def _build(params: ParameterSet, raw: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def adversarial_perturbation(params: ParameterSet, grad: np.ndarray, gamma: float) -> np.ndarray:
-    gamma = _check_gamma(gamma)
     params.check_flat(grad, "gradient")
     if not np.isfinite(grad).all():
         for name, a, b, _ in params.spans:
@@ -65,7 +57,6 @@ def adversarial_perturbation(params: ParameterSet, grad: np.ndarray, gamma: floa
 
 def random_perturbation(params: ParameterSet, gamma: float, rng: np.random.Generator) -> np.ndarray:
     """One draw of flat.size normals: the same stream as a draw per layer."""
-    gamma = _check_gamma(gamma)
     return _build(params, rng.standard_normal(params.flat.size), gamma)
 
 

@@ -139,10 +139,10 @@ class SynthDataset:
         )
 
 
-def _unit_rows(arr: np.ndarray, what: str) -> np.ndarray:
+def _unit_rows(arr: np.ndarray, what: str, cause: str = "") -> np.ndarray:
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms)):
-        raise DataError(f"degenerate {what}: non-finite row norm while normalizing")
+        raise DataError(f"degenerate {what}: non-finite row norm while normalizing{cause}")
     if np.any(norms < 1e-12):
         raise DataError(f"degenerate {what}: zero-norm row while normalizing")
     return arr / norms
@@ -174,7 +174,7 @@ def _nearest_subsets(gallery: np.ndarray, targets: np.ndarray, subset_size: int)
 
 
 # Overflow is not a warning here: _unit_rows rejects a non-finite row
-# norm with a DataError.
+# norm with a DataError that names noise_sigma.
 @np.errstate(over="ignore")
 def generate(config: DatasetConfig) -> SynthDataset:
     """Build the full dataset from the config seed."""
@@ -193,7 +193,8 @@ def generate(config: DatasetConfig) -> SynthDataset:
         rows = np.flatnonzero(codes == c)
         raw[rows] = np.einsum("ij,nj->ni", maps[c], refs[rows])
     raw += config.noise_sigma * noise
-    gallery = _unit_rows(raw, "target")
+    # Unit refs and unit-column maps bound ||A r|| by sqrt(d), so only the noise can overflow.
+    gallery = _unit_rows(raw, "target", f" (noise_sigma={config.noise_sigma!r} is too large)")
 
     n_tr, n_va = config.n_train, config.n_val
     all_idx = np.arange(total, dtype=np.uint32)
@@ -215,8 +216,6 @@ def subsample_dataset(dataset: SynthDataset, fraction: float, seed: int) -> Synt
     """
     if fraction == 1.0:
         return dataset
-    if not (0.0 < fraction <= 1.0):
-        raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
     n = len(dataset.train)
     perm = np.random.default_rng([_SUB_TAG, seed]).permutation(n)
     train = dataset.train.take(np.sort(perm[: math.ceil(fraction * n)]))

@@ -176,16 +176,10 @@ def new_train_state(config: TrainConfig, params: ParameterSet) -> TrainState:
     )
 
 
-def cosine_lr(eta0: float, t: int, total: int) -> float:
-    if not (0 <= t <= total):
-        raise ConfigError(f"need 0 <= t <= T, got t={t}, T={total}")
-    return eta0 * 0.5 * (1.0 + math.cos(math.pi * t / total))
-
-
 def current_lr(config: TrainConfig, epoch: int) -> float:
     if config.schedule == "constant":
         return config.eta0
-    return cosine_lr(config.eta0, epoch, config.total_epochs)
+    return config.eta0 * 0.5 * (1.0 + math.cos(math.pi * epoch / config.total_epochs))
 
 
 @dataclass
@@ -360,12 +354,6 @@ def _evaluate(model, dataset, train_eval_table, ks, params):
     )
 
 
-def check_train_split(dataset: SynthDataset) -> None:
-    """A batch needs a negative, so training needs at least two triplets."""
-    if len(dataset.train) < 2:
-        raise ConfigError("training split needs at least two triplets")
-
-
 def train(
     config: TrainConfig,
     model_config: ModelConfig,
@@ -390,7 +378,6 @@ def train(
     epochs before it; an exception or Ctrl-C in a step first commits
     the previous epoch. The worker is stopped before train() returns or raises.
     """
-    check_train_split(dataset)
     model = RetrievalModel(model_config, mode=config.finetune_mode, lora_rank=config.lora_rank)
     objective = RetrievalObjective(model, tau=config.tau)
     state = new_train_state(config, model.init_params())

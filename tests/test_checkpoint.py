@@ -117,6 +117,15 @@ def test_a_failed_rename_leaves_no_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["run"]
 
 
+def test_an_unreadable_checkpoint_is_a_data_error_naming_it(tmp_path):
+    for path, reason in ((tmp_path / "missing.ckpt", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        with pytest.raises(DataError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == f"cannot read {path}: {reason}"
+        assert isinstance(caught.value.__cause__, OSError)
+
+
 def test_a_failed_write_names_its_target_and_chains_the_original_error(tmp_path):
     (tmp_path / "run").mkdir()  # os.replace cannot move a file over a directory
     blocker = tmp_path / "blocker"

@@ -370,6 +370,19 @@ def test_landscape_rejects_a_bad_grid_flag_before_reading_the_run(
     assert capsys.readouterr().err == f"error: {flag} must be {rule}\n"
 
 
+def test_landscape_alpha_max_below_the_grid_resolution_is_exit_2(cfg_file, tmp_path, capsys):
+    # 5e-324 passes the flag check, but 5e-324 / 10 rounds to 0: the probe's
+    # own grid check is the one that fires, after the run is read.
+    cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
+    capsys.readouterr()
+    run_dir = tmp_path / "out" / "a"
+    code = cli.main(["landscape", "--checkpoint", str(run_dir / "best.ckpt"),
+                     "--alpha-max", "5e-324"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: alpha grid must be strictly increasing\n"
+    assert not (run_dir / "landscape.csv").exists()
+
+
 def test_landscape_nonfinite_checkpoint_is_exit_2(cfg_file, tmp_path, capsys):
     cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
     ckpt = tmp_path / "out" / "a" / "best.ckpt"
@@ -738,7 +751,8 @@ def test_a_non_finite_target_norm_is_exit_2_before_any_run_dir(cfg_file, tmp_pat
         code = cli.main(["train", "--config", str(cfg_file), "--set", "noise_sigma=1e300"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: degenerate target: non-finite row norm while normalizing\n")
+        "error: degenerate target: non-finite row norm while normalizing "
+        "(noise_sigma=1e+300 is too large)\n")
     assert not (tmp_path / "out").exists()
 
 

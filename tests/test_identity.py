@@ -39,6 +39,14 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
         ("<wrf train --config default.cfg --set gamma=-1>", b"exit 2", b"error: "),
         ("<wrf train --config default.cfg --set lora_rank=4 --set run_name=full_rank>", b"exit 2",
          b"error: lora_rank must be 0 unless finetune_mode=lora, got 4"),
+        ("<wrf train --config default.cfg --set tau=0>", b"exit 2",
+         b"error: tau must be positive, got 0.0"),
+        ("<wrf train --config default.cfg --set fraction=0.001 --set run_name=tiny_split>",
+         b"exit 2", b"error: training split needs at least two triplets"),
+        ("<wrf landscape --checkpoint runs/sgd/best.ckpt --directions 0>", b"exit 2",
+         b"error: --directions must be >= 1, got 0"),
+        ("<wrf landscape --checkpoint runs/sgd/best.ckpt --alpha-max 5e-324>", b"exit 2",
+         b"error: alpha grid must be strictly increasing"),
         ("<wrf landscape --checkpoint runs/missing/best.ckpt>", b"exit 2", b"error: "),
         ("<wrf landscape --checkpoint runs/sgd/best.ckpt --directions 1 --alpha-steps 1 "
          "--out runs/sgd>", b"exit 2", b"error: cannot write runs/sgd: Is a directory"),
@@ -50,7 +58,7 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
     assert set(codes.values()) == {b"exit 0"}
     assert inprocess["runs/diverged/metrics.csv"].count(b"\n") == 1  # the header only
     assert "runs/diverged/config.echo" in inprocess
-    assert not any(name.startswith("runs/full_rank/") for name in inprocess)
+    assert not any(name.startswith(("runs/full_rank/", "runs/tiny_split/")) for name in inprocess)
     assert b"subset_size=41\n" in inprocess["runs/wide_subsets/config.echo"]
     assert b"hidden=\n" in inprocess["runs/one_layer/config.echo"]
     assert b"n_train=65\n" in inprocess["runs/odd_batch/config.echo"]

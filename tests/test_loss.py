@@ -127,13 +127,9 @@ def test_graph_form_gradient_matches_finite_difference():
 
 
 def test_loss_config_validates_tau():
-    # The temperature is configured on TrainConfig and checked again
-    # where the loss is attached to a graph.
+    # The temperature is configured and checked on TrainConfig only.
     assert TrainConfig().tau == 10.0
     assert TrainConfig(tau=0.5).tau == 0.5
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ConfigError):
             TrainConfig(tau=bad)
-        g = Graph()
-        with pytest.raises(ConfigError):
-            attach_q2t_loss(g, g.input("u"), g.input("v"), tau=bad)

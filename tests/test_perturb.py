@@ -183,8 +183,6 @@ def test_validation_errors():
     with pytest.raises(NumericError):
         adversarial_perturbation(ps, np.array([np.nan, 1.0]), gamma=0.01)
     with pytest.raises(ConfigError):
-        adversarial_perturbation(ps, np.ones(2), gamma=-0.1)
-    with pytest.raises(ConfigError):
         adversarial_perturbation(ps, np.ones(3), gamma=0.1)
     with pytest.raises(ConfigError):
         TrainConfig(rho=1.5)

@@ -28,7 +28,6 @@ from wrf.trainer import (
     TrainConfig,
     TripletBatch,
     baseline_step,
-    cosine_lr,
     current_lr,
     metrics_rows,
     new_train_state,
@@ -185,13 +184,10 @@ def test_adamw_moments_track_perturbed_gradient_only():
 
 
 def test_cosine_schedule_anchors():
-    assert cosine_lr(1e-3, 0, 60) == pytest.approx(1e-3)
-    assert cosine_lr(1e-3, 30, 60) == pytest.approx(5e-4)
-    assert cosine_lr(1e-3, 60, 60) == pytest.approx(0.0, abs=1e-18)
-    with pytest.raises(ConfigError):
-        cosine_lr(1e-3, 61, 60)
-    with pytest.raises(ConfigError):
-        cosine_lr(1e-3, -1, 60)
+    cfg = TrainConfig(schedule="cosine", eta0=1e-3, total_epochs=60, warmup_epochs=0)
+    assert current_lr(cfg, 0) == pytest.approx(1e-3)
+    assert current_lr(cfg, 30) == pytest.approx(5e-4)
+    assert current_lr(cfg, 60) == pytest.approx(0.0, abs=1e-18)
     cfg = TrainConfig(schedule="constant", eta0=7e-4, total_epochs=10, warmup_epochs=0)
     assert current_lr(cfg, 9) == 7e-4
     cfg = TrainConfig(schedule="cosine", eta0=1e-3, total_epochs=10, warmup_epochs=0)
@@ -925,14 +921,13 @@ def test_train_in_a_daemonic_process_evaluates_in_process(tmp_path, monkeypatch)
 
 
 def test_train_rejects_tiny_split(tmp_path):
-    dataset = generate(DATA_CFG)
-    sub = trainer  # keep namespace use obvious
-    from wrf.synthcir import subsample_dataset
-
-    tiny = subsample_dataset(dataset, 1 / 40, seed=0)
-    assert len(tiny.train) == 1
-    with pytest.raises(ConfigError):
-        sub.train(small_run_config(), MODEL_CFG, tiny, out_dir=tmp_path / "r")
+    # run_experiment, the one caller of train(), checks the two-triplet rule.
+    data = {f.name: getattr(DATA_CFG, f.name) for f in dataclasses.fields(DatasetConfig)}
+    config = cli.ExperimentConfig(**data, fraction=1 / 40, out_dir=str(tmp_path / "out"))
+    assert len(cli.build_dataset(config).train) == 1
+    with pytest.raises(ConfigError, match="^training split needs at least two triplets$"):
+        cli.run_experiment(config)
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_lora_mode_keeps_base_frozen(tmp_path):

@@ -17,7 +17,9 @@ The package is organized bottom-up:
   with one BLAS thread unless the environment sets one
 
 A value is checked once, where it enters (a config, a CLI flag or a file
-it reads), and the functions below trust their callers.
+it reads), and the functions below trust their callers: below the entry
+points a check exists only where a misuse or an overflow would otherwise
+give a wrong number without an error (the README's "Tests" lists them).
 """
 
 __version__ = "0.1.0"

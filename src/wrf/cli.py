@@ -8,8 +8,9 @@ streams are all derived from the recorded seed).
 
 Exit codes: 0 success, 1 selfcheck failure, 2 config or IO error,
 3 numeric abort, 4 sweep finished with some failed runs. The commands
-raise their errors; main() alone maps ConfigError, DataError and
-OSError to 2 and NumericError to 3, each with one ``error:`` line.
+raise their errors; main() alone maps ConfigError, DataError, OSError
+and MemoryError (``out of memory``) to 2 and NumericError to 3, each
+with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def cmd_sweep(args) -> int:
     for value, seed, config in planned:
         try:
             record, run_dir = run_experiment(config)
-        except (WrfError, OSError) as exc:
+        except (WrfError, OSError, MemoryError) as exc:
             failures += 1
             print(f"error: run {config.run_name} failed: {exc}", file=sys.stderr)
             continue
@@ -385,6 +386,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, DataError, OSError) as exc:
         message, code = str(exc), 2
+    except MemoryError as exc:
+        message, code = f"out of memory: {exc}", 2
     except NumericError as exc:
         message, code = f"numeric abort: {exc}", 3
     print(f"error: {message}", file=sys.stderr)

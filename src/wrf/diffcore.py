@@ -12,6 +12,12 @@ because a non-finite intermediate can vanish before the loss
 finite only when every entry is, and runs np.isfinite only when it is
 not, to tell a sum of squares that overflows from a non-finite entry.
 
+Below the entry points a check exists only where a misuse or an
+overflow would otherwise give a wrong number without an error: a leaf
+name bound twice, an unknown node id (a negative one indexes from the
+end), the op shapes, the finite checks, l2norm_rows' row norms (x / inf
+is a zero row) and backward of a non-scalar output.
+
 A pass follows one plan, Graph.plan(output, trainable): forward steps
 over only the nodes output needs, and backward steps over those of
 them that can reach a trainable parameter, so no gradient is formed
@@ -54,7 +60,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, StateError
+from .errors import ConfigError, NumericError, ShapeError
 from .params import ParameterSet, carve
 
 # Rows with L2 norm below this are mapped to zero by l2norm_rows instead
@@ -160,6 +166,8 @@ def _bw_row_concat(i, g, split):
 def _fw_l2norm_rows(i, x):
     _require_2d(i, "l2norm_rows", x, "input")
     norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if not math.isfinite(norms.sum()):  # norms are >= 0: exact
+        raise NumericError(f"node {i} (l2norm_rows) produced non-finite row norms")
     safe = norms > NORM_EPS
     if safe.all():  # the np.where form is x / norms, bit for bit; None marks it
         y, safe = x / norms, None
@@ -350,17 +358,11 @@ class Executor:
     backward from that output; each pass follows the graph's plan for
     (output, params.trainable_names).
 
-    backward() before forward() is a StateError; forward() invalidates
-    any previous tape, so grads always correspond to the latest values.
+    forward() replaces the tape, so backward() differentiates its latest pass.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._values: list | None = None
-        self._ctx: list | None = None
-        self._params: ParameterSet | None = None
-        self._output: int | None = None
-        self._backward_steps: tuple = ()
 
     def forward(
         self,
@@ -368,11 +370,8 @@ class Executor:
         params: ParameterSet,
         output: int,
     ) -> np.ndarray:
-        """The value of output; an input counts as missing only if output needs it."""
+        """The value of output; inputs it does not need are ignored."""
         forward, backward = self.graph.plan(output, params.trainable_names)
-        unknown = [name for name in inputs if self.graph._leaves.get(name) != "input"]
-        if unknown:
-            raise ConfigError(f"unexpected inputs: {sorted(unknown)}")
         values: list = [None] * len(self.graph.nodes)
         ctxs: list = [None] * len(values)
         ops = _OPS
@@ -380,14 +379,10 @@ class Executor:
         with np.errstate(over="ignore", invalid="ignore"):
             for i, op, arg, ins, j in forward:
                 if op == "input":
-                    if arg not in inputs:
-                        raise ConfigError(f"missing input {arg!r}")
                     out = np.asarray(inputs[arg], dtype=np.float64)
                     if not _all_finite(out):
                         raise NumericError(f"input {arg!r} has non-finite entries")
                 elif op == "param":
-                    if arg not in params:
-                        raise ConfigError(f"missing param {arg!r}")
                     out = params[arg]
                 else:
                     args = [values[k] for k in ins]
@@ -409,8 +404,6 @@ class Executor:
     def backward(self) -> np.ndarray:
         """The gradient of forward's output, laid out like params.flat; a
         trainable layer the output does not reach keeps its zeros."""
-        if self._values is None:
-            raise StateError("backward called before forward")
         out = self._output
         loss_val = self._values[out]
         if np.ndim(loss_val) != 0 and np.size(loss_val) != 1:
@@ -449,8 +442,6 @@ def finite_diff_gradient(
     the backward rules are checked against. loss_fn must be a pure
     function of the parameter values.
     """
-    if not (h > 0.0 and np.isfinite(h)):
-        raise ConfigError(f"step size h must be positive and finite, got {h}")
     work = params.copy()
     flat, out = work.flat, np.zeros(work.flat.size)
     for k in range(flat.size):

@@ -13,10 +13,6 @@ class NumericError(WrfError):
     """A non-finite value appeared where finite arithmetic is required."""
 
 
-class StateError(WrfError):
-    """An operation was invoked out of order, e.g. backward before forward."""
-
-
 class ConfigError(WrfError):
     """A configuration value violates its documented invariants."""
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import worker
 from .checkpoint import value_text, write_whole
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError
 from .params import ParameterSet
 from .perturb import apply_perturbation, random_perturbation
 
@@ -40,13 +40,6 @@ class MetricReport:
     recall_at: dict[int, float]  # K -> Recall@K, in %
     rmean: float  # mean of recall_at
     rsubset_at_1: float  # Recall_subset@1, in %
-
-
-def _check_embeddings(queries: np.ndarray, gallery: np.ndarray) -> None:
-    if queries.ndim != 2 or gallery.ndim != 2 or queries.shape[1] != gallery.shape[1]:
-        raise ShapeError(
-            f"embedding dims do not match: {queries.shape} vs {gallery.shape}"
-        )
 
 
 def _count_rows(mask: np.ndarray) -> np.ndarray:
@@ -87,7 +80,6 @@ def target_ranks(
     gallery index; a subset rank is the target's rank within its subset,
     global order preserved.
     """
-    _check_embeddings(query_embs, gallery_embs)
     targets = np.asarray(targets, dtype=np.int64)
     if not (subsets == targets[:, None]).any(axis=1).all():
         raise DataError("a candidate subset is missing its query's target")

@@ -43,7 +43,7 @@ class ParameterSet:
     live view, so in-place updates (optimizer steps) go through it or
     through `flat`; anything that must not alias calls copy() first.
     names (insertion order), trainable_names, spans, flat and frozen are
-    read-only attributes.
+    read-only attributes. Only the constructor checks that values are finite.
     """
 
     __slots__ = ("_layers", "_layout", "names", "trainable_names", "spans", "flat", "frozen")
@@ -54,11 +54,13 @@ class ParameterSet:
         trainable: Iterable[str] | None = None,
     ):
         arrays = {name: np.asarray(value, dtype=np.float64) for name, value in layers.items()}
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise NumericError(f"layer {name!r} has non-finite entries")
         wanted = set(arrays if trainable is None else trainable)
         spans, flat = _pack(arrays, [n for n in arrays if n in wanted])
         frozen_spans, frozen = _pack(arrays, [n for n in arrays if n not in wanted])
         self._attach((tuple(arrays), spans, frozen_spans), flat, frozen)
-        self.require_finite()
         if not arrays:
             raise ConfigError("a ParameterSet needs at least one layer")
         unknown = wanted - set(arrays)
@@ -82,9 +84,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._layers[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._layers
-
     def items(self):
         return self._layers.items()
 
@@ -95,17 +94,6 @@ class ParameterSet:
         """ConfigError unless buf (a gradient, a delta) is laid out like flat."""
         if np.shape(buf) != self.flat.shape:
             raise ConfigError(f"{what} has shape {np.shape(buf)}, expected {self.flat.shape}")
-
-    def require_finite(self) -> None:
-        """Raise NumericError naming the first layer with a non-finite entry.
-
-        The constructor checks its input; in-place updates through
-        __getitem__ are not checked, so a caller that must not run on a
-        blown-up set checks it here.
-        """
-        for name, arr in self._layers.items():
-            if not np.isfinite(arr).all():
-                raise NumericError(f"layer {name!r} has non-finite entries")
 
     def copy(self) -> "ParameterSet":
         """A deep copy of both buffers; the layout is shared, and neither

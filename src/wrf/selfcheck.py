@@ -168,8 +168,6 @@ def inject_fault(op: str):
     """Mutation fixture: flip the sign of one op's backward rule (an op
     name from diffcore._OPS, or a name in FAULTS), restore on exit."""
     op = FAULTS.get(op, op)
-    if op not in diffcore._OPS:
-        raise ValueError(f"unknown fault {op!r}")
     original = diffcore._OPS[op]
 
     def flipped(i, g, ctx):

@@ -82,13 +82,6 @@ class TripletTable:
     target_indices: np.ndarray  # (n,) uint32
 
     def __post_init__(self):
-        n = self.refs.shape[0]
-        if self.refs.ndim != 2:
-            raise DataError("refs must be 2-d")
-        for name in ("mod_codes", "target_indices"):
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise DataError(f"{name} must have shape ({n},), got {arr.shape}")
         for arr in (self.refs, self.mod_codes, self.target_indices):
             arr.flags.writeable = False
 

@@ -221,6 +221,39 @@ def test_sweep_continues_past_failing_run(cfg_file, tmp_path, capsys):
         ]
 
 
+def test_sweep_counts_an_overflowing_perturbation_as_a_failed_run(cfg_file, tmp_path, capsys):
+    # At gamma 1e300 the perturbed pass's row norms overflow: that run fails
+    # instead of training on the loss of all-zero embeddings.
+    code = cli.main(["sweep", "--config", str(cfg_file), "--param", "gamma",
+                     "--values", "0.01,1e300", "--seeds", "0",
+                     "--set", "total_epochs=2", "--set", "warmup_epochs=0"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: run gamma_1e+300_seed0 failed: pass at theta+delta failed: "
+                          "node 12 (l2norm_rows) produced non-finite row norms [gamma=1e+300, ")
+    assert err.count("\n") == 1
+    lines = (tmp_path / "out" / "sweep_summary.csv").read_text().strip().split("\n")
+    assert [line.split(",")[1] for line in lines[1:]] == ["0.01"]
+
+
+def test_sweep_counts_an_out_of_memory_run_as_a_failed_run(cfg_file, tmp_path, monkeypatch, capsys):
+    real = cli.run_experiment
+
+    def run(config):
+        if config.rho == 0.25:
+            raise MemoryError("Unable to allocate 32.0 GiB for an array with shape (4294967297,)")
+        return real(config)
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    code = cli.main(["sweep", "--config", str(cfg_file), "--param", "rho",
+                     "--values", "0.25,0.5", "--seeds", "0"])
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert err == ("error: run rho_0.25_seed0 failed: "
+                   "Unable to allocate 32.0 GiB for an array with shape (4294967297,)\n")
+    assert "summary: " in out and "(1 rows, 1 failed)" in out
+
+
 def test_sweep_table_cut_is_nan_when_the_first_gap_is_0(capsys):
     def record(rmean, gap):
         return RunRecord(best_epoch=1, best_val_rmean=rmean, gap_at_best=gap)
@@ -381,6 +414,21 @@ def test_landscape_alpha_max_below_the_grid_resolution_is_exit_2(cfg_file, tmp_p
     assert code == 2
     assert capsys.readouterr().err == "error: alpha grid must be strictly increasing\n"
     assert not (run_dir / "landscape.csv").exists()
+
+
+def test_landscape_points_whose_row_norms_overflow_are_nan(cfg_file, tmp_path, capsys):
+    # At alpha 1e200 every embedding row norm overflows; such a point is nan,
+    # not the loss of all-zero embeddings, ln(batch size).
+    cli.main(["train", "--config", str(cfg_file), "--set", "run_name=a"])
+    run_dir = tmp_path / "out" / "a"
+    code = cli.main(["landscape", "--checkpoint", str(run_dir / "best.ckpt"),
+                     "--alpha-max", "1e200", "--alpha-steps", "2", "--directions", "1"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in (run_dir / "landscape.csv").read_text().split("\n")[1:-1]]
+    assert [alpha for _, alpha, _ in rows] == ["-1e+200", "-5e+199", "0.0", "5e+199", "1e+200"]
+    assert [loss for _, alpha, loss in rows if alpha != "0.0"] == ["nan"] * 4
+    assert np.isfinite(float(rows[2][2]))
 
 
 def test_landscape_nonfinite_checkpoint_is_exit_2(cfg_file, tmp_path, capsys):
@@ -601,6 +649,7 @@ def test_a_key_set_twice_in_a_config_file_is_exit_2(tmp_path, capsys):
     (DataError("bad file"), 2, "error: "),
     (OSError("disk full"), 2, "error: "),
     (NumericError("loss is nan"), 3, "error: numeric abort: "),
+    (MemoryError("Unable to allocate 32.0 GiB"), 2, "error: out of memory: "),
 ])
 @pytest.mark.parametrize("command, raiser", [
     ("train", "run_experiment"),
@@ -730,6 +779,15 @@ def test_wrf_command_defaults_to_one_blas_thread():
 def test_wrf_command_keeps_a_blas_setting_it_is_given():
     # OpenBLAS reads OPENBLAS_NUM_THREADS first; setting it would override OMP's 4.
     assert run_entry_probe(OMP_NUM_THREADS="4") == ["None 4 None", "False False"]
+
+
+def test_an_overflowing_perturbation_is_a_numeric_abort(cfg_file, tmp_path, capsys):
+    code = cli.main(["train", "--config", str(cfg_file), "--set", "gamma=1e300",
+                     "--set", "warmup_epochs=0"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "error: numeric abort: pass at theta+delta failed: node 12 (l2norm_rows) "
+        "produced non-finite row norms [gamma=1e+300, ")
 
 
 def test_an_overflowing_layer_norm_prints_only_the_abort_line(cfg_file):

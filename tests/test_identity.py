@@ -51,7 +51,8 @@ def test_fixed_set_is_the_same_on_both_eval_paths(tmp_path, monkeypatch):
         ("<wrf landscape --checkpoint runs/sgd/best.ckpt --directions 1 --alpha-steps 1 "
          "--out runs/sgd>", b"exit 2", b"error: cannot write runs/sgd: Is a directory"),
         ("<wrf train --config default.cfg --set eta0=1e300 --set run_name=diverged>",
-         b"exit 3", b"error: numeric abort: "),
+         b"exit 3", b"error: numeric abort: loss pass failed: node 17 (l2norm_rows) "
+         b"produced non-finite row norms [gamma=0.0, "),
     ):
         assert codes.pop(name) == code
         assert inprocess[name].split(b"\n")[1].startswith(prefix), name
